@@ -30,7 +30,6 @@ from .mindex import (
 )
 from .refsolve import rk4_integrate
 from .sysdef import (
-    AugmentedSystem,
     ConfigError,
     DerivativeOracle,
     FiniteDifferenceOracle,
@@ -40,7 +39,6 @@ from .sysdef import (
     UnsupportedOrderError,
     augment,
     builtin,
-    finite_difference_oracle,
     load_config,
     load_config_file,
     second_order_to_first_order,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACCURACY_FLOOR",
-    "AugmentedSystem",
     "BlowUpError",
     "CheckResult",
     "ConfigError",
@@ -72,7 +69,6 @@ __all__ = [
     "build_S",
     "build_catalog",
     "builtin",
-    "finite_difference_oracle",
     "fit_order",
     "gamma",
     "global_max_error",

@@ -4,11 +4,10 @@ reference runs, convergence sweeps, and structural validation.
 All outputs are deterministic CSV (or plain check lines for validate):
 a header row naming the columns, numbers with 17 significant digits,
 and "# "-prefixed trailing summary lines where a sweep has slopes and
-thresholds to report.  Exit codes: 0 success, 1 failed checks or failed
-CI assertions, 2 usage or configuration errors.
-
-The environment variable OSC_LLEI_THREADS caps the sweep worker pool
-(default 1); results are order-stabilized regardless of pool size.
+thresholds to report.  Exit codes: 0 success, 1 failed checks, failed
+CI assertions or a numerical failure (state blow-up, time-row drift,
+imaginary residue on a real problem), 2 usage or configuration errors.
+Every error is reported as one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .algebra_checks import random_imaginary_system, run_suite
 from .extension import build_A0, build_A1, build_S
-from .harness import ErrorReport, sweep_eps, sweep_h, thresholds
+from .harness import ErrorReport, sweep_eps, sweep_h
 from .llei import BlowUpError, Trajectory, integrate
 from .mindex import build_catalog
 from .refsolve import rk4_integrate
@@ -36,15 +34,6 @@ LARGE_TOL = 0.4
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _workers() -> int:
-    raw = os.environ.get("OSC_LLEI_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"OSC_LLEI_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 @contextlib.contextmanager
@@ -109,9 +98,8 @@ def _cmd_build(args) -> int:
         xhat = np.concatenate([system.initial_state, [0.0]])
     else:
         xhat = _parse_state(args.at, system.d)
-    aug = augment(system)
     matrices = {
-        "A1k": build_A1(catalog, aug.A1, xhat),
+        "A1k": build_A1(catalog, augment(system), xhat),
         "A0k": build_A0(catalog, system.oracle, xhat),
         "S": build_S(catalog, xhat),
     }
@@ -129,11 +117,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_integrate(args) -> int:
     system = load_config_file(args.config)
-    try:
-        traj = integrate(system, args.k, args.h)
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = integrate(system, args.k, args.h)
     with _out_stream(args.out) as fh:
         _write_trajectory(traj, fh, system.is_real)
     return 0
@@ -141,16 +125,12 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_reference(args) -> int:
     system = load_config_file(args.config)
-    try:
-        traj = rk4_integrate(
-            system,
-            args.href,
-            sample_stride=args.stride,
-            allow_unresolved=args.allow_unresolved,
-        )
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = rk4_integrate(
+        system,
+        args.href,
+        sample_stride=args.stride,
+        allow_unresolved=args.allow_unresolved,
+    )
     with _out_stream(args.out) as fh:
         _write_trajectory(traj, fh, system.is_real)
     return 0
@@ -196,39 +176,36 @@ def _write_report(report: ErrorReport, fh) -> None:
         print(f"# note: {note}", file=fh)
 
 
-def _ci_misses(report: ErrorReport, expectations: dict[str, tuple[float, float]]):
-    """Fitted slopes outside their expected band; absent slopes assert nothing."""
-    misses = []
+def _ci_exit(report: ErrorReport, expectations: dict[str, tuple[float, float]]) -> int:
+    """Print a "ci:" line per fitted slope outside its band; 1 if any, else 0.
+
+    Absent slopes assert nothing.
+    """
+    code = 0
     for key, (target, tol) in expectations.items():
         got = report.slopes.get(key)
         if got is not None and abs(got - target) > tol:
-            misses.append(f"{key}: slope {got:.3f} outside {target} +- {tol}")
-    return misses
+            print(
+                f"ci: {key}: slope {got:.3f} outside {target} +- {tol}", file=sys.stderr
+            )
+            code = 1
+    return code
 
 
 def _cmd_converge_h(args) -> int:
     system = load_config_file(args.config)
     h_values = _dyadic_h_grid(system.T, args.hmax, args.hmin, args.points)
     h_values = sorted(h_values, reverse=True)
-    report = sweep_h(
-        system,
-        args.k,
-        h_values,
-        h_ref_target=args.href_target,
-        workers=_workers(),
-    )
+    report = sweep_h(system, args.k, h_values, h_ref_target=args.href_target)
     with _out_stream(args.out) as fh:
         _write_report(report, fh)
-    if args.ci:
-        expectations = {}
-        for comp in ("u", "y", "ydot"):
-            expectations[f"small_{comp}"] = (args.k + 1, SMALL_TOL)
-            expectations[f"large_{comp}"] = (args.k, LARGE_TOL)
-        misses = _ci_misses(report, expectations)
-        for miss in misses:
-            print(f"ci: {miss}", file=sys.stderr)
-        return 1 if misses else 0
-    return 0
+    if not args.ci:
+        return 0
+    expectations = {}
+    for comp in ("u", "y", "ydot"):
+        expectations[f"small_{comp}"] = (args.k + 1, SMALL_TOL)
+        expectations[f"large_{comp}"] = (args.k, LARGE_TOL)
+    return _ci_exit(report, expectations)
 
 
 def _cmd_converge_eps(args) -> int:
@@ -241,30 +218,20 @@ def _cmd_converge_eps(args) -> int:
         set(np.geomspace(args.epsmax, args.epsmin, args.points).tolist()),
         reverse=True,
     )
-    report = sweep_eps(
-        system,
-        args.k,
-        args.h,
-        eps_values,
-        h_ref_factor=args.href_factor,
-        workers=_workers(),
-    )
+    report = sweep_eps(system, args.k, args.h, eps_values, h_ref_factor=args.href_factor)
     with _out_stream(args.out) as fh:
         _write_report(report, fh)
-    if args.ci:
-        if system.y_dim is not None:
-            expectations = {
-                "small_y": (1.0, SMALL_TOL),
-                "large_y": (2.0, LARGE_TOL),
-                "large_ydot": (1.0, SMALL_TOL),
-            }
-        else:
-            expectations = {"large_u": (1.0, SMALL_TOL)}
-        misses = _ci_misses(report, expectations)
-        for miss in misses:
-            print(f"ci: {miss}", file=sys.stderr)
-        return 1 if misses else 0
-    return 0
+    if not args.ci:
+        return 0
+    if system.y_dim is not None:
+        expectations = {
+            "small_y": (1.0, SMALL_TOL),
+            "large_y": (2.0, LARGE_TOL),
+            "large_ydot": (1.0, SMALL_TOL),
+        }
+    else:
+        expectations = {"large_u": (1.0, SMALL_TOL)}
+    return _ci_exit(report, expectations)
 
 
 def _cmd_validate(args) -> int:
@@ -372,12 +339,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (BlowUpError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

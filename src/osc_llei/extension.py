@@ -63,9 +63,7 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     return out
 
 
-def build_A0(
-    catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat, k: int | None = None
-) -> np.ndarray:
+def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.ndarray:
     """The O(1) part of the lifted dynamics at reference point xhat.
 
     Row alpha of degree j receives, for each position l and each
@@ -75,10 +73,7 @@ def build_A0(
     at |beta| = 0.  The truncation order guarantees no target monomial
     exceeds degree k.
     """
-    if k is None:
-        k = catalog.k
-    elif k != catalog.k:
-        raise ValueError(f"k={k} does not match catalog order {catalog.k}")
+    k = catalog.k
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
     u, t = xhat[:d], xhat[d]

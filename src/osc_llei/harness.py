@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,13 +173,6 @@ def _fit_regime_slopes(system, points) -> dict[str, float | None]:
     return slopes
 
 
-def _map_points(worker, args, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, args))
-    return [worker(a) for a in args]
-
-
 def _richardson_estimate(system, ref, h_fine, stride) -> ErrorValues:
     """Reference-error estimate: |ref - run at 2 h_fine| / 15 on ref's grid."""
     with warnings.catch_warnings():
@@ -210,12 +202,24 @@ def _margin_note(report: ErrorReport, est: ErrorValues, min_error: float | None)
         )
 
 
+def _point_notes(report: ErrorReport) -> None:
+    """Append the aborted-point and floored-point notes to a finished sweep."""
+    n_failed = sum(1 for p in report.points if p.failed)
+    if n_failed:
+        report.notes.append(f"{n_failed} point(s) aborted (state blow-up)")
+    n_floored = sum(1 for p in report.points if p.floored)
+    if n_floored:
+        report.notes.append(
+            f"{n_floored} point(s) at the {ACCURACY_FLOOR:g} accuracy floor were "
+            "excluded from fits"
+        )
+
+
 def sweep_h(
     system: OscillatorySystem,
     k: int,
     h_values,
     h_ref_target: float | None = None,
-    workers: int = 1,
 ) -> ErrorReport:
     """Error vs step size at fixed epsilon, against one shared reference.
 
@@ -273,7 +277,7 @@ def sweep_h(
         )
         return _point_from_errors(h, global_max_error(traj, sub), regime)
 
-    points = _map_points(run_one, n_values, workers)
+    points = [run_one(n) for n in n_values]
 
     report = ErrorReport(
         axis="h",
@@ -290,15 +294,7 @@ def sweep_h(
     est = _richardson_estimate(system, ref, h_ref, m)
     ok_errors = [p.error_u for p in points if p.error_u is not None]
     _margin_note(report, est, min(ok_errors) if ok_errors else None)
-    n_failed = sum(1 for p in points if p.failed)
-    if n_failed:
-        report.notes.append(f"{n_failed} point(s) aborted (state blow-up)")
-    n_floored = sum(1 for p in points if p.floored)
-    if n_floored:
-        report.notes.append(
-            f"{n_floored} point(s) at the {ACCURACY_FLOOR:g} accuracy floor were "
-            "excluded from fits"
-        )
+    _point_notes(report)
     return report
 
 
@@ -308,7 +304,6 @@ def sweep_eps(
     h: float,
     eps_values,
     h_ref_factor: float = 1.0 / 1024.0,
-    workers: int = 1,
 ) -> ErrorReport:
     """Error vs epsilon at fixed step size h.
 
@@ -374,7 +369,7 @@ def sweep_eps(
             stride,
         )
 
-    results = _map_points(run_one, eps_values, workers)
+    results = [run_one(eps) for eps in eps_values]
     points = [r[0] for r in results]
 
     report = ErrorReport(
@@ -395,7 +390,5 @@ def sweep_eps(
         est = _richardson_estimate(sys_e, ref, h_snap / stride, stride)
         last = points[-1]
         _margin_note(report, est, last.error_u)
-    n_failed = sum(1 for p in points if p.failed)
-    if n_failed:
-        report.notes.append(f"{n_failed} point(s) aborted (state blow-up)")
+    _point_notes(report)
     return report

@@ -6,7 +6,6 @@ Thin validated wrappers over scipy/LAPACK:
   and 1-norm based scaling (Al-Mohy and Higham), via scipy.linalg.expm.
 - eigvals: Hessenberg reduction plus shifted QR iteration (LAPACK zgeev),
   via scipy.linalg.eigvals.
-- solve: partial-pivoted LU (LAPACK getrf/getrs), via scipy.linalg.solve.
 
 All operations are pure functions over immutable inputs and reject
 non-finite entries up front.
@@ -32,28 +31,7 @@ def expm(M) -> np.ndarray:
     return scipy.linalg.expm(_as_square(M))
 
 
-def expm_apply(M, v) -> np.ndarray:
-    """e^M v, evaluated as a full exponential followed by a multiply.
-
-    Matrix sizes here are desk scale (D <= a few hundred), where the
-    dense exponential is both cheap and the most accurate option.
-    """
-    M = _as_square(M)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (M.shape[0],):
-        raise ValueError(f"vector shape {v.shape} does not match matrix {M.shape}")
-    return expm(M) @ v
-
-
 def eigvals(M) -> np.ndarray:
     """All eigenvalues of M (unordered)."""
     return scipy.linalg.eigvals(_as_square(M))
 
-
-def solve(M, B) -> np.ndarray:
-    """X with M X = B; raises on singular-to-working-precision M."""
-    M = _as_square(M)
-    B = np.asarray(B, dtype=np.complex128)
-    if B.shape[0] != M.shape[0]:
-        raise ValueError(f"rhs shape {B.shape} does not match matrix {M.shape}")
-    return scipy.linalg.solve(M, B)

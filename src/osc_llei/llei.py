@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .extension import build_A0, build_A1
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import AugmentedSystem, OscillatorySystem, UnsupportedOrderError, augment
+from .sysdef import OscillatorySystem, UnsupportedOrderError, augment
 
 BLOWUP_NORM = 1e12
 
@@ -61,15 +61,31 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _step_matrices(system, catalog, aug, Un, tn, h):
+def check_blow_up(u, step_index: int, t: float) -> None:
+    """Raise BlowUpError when |u| is non-finite or exceeds BLOWUP_NORM."""
+    norm = float(np.linalg.norm(u))
+    if not np.isfinite(norm) or norm > BLOWUP_NORM:
+        raise BlowUpError(step_index, t, norm)
+
+
+def _check_args(system: OscillatorySystem, k: int, h: float) -> None:
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    if k > system.max_order:
+        raise UnsupportedOrderError(
+            f"k = {k} exceeds the oracle's max_order {system.max_order}"
+        )
+
+
+def _step_matrices(system, catalog, A1, Un, tn, h):
     xhat = np.concatenate([np.asarray(Un, dtype=complex), [tn]])
-    A1k = build_A1(catalog, aug.A1, xhat)
+    A1k = build_A1(catalog, A1, xhat)
     A0k = build_A0(catalog, system.oracle, xhat)
     return (A1k / system.epsilon + A0k) * h
 
 
-def _advance(system, catalog, aug, Un, tn, h):
-    M = _step_matrices(system, catalog, aug, Un, tn, h)
+def _advance(system, catalog, A1, Un, tn, h):
+    M = _step_matrices(system, catalog, A1, Un, tn, h)
     w = linalg.expm(M)[:, 0]
     d = system.d
     t_comp = w[d + 1]
@@ -88,19 +104,17 @@ def step(
     tn: float,
     h: float,
 ) -> np.ndarray:
-    """One scheme step from (Un, tn) with step size h."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if catalog.k > system.max_order:
-        raise UnsupportedOrderError(
-            f"k = {catalog.k} exceeds the oracle's max_order {system.max_order}"
-        )
+    """One scheme step from (Un, tn) with step size h.
+
+    Raises BlowUpError (reported as step 0) when the new state's norm
+    passes 1e12 or goes non-finite.
+    """
+    _check_args(system, catalog.k, h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
     Un = np.asarray(Un, dtype=complex)
     out = _advance(system, catalog, augment(system), Un, tn, h)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(0, tn, float("inf"))
+    check_blow_up(out, 0, tn)
     return out
 
 
@@ -111,24 +125,17 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     recorded on the returned trajectory.  Aborts with BlowUpError when
     the state norm passes 1e12 or goes non-finite.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if k > system.max_order:
-        raise UnsupportedOrderError(
-            f"k = {k} exceeds the oracle's max_order {system.max_order}"
-        )
+    _check_args(system, k, h)
     catalog = build_catalog(system.d + 1, k)
-    aug = augment(system)
+    A1 = augment(system)
     N = max(1, round(system.T / h))
     h_snap = system.T / N
     times = np.linspace(0.0, system.T, N + 1)
     states = np.empty((N + 1, system.d), dtype=complex)
     states[0] = system.initial_state
     for n in range(N):
-        states[n + 1] = _advance(system, catalog, aug, states[n], times[n], h_snap)
-        norm = float(np.linalg.norm(states[n + 1]))
-        if not np.isfinite(norm) or norm > BLOWUP_NORM:
-            raise BlowUpError(n, float(times[n]), norm)
+        states[n + 1] = _advance(system, catalog, A1, states[n], times[n], h_snap)
+        check_blow_up(states[n + 1], n, float(times[n]))
     return Trajectory(
         times=times,
         states=states,

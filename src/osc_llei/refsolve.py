@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .llei import BLOWUP_NORM, BlowUpError, Trajectory
+from .llei import Trajectory, check_blow_up
 from .sysdef import OscillatorySystem
 
 
@@ -86,9 +86,7 @@ def rk4_integrate(
             u = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             t += h
         states[s + 1] = u
-        norm = float(np.linalg.norm(u))
-        if not np.isfinite(norm) or norm > BLOWUP_NORM:
-            raise BlowUpError(s * sample_stride, t, norm)
+        check_blow_up(u, s * sample_stride, t)
         t = float(times[s + 1])
 
     return Trajectory(

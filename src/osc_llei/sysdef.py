@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import MultiIndex, gamma, representative
+from .mindex import MultiIndex, representative
 
 _EPS = float(np.finfo(float).eps)
 
@@ -65,11 +65,6 @@ class DerivativeOracle:
     def value(self, u, t) -> np.ndarray:
         """F(u, t) itself; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
-
-
-def eval_partial(oracle: DerivativeOracle, alpha, u, t) -> np.ndarray:
-    """d^alpha F(u, t) via the oracle; permutation-invariant in alpha."""
-    return oracle.partial(alpha, u, t)
 
 
 class PolynomialOracle(DerivativeOracle):
@@ -159,17 +154,12 @@ class FiniteDifferenceOracle(DerivativeOracle):
         return np.asarray(self.F(u, t))
 
 
-def finite_difference_oracle(F: Callable, k_max: int, real_valued: bool = False) -> DerivativeOracle:
-    return FiniteDifferenceOracle(F, k_max, real_valued)
-
-
 @dataclass
 class OscillatorySystem:
     """The problem (A, epsilon, nu, u_in, T) plus F's derivative oracle.
 
     y_dim marks systems with the [y; p] phase-space layout (p = epsilon
     * dy/dt), enabling split error reporting for y and dy/dt.
-    Immutable by convention; share freely across workers.
     """
 
     d: int
@@ -231,39 +221,15 @@ class OscillatorySystem:
         return replace(self, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Time-augmented form: x = [u; t], dx/dt = (1/eps) A1 x + f(x).
+def augment(system: OscillatorySystem) -> np.ndarray:
+    """A1 of the time-augmented form x = [u; t], dx/dt = (1/eps) A1 x + [F; 1].
 
-    A1 carries A in the upper-left block with a zero last row and
-    column; f appends the constant 1 driving the time coordinate.
+    A sits in the upper-left block; the last row and column are zero.
     """
-
-    system: OscillatorySystem
-    A1: np.ndarray
-
-    def f(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        u, t = x[:-1], x[-1]
-        return np.concatenate([self.system.F(u, t), [1.0]])
-
-    def partial_all(self, beta, u, t) -> np.ndarray:
-        """d^beta of all d+1 augmented components at (u, t).
-
-        The time row f_{d+1} = 1 contributes only at |beta| = 0.
-        """
-        vals = np.zeros(self.system.d + 1, dtype=complex)
-        vals[:-1] = self.system.oracle.partial(beta, u, t)
-        if len(tuple(beta)) == 0:
-            vals[-1] = 1.0
-        return vals
-
-
-def augment(system: OscillatorySystem) -> AugmentedSystem:
     d = system.d
     A1 = np.zeros((d + 1, d + 1), dtype=complex)
     A1[:d, :d] = system.A
-    return AugmentedSystem(system=system, A1=A1)
+    return A1
 
 
 class _TransformedOracle(DerivativeOracle):
@@ -392,17 +358,15 @@ class _ChargedParticleOracle(DerivativeOracle):
 
     def _jets(self, y1, y2, t, K):
         key = (complex(y1), complex(y2), complex(t), K)
-        memo = self._memo  # snapshot: safe under concurrent replacement
-        if memo is None or memo[0] != key:
+        if self._memo is None or self._memo[0] != key:
             j_y1 = Jet.variable(0, y1, 3, K)
             j_y2 = Jet.variable(1, y2, 3, K)
             j_t = Jet.variable(2, t, 3, K)
             c = 2.0 - (np.pi * j_t).cos()
             s = j_y1 * j_y1 + j_y2 * j_y2 + c * c
             s32 = s.power(-1.5)
-            memo = (key, (j_y1 * s32, j_y2 * s32))
-            self._memo = memo
-        return memo[1]
+            self._memo = (key, (j_y1 * s32, j_y2 * s32))
+        return self._memo[1]
 
     def _partial(self, alpha, u, t):
         out = np.zeros(4, dtype=complex)

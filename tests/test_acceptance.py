@@ -45,8 +45,6 @@ from osc_llei import (
 )
 from osc_llei.extension import build_A0
 
-WORKERS = 4
-
 
 def report(num: int, passed: bool, detail: str) -> None:
     line = f"[{'PASS' if passed else 'FAIL'}] criterion {num}: {detail}"
@@ -229,7 +227,7 @@ def test_criterion_5_small_step_order() -> None:
     min_margin = math.inf
     regimes_ok = True
     for k in (1, 2, 3):
-        rep = sweep_h(system, k, h_values, workers=WORKERS)
+        rep = sweep_h(system, k, h_values)
         regimes_ok = regimes_ok and all(p.regime == "small" for p in rep.points)
         slopes[k] = rep.slopes["small_u"]
         if rep.ref_margin is not None:
@@ -300,9 +298,7 @@ def test_criterion_7_eps_uniform_error_split() -> None:
     h_small = 1.0 / 64.0
     eps_small = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
     assert all(e > 2.0 * h_small / math.pi for e in eps_small)
-    rep_s = sweep_eps(
-        system, 2, h_small, eps_small, h_ref_factor=1 / 256, workers=WORKERS
-    )
+    rep_s = sweep_eps(system, 2, h_small, eps_small, h_ref_factor=1 / 256)
     small_ok = all(p.regime == "small" for p in rep_s.points)
     ydots = [p.error_ydot for p in rep_s.points]
     spread = max(ydots) / min(ydots)
@@ -311,9 +307,7 @@ def test_criterion_7_eps_uniform_error_split() -> None:
     h_large = 0.5
     eps_large = [1 / 32, 1 / 64, 1 / 128, 1 / 256]
     assert all(e < h_large / (2.0 * math.pi) for e in eps_large)
-    rep_l = sweep_eps(
-        system, 1, h_large, eps_large, h_ref_factor=1 / 128, workers=WORKERS
-    )
+    rep_l = sweep_eps(system, 1, h_large, eps_large, h_ref_factor=1 / 128)
     large_ok = all(p.regime == "large" for p in rep_l.points)
     slope_ly = rep_l.slopes["large_y"]
     slope_lp = rep_l.slopes["large_ydot"]
@@ -354,7 +348,7 @@ def test_criterion_8_resonance_insensitivity() -> None:
     slopes = {}
     for name in ("example2-E6", "example2-E3"):
         system = builtin(name, eps)
-        rep = sweep_h(system, 1, h_values, h_ref_target=8e-6, workers=WORKERS)
+        rep = sweep_h(system, 1, h_values, h_ref_target=8e-6)
         assert all(p.regime == "small" for p in rep.points), name
         assert rep.ref_margin is not None and rep.ref_margin >= 100.0, name
         slopes[name] = rep.slopes["small_u"]

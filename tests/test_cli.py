@@ -67,7 +67,7 @@ def test_build_matches_library_matrices(tmp_path) -> None:
     system = load_config(QUADRATIC_CFG)
     catalog = build_catalog(2, 1)
     xhat = np.array([0.5, 0.25])
-    expected_A1 = build_A1(catalog, augment(system).A1, xhat)
+    expected_A1 = build_A1(catalog, augment(system), xhat)
     assert np.array_equal(got["A1k"], expected_A1)
     assert np.array_equal(got["S"], build_S(catalog, xhat))
     # quadratic forcing: d(0.2 u^2)/du at u = 0.5 lands in the A0k row for u
@@ -126,6 +126,43 @@ def test_integrate_blow_up_exits_1(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_reference_blow_up_in_sweep_exits_1(tmp_path, capsys) -> None:
+    # du1/dt = u2 + 3 u1^2 from u1 = 2 blows up inside the shared RK4 reference
+    cfg = {
+        "d": 2,
+        "A": [[0, 0], [1, 0], [-1, 0], [0, 0]],
+        "epsilon": 1.0,
+        "nu": 0.0,
+        "u_in": [2.0, 0.0],
+        "T": 1.0,
+        "poly_F": [{"row": 1, "alpha": [1, 1], "coeff": [3, 0]}],
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    with np.errstate(all="ignore"):
+        rc = main(["converge-h", "--config", cfg_path, "--k", "1",
+                   "--hmin", "0.125", "--hmax", "0.5", "--points", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: state blew up")
+
+
+def test_numerical_error_is_one_line_exit_1(tmp_path, monkeypatch, capsys) -> None:
+    import osc_llei.cli as cli_mod
+
+    def drifting(*args, **kwargs):
+        raise ArithmeticError("time component of the lifted step is 0.3, expected h = 0.25")
+
+    monkeypatch.setattr(cli_mod, "integrate", drifting)
+    cfg_path = write_config(tmp_path, QUADRATIC_CFG)
+    assert main(["integrate", "--config", cfg_path, "--k", "1", "--h", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: time component of the lifted step is 0.3, expected h = 0.25"
+    ]
+
+
 def test_reference_csv_and_resolution_guard(tmp_path, capsys) -> None:
     cfg_path = write_config(tmp_path, {"name": "example1", "epsilon": 0.25, "T": 1.0})
     rc = main(["reference", "--config", cfg_path, "--href", "0.015625",
@@ -155,8 +192,7 @@ def test_dyadic_grid_nests_step_counts() -> None:
         _dyadic_h_grid(1.0, 0.1, 0.5, 3)
 
 
-def test_converge_h_report_structure(tmp_path, monkeypatch) -> None:
-    monkeypatch.setenv("OSC_LLEI_THREADS", "2")
+def test_converge_h_report_structure(tmp_path) -> None:
     cfg_path = write_config(tmp_path, QUADRATIC_CFG)
     out = tmp_path / "sweep.csv"
     rc = main(["converge-h", "--config", cfg_path, "--k", "1",
@@ -271,15 +307,6 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys) -> None:
     incomplete = write_config(tmp_path, {"d": 1, "A": [0]}, name="incomplete.json")
     assert main(["integrate", "--config", incomplete, "--k", "1", "--h", "0.1"]) == 2
     capsys.readouterr()
-
-
-def test_threads_env_must_be_integer(tmp_path, monkeypatch, capsys) -> None:
-    monkeypatch.setenv("OSC_LLEI_THREADS", "many")
-    cfg_path = write_config(tmp_path, QUADRATIC_CFG)
-    rc = main(["converge-h", "--config", cfg_path, "--k", "1",
-               "--hmin", "0.25", "--hmax", "0.5"])
-    assert rc == 2
-    assert "OSC_LLEI_THREADS" in capsys.readouterr().err
 
 
 def test_builtin_config_requires_epsilon(tmp_path) -> None:

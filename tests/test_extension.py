@@ -92,14 +92,6 @@ def test_A0_quadratic_forcing_rows() -> None:
     assert row_ut[cat.position((1,))] == 1.0
 
 
-def test_A0_k_argument_must_match_catalog() -> None:
-    cat = build_catalog(2, 2)
-    oracle = PolynomialOracle(1, [])
-    assert build_A0(cat, oracle, np.zeros(2), k=2).shape == (6, 6)
-    with pytest.raises(ValueError):
-        build_A0(cat, oracle, np.zeros(2), k=1)
-
-
 def test_S_identity_at_zero_and_k1_form() -> None:
     cat = build_catalog(3, 2)
     assert np.array_equal(build_S(cat, np.zeros(3)), np.eye(10))

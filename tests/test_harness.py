@@ -191,7 +191,7 @@ def test_sweep_h_records_blow_up_as_failed_point(monkeypatch) -> None:
 def test_sweep_eps_small_step_regime() -> None:
     system = builtin("example1", 0.5)
     h = 1 / 2**6
-    report = sweep_eps(system, 1, h, [1 / 2, 1 / 4, 1 / 8], workers=2)
+    report = sweep_eps(system, 1, h, [1 / 2, 1 / 4, 1 / 8])
     assert all(p.regime == "small" for p in report.points)
     # error(y) scales like eps; error(ydot) is eps-uniform (4x allowance)
     slope = report.slopes["small_y"]

@@ -1,11 +1,11 @@
-"""Dense linear algebra wrappers: expm, eigvals, solve."""
+"""Dense linear algebra wrappers: expm, eigvals."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from osc_llei.linalg import eigvals, expm, expm_apply, solve
+from osc_llei.linalg import eigvals, expm
 
 
 def taylor_expm(M: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -53,15 +53,6 @@ def test_expm_large_imaginary_argument_stays_unitary() -> None:
     assert np.linalg.norm(U @ U.conj().T - np.eye(4)) <= 1e-8
 
 
-def test_expm_apply_is_expm_times_vector() -> None:
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.allclose(expm_apply(M, v), expm(M) @ v, rtol=1e-13, atol=0)
-    with pytest.raises(ValueError):
-        expm_apply(M, np.ones(5))
-
-
 def test_eigvals_recovers_constructed_spectrum() -> None:
     rng = np.random.default_rng(9)
     lam = np.array([2j, -2j, 0.5j, 1.0 + 0j])
@@ -73,18 +64,8 @@ def test_eigvals_recovers_constructed_spectrum() -> None:
     )
 
 
-def test_solve_residual() -> None:
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    b = rng.standard_normal(7)
-    x = solve(A, b)
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
 def test_shape_and_finiteness_validation() -> None:
     with pytest.raises(ValueError):
         expm(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eigvals(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        solve(np.eye(3), np.ones(4))

@@ -145,6 +145,23 @@ def test_blow_up_aborts_with_step_index() -> None:
     assert info.value.norm > 1e12 or not np.isfinite(info.value.norm)
 
 
+def test_step_raises_blow_up_past_threshold() -> None:
+    # du/dt = (i + 100) u: one unit step multiplies |u| by e^100
+    system = OscillatorySystem(
+        d=1,
+        A=np.array([[1j]]),
+        epsilon=1.0,
+        nu=0.0,
+        u_in=np.ones(1),
+        T=1.0,
+        oracle=PolynomialOracle(1, [(1, (1,), 100.0)]),
+    )
+    with pytest.raises(BlowUpError) as info:
+        step(system, build_catalog(2, 1), system.initial_state, 0.0, 1.0)
+    assert info.value.norm > 1e12
+    assert info.value.step_index == 0
+
+
 def test_real_problem_keeps_imaginary_residue_small() -> None:
     system = builtin("example1", 0.25)
     traj = integrate(system, 2, 1 / 2**5)

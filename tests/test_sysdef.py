@@ -21,7 +21,6 @@ from osc_llei import (
     load_config_file,
     second_order_to_first_order,
 )
-from osc_llei.sysdef import eval_partial
 
 
 def make_linear_system(eps: float = 1.0) -> OscillatorySystem:
@@ -129,7 +128,7 @@ def test_order_limit_raises() -> None:
     oracle = FiniteDifferenceOracle(lambda u, t: np.array([t]), k_max=2)
     with pytest.raises(UnsupportedOrderError):
         oracle.partial((1, 1, 2), np.array([0.0]), 0.0)
-    assert np.allclose(eval_partial(oracle, (2, 2), np.array([0.0]), 1.0), [0.0])
+    assert np.allclose(oracle.partial((2, 2), np.array([0.0]), 1.0), [0.0])
 
 
 def test_initial_state_scaling_and_validation() -> None:
@@ -180,17 +179,10 @@ def test_is_real_flag() -> None:
 
 def test_augmented_system_layout() -> None:
     s = builtin("example1", 0.5)
-    aug = augment(s)
-    assert aug.A1.shape == (3, 3)
-    assert np.array_equal(aug.A1[:2, :2], s.A)
-    assert np.all(aug.A1[2, :] == 0) and np.all(aug.A1[:, 2] == 0)
-    x = np.array([0.1, 0.2, 0.7])
-    f = aug.f(x)
-    assert f[-1] == 1.0
-    assert np.allclose(f[:-1], s.F(x[:2], 0.7))
-    # the time row contributes only at |beta| = 0
-    assert aug.partial_all((), x[:2], 0.7)[-1] == 1.0
-    assert aug.partial_all((1,), x[:2], 0.7)[-1] == 0.0
+    A1 = augment(s)
+    assert A1.shape == (3, 3)
+    assert np.array_equal(A1[:2, :2], s.A)
+    assert np.all(A1[2, :] == 0) and np.all(A1[:, 2] == 0)
 
 
 def test_second_order_transform_structure() -> None:
