@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg
 from .extension import build_A1, build_S
 from .mindex import MultiIndexCatalog, build_catalog
+from .sysdef import augment
 
 DEFAULT_EPS_LIST = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -207,8 +208,7 @@ def run_suite(
     if xhat.shape != (d + 1,):
         raise ValueError(f"xhat must have {d + 1} components")
     catalog = build_catalog(d + 1, k)
-    A1_aug = np.zeros((d + 1, d + 1), dtype=complex)
-    A1_aug[:d, :d] = A
+    A1_aug = augment(A)
     zero = np.zeros(d + 1, dtype=complex)
     A1k_zero = build_A1(catalog, A1_aug, zero)
     A1k_xhat = build_A1(catalog, A1_aug, xhat)

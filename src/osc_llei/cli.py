@@ -99,7 +99,7 @@ def _cmd_build(args) -> int:
     else:
         xhat = _parse_state(args.at, system.d)
     matrices = {
-        "A1k": build_A1(catalog, augment(system), xhat),
+        "A1k": build_A1(catalog, augment(system.A), xhat),
         "A0k": build_A0(catalog, system.oracle, xhat),
         "S": build_S(catalog, xhat),
     }

@@ -6,7 +6,9 @@ dx/dt = (1/eps) A1 x + f(x) and Taylor-truncating f at xhat splits the
 lifted dynamics into (1/eps) * A1k + A0k plus a remainder the scheme
 never evaluates.  Every coefficient lands on the canonical
 representative of its target monomial, so duplicate contributions
-accumulate by construction.
+accumulate by construction.  Where each coefficient lands depends only
+on (d+1, k); an ExtensionPlan holds that map, compiled once per pair,
+and both builders feed it the Taylor coefficients of their field.
 
 Row conventions (catalog order): row 0 is the constant monomial and is
 identically zero in both matrices; rows 1..d+1 are the degree-1 block.
@@ -16,11 +18,13 @@ diagonal at xhat = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mindex import MultiIndexCatalog, gamma, remove_component
+from .mindex import MultiIndexCatalog, build_catalog, remove_component
 from .sysdef import DerivativeOracle
 
 
@@ -33,13 +37,78 @@ def _check_point(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
     return xhat
 
 
+@dataclass(frozen=True, eq=False)
+class ExtensionPlan:
+    """Where each Taylor coefficient of an augmented field lands in the lift.
+
+    For a vector field f on the d+1 augmented variables, let G be the
+    (D x (d+1)) array G[beta, c] = d^beta f_c(xhat) / gamma(beta) in
+    catalog order.  Differentiating the monomial (x - xhat)^alpha along
+    dx/dt = f(x) and truncating at degree k adds, for every position l of
+    alpha and every beta with |beta| <= k - |alpha| + 1, the coefficient
+    G[beta, alpha_l] at row alpha and column chi(alpha; l) + beta.  The
+    plan stores that map as flat (source, target) index pairs into
+    G.ravel() and vec(M), so assembly is one gather and one scatter-add.
+    The pairs depend only on (d+1, k); plan_for compiles them once.
+    Duplicate targets are kept as separate pairs and summed in the
+    order of the row-by-row derivation.
+    """
+
+    size: int
+    source: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def compile(cls, catalog: MultiIndexCatalog) -> "ExtensionPlan":
+        n, k, D = catalog.d_plus_1, catalog.k, catalog.size
+        reps = catalog.representatives
+        index = {alpha: i for i, alpha in enumerate(reps)}
+        # n_upto[m]: number of representatives of degree <= m
+        n_upto = np.cumsum(catalog.block_dims)
+        source: list[int] = []
+        target: list[int] = []
+        for row, alpha in enumerate(reps):
+            j = len(alpha)
+            for l in range(1, j + 1):
+                c = alpha[l - 1] - 1
+                chi = remove_component(alpha, l)
+                for b in range(n_upto[k - j + 1]):
+                    source.append(b * n + c)
+                    target.append(row * D + index[tuple(sorted(chi + reps[b]))])
+        source_arr = np.array(source, dtype=np.intp)
+        target_arr = np.array(target, dtype=np.intp)
+        source_arr.flags.writeable = False
+        target_arr.flags.writeable = False
+        return cls(D, source_arr, target_arr)
+
+    def assemble(self, G: np.ndarray) -> np.ndarray:
+        """The (D x D) lifted matrix of the field whose coefficients are G."""
+        w = G.ravel()[self.source]
+        n_out = self.size * self.size
+        out = np.empty(n_out, dtype=complex)
+        out.real = np.bincount(self.target, weights=w.real, minlength=n_out)
+        out.imag = np.bincount(self.target, weights=w.imag, minlength=n_out)
+        return out.reshape(self.size, self.size)
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled(d_plus_1: int, k: int) -> ExtensionPlan:
+    return ExtensionPlan.compile(build_catalog(d_plus_1, k))
+
+
+def plan_for(catalog: MultiIndexCatalog) -> ExtensionPlan:
+    """The extension plan of catalog's (d+1, k), compiled on first use."""
+    return _compiled(catalog.d_plus_1, catalog.k)
+
+
 def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     """The 1/eps part of the lifted dynamics at reference point xhat.
 
-    For row alpha and each position l, the linear term (A1 x)_{alpha_l}
-    = sum_m (A1)_{alpha_l m} (xhat_m + (x - xhat)_m) contributes the
-    degree-preserving coefficient at chi(alpha; l) + {m} and the
-    degree-lowering coefficient (A1)_{alpha_l m} * xhat_m at
+    The linear field x -> A1 x has Taylor coefficients A1 xhat at
+    beta = () and column m of A1 at beta = (m); every higher one is zero.
+    Through the plan this puts, for row alpha and each position l, the
+    degree-preserving coefficient (A1)_{alpha_l m} at chi(alpha; l) + {m}
+    and the degree-lowering coefficient (A1 xhat)_{alpha_l} at
     chi(alpha; l).
     """
     A1_aug = np.asarray(A1_aug, dtype=complex)
@@ -47,65 +116,28 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     if A1_aug.shape != (n, n):
         raise ValueError(f"augmented matrix has shape {A1_aug.shape}, expected ({n}, {n})")
     xhat = _check_point(catalog, xhat)
-    D = catalog.size
-    out = np.zeros((D, D), dtype=complex)
-    for row, alpha in enumerate(catalog.representatives):
-        for l in range(1, len(alpha) + 1):
-            chi = remove_component(alpha, l)
-            a_row = A1_aug[alpha[l - 1] - 1]
-            lower = catalog.position(chi)
-            for m in range(n):
-                a = a_row[m]
-                if a == 0:
-                    continue
-                out[row, catalog.position(chi + (m + 1,))] += a
-                out[row, lower] += a * xhat[m]
-    return out
+    G = np.zeros((catalog.size, n), dtype=complex)
+    G[0] = A1_aug @ xhat
+    G[1 : n + 1] = A1_aug.T
+    return plan_for(catalog).assemble(G)
 
 
 def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.ndarray:
     """The O(1) part of the lifted dynamics at reference point xhat.
 
-    Row alpha of degree j receives, for each position l and each
-    representative beta with |beta| <= k - j + 1, the Taylor coefficient
+    The augmented field is [F; 1]: its Taylor coefficients are
+    oracle.taylor in the state columns and 1 at beta = () in the time
+    column.  Row alpha of degree j receives, for each position l and each
+    representative beta with |beta| <= k - j + 1, the coefficient
     (1/gamma(beta)) * d^beta f_{alpha_l}(xhat) at column chi(alpha; l)
-    + beta.  The augmented time component f_{d+1} = 1 contributes only
-    at |beta| = 0.  The truncation order guarantees no target monomial
-    exceeds degree k.
+    + beta, so no target monomial exceeds degree k.
     """
-    k = catalog.k
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
-    u, t = xhat[:d], xhat[d]
-    # one oracle call per representative beta, shared across all rows
-    fvals: dict[tuple[int, ...], np.ndarray] = {}
-    for beta in catalog.representatives:
-        fvals[beta] = np.asarray(oracle.partial(beta, u, t), dtype=complex)
-        if fvals[beta].shape != (d,):
-            raise ValueError(f"oracle returned shape {fvals[beta].shape}, expected ({d},)")
-    D = catalog.size
-    out = np.zeros((D, D), dtype=complex)
-    for row, alpha in enumerate(catalog.representatives):
-        j = len(alpha)
-        for l in range(1, j + 1):
-            a_l = alpha[l - 1]
-            chi = remove_component(alpha, l)
-            max_beta = k - j + 1
-            for beta in catalog.representatives:
-                if len(beta) > max_beta:
-                    break
-                if a_l <= d:
-                    val = fvals[beta][a_l - 1]
-                elif beta == ():
-                    val = 1.0
-                else:
-                    break
-                if val == 0:
-                    continue
-                target = tuple(sorted(chi + beta))
-                assert len(target) <= k
-                out[row, catalog.position(target)] += val / gamma(beta)
-    return out
+    G = np.zeros((catalog.size, d + 1), dtype=complex)
+    G[:, :d] = oracle.taylor(catalog, xhat[:d], xhat[d])
+    G[0, d] = 1.0
+    return plan_for(catalog).assemble(G)
 
 
 def build_S(catalog: MultiIndexCatalog, xhat) -> np.ndarray:

@@ -30,10 +30,9 @@ BLOWUP_NORM = 1e12
 class BlowUpError(RuntimeError):
     """Trajectory norm exceeded the abort threshold (or went non-finite)."""
 
-    def __init__(self, step_index: int, t: float, norm: float):
-        super().__init__(
-            f"state blew up at step {step_index} (t = {t:.6g}): |U| = {norm:.3e}"
-        )
+    def __init__(self, step_index: int | None, t: float, norm: float):
+        where = "" if step_index is None else f" at step {step_index}"
+        super().__init__(f"state blew up{where} (t = {t:.6g}): |U| = {norm:.3e}")
         self.step_index = step_index
         self.t = t
         self.norm = norm
@@ -61,7 +60,7 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def check_blow_up(u, step_index: int, t: float) -> None:
+def check_blow_up(u, step_index: int | None, t: float) -> None:
     """Raise BlowUpError when |u| is non-finite or exceeds BLOWUP_NORM."""
     norm = float(np.linalg.norm(u))
     if not np.isfinite(norm) or norm > BLOWUP_NORM:
@@ -106,15 +105,15 @@ def step(
 ) -> np.ndarray:
     """One scheme step from (Un, tn) with step size h.
 
-    Raises BlowUpError (reported as step 0) when the new state's norm
+    Raises BlowUpError, with no step index, when the new state's norm
     passes 1e12 or goes non-finite.
     """
     _check_args(system, catalog.k, h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
     Un = np.asarray(Un, dtype=complex)
-    out = _advance(system, catalog, augment(system), Un, tn, h)
-    check_blow_up(out, 0, tn)
+    out = _advance(system, catalog, augment(system.A), Un, tn, h)
+    check_blow_up(out, None, tn)
     return out
 
 
@@ -127,7 +126,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """
     _check_args(system, k, h)
     catalog = build_catalog(system.d + 1, k)
-    A1 = augment(system)
+    A1 = augment(system.A)
     N = max(1, round(system.T / h))
     h_snap = system.T / N
     times = np.linspace(0.0, system.T, N + 1)

@@ -58,13 +58,15 @@ def remove_component(alpha, l: int) -> MultiIndex:
 class MultiIndexCatalog:
     """Ordered representatives of all multisets over {1..d+1} of size <= k.
 
-    Immutable after construction; safe to share across threads.
+    gammas[i] is gamma(representatives[i]).  Immutable after
+    construction; safe to share across threads.
     """
 
     d_plus_1: int
     k: int
     representatives: tuple[MultiIndex, ...]
     block_dims: tuple[int, ...]
+    gammas: tuple[int, ...]
     _pos: dict[MultiIndex, int] = field(repr=False)
 
     @property
@@ -117,5 +119,6 @@ def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
         k=k,
         representatives=tuple(reps),
         block_dims=tuple(dims),
+        gammas=tuple(gamma(alpha) for alpha in reps),
         _pos=pos,
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import MultiIndex, representative
+from .mindex import MultiIndex, MultiIndexCatalog, representative
 
 _EPS = float(np.finfo(float).eps)
 
@@ -45,7 +45,8 @@ class DerivativeOracle:
     alpha is a multi-index with components in [1, d+1]; component d+1
     differentiates in t.  The value depends only on the multiset of
     alpha (mixed partials commute), and |alpha| = 0 returns F itself.
-    Subclasses implement _partial on the sorted alpha.
+    Subclasses implement _partial on the sorted alpha, and may override
+    _taylor where all coefficients of one point come cheaper together.
     """
 
     max_order: int = 64
@@ -61,6 +62,32 @@ class DerivativeOracle:
 
     def _partial(self, alpha: MultiIndex, u: np.ndarray, t) -> np.ndarray:
         raise NotImplementedError
+
+    def taylor(self, catalog: MultiIndexCatalog, u, t) -> np.ndarray:
+        """Taylor coefficients d^beta F(u, t) / gamma(beta) for |beta| <= k.
+
+        Row i belongs to catalog.representatives[i]; the result has shape
+        (catalog.size, d).
+        """
+        if catalog.k > self.max_order:
+            raise UnsupportedOrderError(
+                f"order {catalog.k} exceeds oracle max_order {self.max_order}"
+            )
+        out = np.asarray(self._taylor(catalog, u, t), dtype=complex)
+        d = catalog.d_plus_1 - 1
+        if out.shape != (catalog.size, d):
+            raise ValueError(
+                f"oracle returned shape {out.shape}, expected ({catalog.size}, {d})"
+            )
+        return out
+
+    def _taylor(self, catalog: MultiIndexCatalog, u, t) -> np.ndarray:
+        """One partial per representative, divided by its gamma weight."""
+        partials = np.array(
+            [np.asarray(self.partial(beta, u, t), dtype=complex)
+             for beta in catalog.representatives]
+        )
+        return partials / np.array(catalog.gammas)[:, None]
 
     def value(self, u, t) -> np.ndarray:
         """F(u, t) itself; overridden where a direct formula is cheaper."""
@@ -221,14 +248,18 @@ class OscillatorySystem:
         return replace(self, epsilon=epsilon)
 
 
-def augment(system: OscillatorySystem) -> np.ndarray:
+def augment(A) -> np.ndarray:
     """A1 of the time-augmented form x = [u; t], dx/dt = (1/eps) A1 x + [F; 1].
 
-    A sits in the upper-left block; the last row and column are zero.
+    A (d x d) sits in the upper-left block; the last row and column are
+    zero.
     """
-    d = system.d
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A has shape {A.shape}, expected a square matrix")
+    d = A.shape[0]
     A1 = np.zeros((d + 1, d + 1), dtype=complex)
-    A1[:d, :d] = system.A
+    A1[:d, :d] = A
     return A1
 
 
@@ -353,31 +384,42 @@ class _ChargedParticleOracle(DerivativeOracle):
     max_order = 10
     real_valued = True
 
-    def __init__(self):
-        self._memo: tuple | None = None
+    @staticmethod
+    def _jets(y1, y2, t, K):
+        j_y1 = Jet.variable(0, y1, 3, K)
+        j_y2 = Jet.variable(1, y2, 3, K)
+        j_t = Jet.variable(2, t, 3, K)
+        c = 2.0 - (np.pi * j_t).cos()
+        s = j_y1 * j_y1 + j_y2 * j_y2 + c * c
+        s32 = s.power(-1.5)
+        return j_y1 * s32, j_y2 * s32
 
-    def _jets(self, y1, y2, t, K):
-        key = (complex(y1), complex(y2), complex(t), K)
-        if self._memo is None or self._memo[0] != key:
-            j_y1 = Jet.variable(0, y1, 3, K)
-            j_y2 = Jet.variable(1, y2, 3, K)
-            j_t = Jet.variable(2, t, 3, K)
-            c = 2.0 - (np.pi * j_t).cos()
-            s = j_y1 * j_y1 + j_y2 * j_y2 + c * c
-            s32 = s.power(-1.5)
-            self._memo = (key, (j_y1 * s32, j_y2 * s32))
-        return self._memo[1]
+    @staticmethod
+    def _exponents(alpha):
+        """Exponents of alpha in (y_1, y_2, t), or None if it has a p factor."""
+        if 3 in alpha or 4 in alpha:
+            return None
+        return (alpha.count(1), alpha.count(2), alpha.count(5))
 
     def _partial(self, alpha, u, t):
         out = np.zeros(4, dtype=complex)
-        e = [0, 0, 0]
-        for c in alpha:
-            if c in (3, 4):
-                return out
-            e[0 if c == 1 else 1 if c == 2 else 2] += 1
-        g1, g2 = self._jets(u[0], u[1], t, len(alpha))
-        out[2] = g1.partial(tuple(e))
-        out[3] = g2.partial(tuple(e))
+        e = self._exponents(alpha)
+        if e is not None:
+            g1, g2 = self._jets(u[0], u[1], t, len(alpha))
+            out[2] = g1.partial(e)
+            out[3] = g2.partial(e)
+        return out
+
+    def _taylor(self, catalog, u, t):
+        # jet coefficients are d^beta g / prod e_q!, which is exactly the
+        # gamma-weighted Taylor coefficient of beta's representative
+        g1, g2 = self._jets(u[0], u[1], t, catalog.k)
+        out = np.zeros((catalog.size, 4), dtype=complex)
+        for i, beta in enumerate(catalog.representatives):
+            e = self._exponents(beta)
+            if e is not None:
+                out[i, 2] = g1.coeff(e)
+                out[i, 3] = g2.coeff(e)
         return out
 
     def value(self, u, t):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import osc_llei
 from osc_llei import SpectrumWarning, build_catalog, builtin, load_config
 from osc_llei.cli import _dyadic_h_grid, _fmt, main
 from osc_llei.extension import build_A1, build_S
@@ -67,7 +72,7 @@ def test_build_matches_library_matrices(tmp_path) -> None:
     system = load_config(QUADRATIC_CFG)
     catalog = build_catalog(2, 1)
     xhat = np.array([0.5, 0.25])
-    expected_A1 = build_A1(catalog, augment(system), xhat)
+    expected_A1 = build_A1(catalog, augment(system.A), xhat)
     assert np.array_equal(got["A1k"], expected_A1)
     assert np.array_equal(got["S"], build_S(catalog, xhat))
     # quadratic forcing: d(0.2 u^2)/du at u = 0.5 lands in the A0k row for u
@@ -126,8 +131,10 @@ def test_integrate_blow_up_exits_1(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
-def test_reference_blow_up_in_sweep_exits_1(tmp_path, capsys) -> None:
-    # du1/dt = u2 + 3 u1^2 from u1 = 2 blows up inside the shared RK4 reference
+def test_reference_blow_up_in_sweep_exits_1(tmp_path) -> None:
+    # du1/dt = u2 + 3 u1^2 from u1 = 2 blows up inside the shared RK4
+    # reference; a child process shows stderr exactly as a user sees it,
+    # so numpy overflow warnings printed above the error line would show
     cfg = {
         "d": 2,
         "A": [[0, 0], [1, 0], [-1, 0], [0, 0]],
@@ -138,13 +145,16 @@ def test_reference_blow_up_in_sweep_exits_1(tmp_path, capsys) -> None:
         "poly_F": [{"row": 1, "alpha": [1, 1], "coeff": [3, 0]}],
     }
     cfg_path = write_config(tmp_path, cfg)
-    with np.errstate(all="ignore"):
-        rc = main(["converge-h", "--config", cfg_path, "--k", "1",
-                   "--hmin", "0.125", "--hmax", "0.5", "--points", "3"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: state blew up")
+    src = str(Path(osc_llei.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "osc_llei.cli", "converge-h", "--config", cfg_path,
+         "--k", "1", "--hmin", "0.125", "--hmax", "0.5", "--points", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: state blew up")
 
 
 def test_numerical_error_is_one_line_exit_1(tmp_path, monkeypatch, capsys) -> None:

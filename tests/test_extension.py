@@ -7,6 +7,7 @@ import pytest
 
 from osc_llei import (
     PolynomialOracle,
+    augment,
     build_A0,
     build_A1,
     build_catalog,
@@ -18,17 +19,10 @@ from osc_llei import (
 from osc_llei.algebra_checks import random_imaginary_system
 
 
-def aug_matrix(A: np.ndarray) -> np.ndarray:
-    d = A.shape[0]
-    out = np.zeros((d + 1, d + 1), dtype=complex)
-    out[:d, :d] = A
-    return out
-
-
 def test_A1_worked_example_scalar_rotation() -> None:
     # d = 1, A = [i], k = 2, xhat = 0: diag(0, i, 0, 2i, i, 0)
     cat = build_catalog(2, 2)
-    A1k = build_A1(cat, aug_matrix(np.array([[1j]])), np.zeros(2))
+    A1k = build_A1(cat, augment(np.array([[1j]])), np.zeros(2))
     assert np.array_equal(np.diag(A1k), [0, 1j, 0, 2j, 1j, 0])
     assert np.count_nonzero(A1k - np.diag(np.diag(A1k))) == 0
 
@@ -37,15 +31,15 @@ def test_A1_k1_is_block_diagonal_with_A() -> None:
     rng = np.random.default_rng(2)
     A = random_imaginary_system(3, rng)
     cat = build_catalog(4, 1)
-    A1k = build_A1(cat, aug_matrix(A), np.zeros(4))
+    A1k = build_A1(cat, augment(A), np.zeros(4))
     want = np.zeros((5, 5), dtype=complex)
-    want[1:, 1:] = aug_matrix(A)
+    want[1:, 1:] = augment(A)
     assert np.allclose(A1k, want, atol=0)
 
 
 def test_A1_nonzero_xhat_adds_degree_lowering_entries() -> None:
     cat = build_catalog(2, 2)
-    A1_aug = aug_matrix(np.array([[1j]]))
+    A1_aug = augment(np.array([[1j]]))
     xhat = np.array([0.5 + 0.25j, 0.75])
     A1k = build_A1(cat, A1_aug, xhat)
     A1k0 = build_A1(cat, A1_aug, np.zeros(2))
@@ -204,7 +198,7 @@ def test_lift_ode_consistency_for_linear_flow() -> None:
     cat = build_catalog(3, 2)
     oracle = PolynomialOracle(2, [])
     xhat = np.array([0.2, -0.4, 0.1], dtype=complex)
-    A1k = build_A1(cat, aug_matrix(A), xhat)
+    A1k = build_A1(cat, augment(A), xhat)
     A0k = build_A0(cat, oracle, xhat)
     M = A1k / eps + A0k
     u0 = np.array([1.0, 0.5 - 0.2j])
@@ -228,7 +222,7 @@ def test_structure_properties_random_systems() -> None:
     for d, k in [(1, 3), (2, 2), (3, 1), (2, 3)]:
         A = random_imaginary_system(d, rng)
         cat = build_catalog(d + 1, k)
-        A1_aug = aug_matrix(A)
+        A1_aug = augment(A)
         xhat = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         A1k = build_A1(cat, A1_aug, xhat)
         A1k0 = build_A1(cat, A1_aug, np.zeros(d + 1))

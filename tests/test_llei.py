@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from osc_llei import (
     BlowUpError,
+    DerivativeOracle,
+    MultiIndexCatalog,
     OscillatorySystem,
     PolynomialOracle,
     UnsupportedOrderError,
@@ -159,10 +163,34 @@ def test_step_raises_blow_up_past_threshold() -> None:
     with pytest.raises(BlowUpError) as info:
         step(system, build_catalog(2, 1), system.initial_state, 0.0, 1.0)
     assert info.value.norm > 1e12
-    assert info.value.step_index == 0
+    assert info.value.step_index is None
+    assert "at step" not in str(info.value)
 
 
 def test_real_problem_keeps_imaginary_residue_small() -> None:
     system = builtin("example1", 0.25)
     traj = integrate(system, 2, 1 / 2**5)
     assert float(np.max(np.abs(traj.states.imag))) <= 1e-9
+
+
+def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> None:
+    # one example2-E6 step: one taylor call, no per-beta partials, and no
+    # catalog lookups (the extension plan holds every target index)
+    calls: Counter = Counter()
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(DerivativeOracle, "taylor")
+    counting(DerivativeOracle, "partial")
+    counting(MultiIndexCatalog, "position")
+    system = builtin("example2-E6", 1 / 64, T=1 / 1024)
+    traj = integrate(system, 3, 1 / 1024)
+    assert traj.n_steps == 1
+    assert calls == Counter(taylor=1)

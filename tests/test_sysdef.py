@@ -179,7 +179,7 @@ def test_is_real_flag() -> None:
 
 def test_augmented_system_layout() -> None:
     s = builtin("example1", 0.5)
-    A1 = augment(s)
+    A1 = augment(s.A)
     assert A1.shape == (3, 3)
     assert np.array_equal(A1[:2, :2], s.A)
     assert np.all(A1[2, :] == 0) and np.all(A1[:, 2] == 0)
