@@ -8,7 +8,9 @@ never evaluates.  Every coefficient lands on the canonical
 representative of its target monomial, so duplicate contributions
 accumulate by construction.  Where each coefficient lands depends only
 on (d+1, k); an ExtensionPlan holds that map, compiled once per pair,
-and both builders feed it the Taylor coefficients of their field.
+and both builders feed it the Taylor coefficients of their field.  The
+matrices keep the dtype of their data: a real field at a real point
+gives float64 matrices, anything complex gives complex128 ones.
 
 Row conventions (catalog order): row 0 is the constant monomial and is
 identically zero in both matrices; rows 1..d+1 are the degree-1 block.
@@ -24,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import scatter_add
 from .mindex import MultiIndexCatalog, build_catalog, remove_component
 from .sysdef import DerivativeOracle
 
 
 def _check_point(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
-    xhat = np.asarray(xhat, dtype=complex)
+    """xhat as a float64 or complex128 vector of length d+1."""
+    xhat = np.asarray(xhat)
+    xhat = xhat.astype(np.result_type(xhat, float), copy=False)
     if xhat.shape != (catalog.d_plus_1,):
         raise ValueError(
             f"reference point has shape {xhat.shape}, expected ({catalog.d_plus_1},)"
@@ -82,13 +87,12 @@ class ExtensionPlan:
         return cls(D, source_arr, target_arr)
 
     def assemble(self, G: np.ndarray) -> np.ndarray:
-        """The (D x D) lifted matrix of the field whose coefficients are G."""
+        """The (D x D) lifted matrix of the field whose coefficients are G.
+
+        Real G gives a float64 matrix, complex G a complex128 one.
+        """
         w = G.ravel()[self.source]
-        n_out = self.size * self.size
-        out = np.empty(n_out, dtype=complex)
-        out.real = np.bincount(self.target, weights=w.real, minlength=n_out)
-        out.imag = np.bincount(self.target, weights=w.imag, minlength=n_out)
-        return out.reshape(self.size, self.size)
+        return scatter_add(self.target, w, self.size * self.size).reshape(self.size, self.size)
 
 
 @functools.lru_cache(maxsize=16)
@@ -111,12 +115,12 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     and the degree-lowering coefficient (A1 xhat)_{alpha_l} at
     chi(alpha; l).
     """
-    A1_aug = np.asarray(A1_aug, dtype=complex)
+    A1_aug = np.asarray(A1_aug)
     n = catalog.d_plus_1
     if A1_aug.shape != (n, n):
         raise ValueError(f"augmented matrix has shape {A1_aug.shape}, expected ({n}, {n})")
     xhat = _check_point(catalog, xhat)
-    G = np.zeros((catalog.size, n), dtype=complex)
+    G = np.zeros((catalog.size, n), dtype=np.result_type(A1_aug, xhat))
     G[0] = A1_aug @ xhat
     G[1 : n + 1] = A1_aug.T
     return plan_for(catalog).assemble(G)
@@ -134,8 +138,9 @@ def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.n
     """
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
-    G = np.zeros((catalog.size, d + 1), dtype=complex)
-    G[:, :d] = oracle.taylor(catalog, xhat[:d], xhat[d])
+    taylor = oracle.taylor(catalog, xhat[:d], xhat[d])
+    G = np.zeros((catalog.size, d + 1), dtype=np.result_type(taylor, xhat))
+    G[:, :d] = taylor
     G[0, d] = 1.0
     return plan_for(catalog).assemble(G)
 

@@ -76,8 +76,21 @@ def _check_args(system: OscillatorySystem, k: int, h: float) -> None:
         )
 
 
+def _working_state(system: OscillatorySystem, U) -> np.ndarray:
+    """U as float64 when the problem and U are real, else as complex128."""
+    U = np.asarray(U, dtype=complex)
+    if system.is_real and not U.imag.any():
+        return U.real.copy()
+    return U
+
+
+def _augmented_A(system: OscillatorySystem) -> np.ndarray:
+    A1 = augment(system.A)
+    return A1.real.copy() if system.is_real else A1
+
+
 def _step_matrices(system, catalog, A1, Un, tn, h):
-    xhat = np.concatenate([np.asarray(Un, dtype=complex), [tn]])
+    xhat = np.concatenate([Un, [tn]])
     A1k = build_A1(catalog, A1, xhat)
     A0k = build_A0(catalog, system.oracle, xhat)
     return (A1k / system.epsilon + A0k) * h
@@ -111,14 +124,16 @@ def step(
     _check_args(system, catalog.k, h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
-    Un = np.asarray(Un, dtype=complex)
-    out = _advance(system, catalog, augment(system.A), Un, tn, h)
+    out = _advance(system, catalog, _augmented_A(system), _working_state(system, Un), tn, h)
     check_blow_up(out, None, tn)
-    return out
+    return out.astype(complex)
 
 
 def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """Run N = round(T/h) uniform steps over [0, T].
+
+    A real problem (system.is_real) steps in float64 arithmetic and any
+    other in complex128; the returned states are complex128 either way.
 
     h is snapped so the uniform grid covers [0, T] exactly; the snap is
     recorded on the returned trajectory.  Aborts with BlowUpError when
@@ -126,18 +141,19 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """
     _check_args(system, k, h)
     catalog = build_catalog(system.d + 1, k)
-    A1 = augment(system.A)
+    A1 = _augmented_A(system)
     N = max(1, round(system.T / h))
     h_snap = system.T / N
     times = np.linspace(0.0, system.T, N + 1)
-    states = np.empty((N + 1, system.d), dtype=complex)
-    states[0] = system.initial_state
+    u0 = _working_state(system, system.initial_state)
+    states = np.empty((N + 1, system.d), dtype=u0.dtype)
+    states[0] = u0
     for n in range(N):
         states[n + 1] = _advance(system, catalog, A1, states[n], times[n], h_snap)
         check_blow_up(states[n + 1], n, float(times[n]))
     return Trajectory(
         times=times,
-        states=states,
+        states=states.astype(complex),
         epsilon=system.epsilon,
         h=h_snap,
         k=k,

@@ -13,11 +13,14 @@ degree-1 block is exactly u_1, ..., u_d, t).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -122,3 +125,37 @@ def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
         gammas=tuple(gamma(alpha) for alpha in reps),
         _pos=pos,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Restriction:
+    """The rows of a catalog whose multi-index uses only some variables.
+
+    catalog is build_catalog(m, k) over the m kept variables, renumbered
+    1..m in their order.  Row rows[i] of the parent catalog and row
+    sub_rows[i] of catalog hold the same multi-index up to that
+    renumbering, so their gamma weights agree.  Every other parent row
+    involves a dropped variable.
+    """
+
+    catalog: MultiIndexCatalog
+    rows: np.ndarray
+    sub_rows: np.ndarray
+
+
+def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restriction:
+    """The restriction of catalog to the sorted 1-based variables, cached."""
+    return _restriction(catalog.d_plus_1, catalog.k, tuple(variables))
+
+
+@functools.lru_cache(maxsize=32)
+def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restriction:
+    sub = build_catalog(len(variables), k)
+    sub_index = {alpha: i for i, alpha in enumerate(sub.representatives)}
+    renumber = {v: i + 1 for i, v in enumerate(variables)}
+    rows, sub_rows = [], []
+    for row, alpha in enumerate(build_catalog(d_plus_1, k).representatives):
+        if all(c in renumber for c in alpha):
+            rows.append(row)
+            sub_rows.append(sub_index[tuple(renumber[c] for c in alpha)])
+    return Restriction(sub, np.array(rows, dtype=np.intp), np.array(sub_rows, dtype=np.intp))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from osc_llei import (
     builtin,
     fit_order,
     integrate,
+    linalg,
+    load_config,
     rk4_integrate,
     step,
 )
@@ -168,22 +171,26 @@ def test_step_raises_blow_up_past_threshold() -> None:
 
 
 def test_real_problem_keeps_imaginary_residue_small() -> None:
-    system = builtin("example1", 0.25)
-    traj = integrate(system, 2, 1 / 2**5)
-    assert float(np.max(np.abs(traj.states.imag))) <= 1e-9
+    # real problems run in real arithmetic: the imaginary part is exactly 0
+    for name, h in (("example1", 1 / 2**5), ("example2-E6", 1 / 2**7)):
+        system = builtin(name, 0.25)
+        assert system.is_real
+        assert not integrate(system, 2, h).states.imag.any()
+        assert not rk4_integrate(system, 1 / 2**9).states.imag.any()
 
 
 def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> None:
     # one example2-E6 step: one taylor call, no per-beta partials, and no
-    # catalog lookups (the extension plan holds every target index)
+    # catalog lookups (the extension plan holds every target index); one
+    # example1 step: one taylor call on the pendulum forcing g as well
     calls: Counter = Counter()
 
     def counting(owner, name):
         method = getattr(owner, name)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
+        def wrapped(self, *args, **kwargs):
+            calls[f"{type(self).__name__}.{name}"] += 1
+            return method(self, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
 
@@ -193,4 +200,68 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
     system = builtin("example2-E6", 1 / 64, T=1 / 1024)
     traj = integrate(system, 3, 1 / 1024)
     assert traj.n_steps == 1
-    assert calls == Counter(taylor=1)
+    assert calls == Counter({"_ChargedParticleOracle.taylor": 1})
+
+    calls.clear()
+    system = builtin("example1", 0.25, T=1 / 16)
+    traj = integrate(system, 3, 1 / 16)
+    assert traj.n_steps == 1
+    assert calls == Counter({"_TransformedOracle.taylor": 1, "_PendulumForcingOracle.taylor": 1})
+
+
+def poly_config(coeff) -> dict:
+    # u1' = u2 / eps, u2' = -u1 / eps + c u1^2 t with a real or complex c
+    return {
+        "d": 2, "A": [0, 1, -1, 0], "epsilon": 0.1, "nu": 0.0, "u_in": [1.0, 0.5], "T": 0.5,
+        "poly_F": [{"row": 2, "alpha": [1, 1, 3], "coeff": coeff}],
+    }
+
+
+class ComplexView(DerivativeOracle):
+    """The same oracle, not marked real-valued, so the scheme runs complex."""
+
+    def __init__(self, inner: DerivativeOracle):
+        self.inner = inner
+        self.max_order = inner.max_order
+
+    def _taylor(self, catalog, u, t):
+        return self.inner.taylor(catalog, u, t)
+
+    def value(self, u, t):
+        return self.inner.value(u, t)
+
+
+def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
+    seen = []
+    expm = linalg.expm
+
+    def spy(M):
+        seen.append(M.dtype)
+        return expm(M)
+
+    monkeypatch.setattr(linalg, "expm", spy)
+    cases = [
+        (builtin("example1", 0.25, T=0.25), np.float64),
+        (builtin("example2-E6", 1 / 16, T=1 / 16), np.float64),
+        (load_config(poly_config([0.5, 0.0])), np.float64),
+        (load_config(poly_config([0.5, 0.25])), np.complex128),
+    ]
+    for system, dtype in cases:
+        seen.clear()
+        traj = integrate(system, 2, 1 / 64)
+        assert seen and set(seen) == {np.dtype(dtype)}, (system.name, seen)
+        assert traj.states.dtype == np.complex128
+
+
+def test_real_and_complex_arithmetic_agree() -> None:
+    cases = [
+        builtin("example1", 0.25, T=1.0),
+        builtin("example2-E3", 1 / 16, T=0.25),
+        load_config(poly_config([0.5, 0.0])),
+    ]
+    for system in cases:
+        forced = replace(system, oracle=ComplexView(system.oracle))
+        assert system.is_real and not forced.is_real
+        real = integrate(system, 3, 1 / 64).states
+        cplx = integrate(forced, 3, 1 / 64).states
+        assert np.abs(real - cplx).max() <= 1e-13 * np.abs(cplx).max(), system.name

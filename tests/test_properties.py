@@ -7,6 +7,8 @@ the time entry, as in a scheme step.
 loop_A1 and loop_A0 are the entry-by-entry builders the plan-backed
 build_A1 and build_A0 replaced.  They derive every target monomial from
 scratch and serve here only as the reference the plan must match.
+loop_product is likewise the dict-of-exponents jet product the
+array-backed Jet replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,7 @@ from osc_llei import (
     random_imaginary_system,
     remove_component,
 )
+from osc_llei._jets import Jet, _layout
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -199,3 +203,72 @@ def test_jet_taylor_matches_partials(k, coords) -> None:
     got = oracle.taylor(cat, x[:4], x[4])
     want = DerivativeOracle._taylor(oracle, cat, x[:4], x[4])
     assert_close(got, want, PLAN_RTOL)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=4), st.lists(COORD, min_size=3, max_size=3))
+def test_transformed_taylor_matches_partials(k, coords) -> None:
+    # example1's taylor (one call on the forcing g's (y, t) catalog) equals
+    # one partial per beta of the phase-space catalog
+    oracle = builtin("example1", 0.3).oracle
+    cat = build_catalog(3, k)
+    x = np.array(coords)
+    got = oracle.taylor(cat, x[:2], x[2])
+    want = DerivativeOracle._taylor(oracle, cat, x[:2], x[2])
+    assert got.dtype == np.float64
+    assert_close(got, want, PLAN_RTOL)
+
+
+def loop_product(exps, a, b, K) -> dict:
+    out: dict = {}
+    for e1, c1 in zip(exps, a):
+        for e2, c2 in zip(exps, b):
+            if sum(e1) + sum(e2) <= K:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
+def loop_compose(exps, a, series, K) -> dict:
+    """sum_m series[m] (a - a_0)^m with loop products: f(a) truncated at K."""
+    w = [0.0] + list(a[1:])
+    out = {e: 0.0 for e in exps}
+    out[exps[0]] = series[0]
+    wp = dict(zip(exps, w))
+    for m in range(1, K + 1):
+        for e, c in wp.items():
+            out[e] += series[m] * c
+        wp = loop_product(exps, [wp.get(e, 0.0) for e in exps], w, K)
+    return out
+
+
+@st.composite
+def jets(draw):
+    """n, K and two random real polynomial jets; b has constant term >= 1."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    K = draw(st.integers(min_value=1, max_value=4))
+    size = _layout(n, K).size
+    a = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+    b = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+    b[0] = 1.0 + abs(b[0])
+    return n, K, a, b
+
+
+@PROPERTY
+@given(jets())
+def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
+    n, K, a, b = setup
+    exps = list(_layout(n, K).index)
+    ja, jb = Jet(n, K, a), Jet(n, K, b)
+    # the scalar Taylor series of x^-1.5 at b_0 and of cos at a_0,
+    # computed here independently of _jets
+    power_series = [scipy.special.binom(-1.5, m) * b[0] ** (-1.5 - m) for m in range(K + 1)]
+    cos_series = [math.cos(a[0] + m * math.pi / 2) / math.factorial(m) for m in range(K + 1)]
+    cases = [
+        (ja * jb, loop_product(exps, a, b, K)),
+        (jb.power(-1.5), loop_compose(exps, b, power_series, K)),
+        (ja.cos(), loop_compose(exps, a, cos_series, K)),
+    ]
+    for jet, want in cases:
+        want = np.array([want.get(e, 0.0) for e in exps])
+        assert_close(jet.c, want, PLAN_RTOL)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from osc_llei import (
     load_config_file,
     second_order_to_first_order,
 )
+from osc_llei.sysdef import _FD_ACCURATE_ORDER, _FD_MAX_REL_ERROR, _PendulumForcingOracle
 
 
 def make_linear_system(eps: float = 1.0) -> OscillatorySystem:
@@ -65,7 +68,8 @@ def test_oracle_partials_are_permutation_invariant() -> None:
 def test_finite_difference_matches_polynomial() -> None:
     terms = [(1, (1, 1, 3), 2.0), (2, (2, 2), 1.0), (1, (), -0.7)]
     exact = PolynomialOracle(2, terms)
-    approx = FiniteDifferenceOracle(lambda u, t: exact.value(u, t), k_max=3)
+    with pytest.warns(UserWarning, match="lose accuracy"):
+        approx = FiniteDifferenceOracle(lambda u, t: exact.value(u, t), k_max=3)
     u = np.array([0.4, -1.1])
     t = 0.6
     for alpha in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 2), (1, 2, 3), (3, 3, 3)]:
@@ -81,7 +85,8 @@ def test_builtin_oracles_match_finite_differences() -> None:
         (builtin("example2-E6", 0.25), np.array([0.3, 0.4, -0.1, 0.2]), 0.45),
     ]
     for system, u, t in cases:
-        fd = FiniteDifferenceOracle(system.oracle.value, k_max=3)
+        with pytest.warns(UserWarning, match="lose accuracy"):
+            fd = FiniteDifferenceOracle(system.oracle.value, k_max=3)
         n_vars = system.d + 1
         rng = np.random.default_rng(5)
         for _ in range(15):
@@ -94,6 +99,28 @@ def test_builtin_oracles_match_finite_differences() -> None:
                 system.name,
                 alpha,
             )
+
+
+def test_finite_difference_warns_above_its_accurate_order() -> None:
+    # re-measures the docstring's error table against the exact pendulum
+    # forcing partials: only order 1 stays below 1e-6
+    exact = _PendulumForcingOracle()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FiniteDifferenceOracle(exact.value, k_max=1)
+    with pytest.warns(UserWarning, match="above order 1 lose accuracy: k_max = 6"):
+        fd = FiniteDifferenceOracle(exact.value, k_max=6, real_valued=True)
+    points = [(0.3, 0.7), (1.1, 2.0), (-0.8, 4.5)]
+    for j, documented in enumerate(_FD_MAX_REL_ERROR, 1):
+        alphas = list(itertools.combinations_with_replacement((1, 2), j))
+        worst = 0.0
+        for y, t in points:
+            u = np.array([y])
+            want = np.array([exact.partial(a, u, t)[0] for a in alphas])
+            got = np.array([fd.partial(a, u, t)[0] for a in alphas])
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert 0.5 * documented <= worst <= 2.0 * documented, (j, worst)
+        assert (worst < 1e-6) == (j <= _FD_ACCURATE_ORDER)
 
 
 def test_pendulum_forcing_closed_form() -> None:
@@ -125,7 +152,8 @@ def test_charged_particle_value_formula() -> None:
 
 
 def test_order_limit_raises() -> None:
-    oracle = FiniteDifferenceOracle(lambda u, t: np.array([t]), k_max=2)
+    with pytest.warns(UserWarning, match="lose accuracy"):
+        oracle = FiniteDifferenceOracle(lambda u, t: np.array([t]), k_max=2)
     with pytest.raises(UnsupportedOrderError):
         oracle.partial((1, 1, 2), np.array([0.0]), 0.0)
     assert np.allclose(oracle.partial((2, 2), np.array([0.0]), 1.0), [0.0])
