@@ -61,6 +61,9 @@ def _layout(n: int, K: int) -> _Layout:
         if sum(e1) + sum(e2) <= K
     ]
     I, J, target = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+    # shared by every jet of this (n, K) through the cache
+    for arr in (I, J, target):
+        arr.flags.writeable = False
     return _Layout(index, I, J, target)
 
 

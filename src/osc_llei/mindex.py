@@ -158,4 +158,8 @@ def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restricti
         if all(c in renumber for c in alpha):
             rows.append(row)
             sub_rows.append(sub_index[tuple(renumber[c] for c in alpha)])
-    return Restriction(sub, np.array(rows, dtype=np.intp), np.array(sub_rows, dtype=np.intp))
+    rows_arr, sub_rows_arr = (np.array(r, dtype=np.intp) for r in (rows, sub_rows))
+    # shared by every caller through the cache
+    rows_arr.flags.writeable = False
+    sub_rows_arr.flags.writeable = False
+    return Restriction(sub, rows_arr, sub_rows_arr)
