@@ -2,21 +2,20 @@
 
 A Jet stores the Taylor coefficients of a scalar function of n
 variables around a base point, truncated at total degree K, as one 1-D
-array over the exponent vectors of total degree <= K.  The rows follow
-the catalog order of mindex.build_catalog(n, K): degree blocks 0..K,
-lexicographic on the sorted components inside each block, so row i
-holds the coefficient of the i-th catalog representative.
+array in the catalog order of mindex (degree blocks 0..K, lexicographic
+on the sorted components inside each block): row i holds the
+coefficient of the i-th representative, i.e. d^beta / gamma(beta).
 
-The product of two jets is one gather and one scatter-add through an
-(I, J, target) table listing every pair of rows whose degrees sum to
-at most K, compiled once per (n, K) on first use (the dense-coefficient
-Taylor arithmetic of Griewank and Walther, Evaluating Derivatives,
-ch. 13).  Arithmetic propagates exact coefficients, so mixed partials
-recovered from a jet are accurate to machine precision.  Analytic
-functions are applied by composing their scalar Taylor series with the
-zero-constant part of the jet, which terminates at degree K because
-that part is nilpotent under truncation.  The coefficient dtype follows
-the base point: float64 at real points, complex128 otherwise.
+The product of two jets is one gather and one scatter-add through the
+pairs of mindex's multiset-sum table for (n, K): every pair of rows
+whose degrees sum to at most K, with the row their sum lands on (the
+dense-coefficient Taylor arithmetic of Griewank and Walther, Evaluating
+Derivatives, ch. 13).  Arithmetic propagates exact coefficients, so
+mixed partials recovered from a jet are accurate to machine precision.
+Analytic functions are applied by composing their scalar Taylor series
+with the zero-constant part of the jet, which terminates at degree K
+because that part is nilpotent under truncation.  The coefficient dtype
+follows the base point: float64 at real points, complex128 otherwise.
 
 Internal helper for derivative oracles; not part of the public API.
 """
@@ -24,51 +23,29 @@ Internal helper for derivative oracles; not part of the public API.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import scatter_add
-
-
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Row order, exponent lookup and product table of the (n, K) jets."""
-
-    index: dict[tuple[int, ...], int]
-    I: np.ndarray
-    J: np.ndarray
-    target: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
+from .mindex import _sum_table
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(n: int, K: int) -> _Layout:
-    exps = []
-    for j in range(K + 1):
-        for comps in itertools.combinations_with_replacement(range(n), j):
-            exps.append(tuple(comps.count(q) for q in range(n)))
-    index = {e: i for i, e in enumerate(exps)}
-    pairs = [
-        (i, j, index[tuple(a + b for a, b in zip(e1, e2))])
-        for i, e1 in enumerate(exps)
-        for j, e2 in enumerate(exps)
-        if sum(e1) + sum(e2) <= K
-    ]
-    I, J, target = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+def _pairs(n: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, target): every pair of rows whose degrees sum to at most K."""
+    sums = _sum_table(n, K)
+    I, J = np.nonzero(sums >= 0)
+    target = sums[I, J]
     # shared by every jet of this (n, K) through the cache
     for arr in (I, J, target):
         arr.flags.writeable = False
-    return _Layout(index, I, J, target)
+    return I, J, target
 
 
-def _product(lay: _Layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return scatter_add(lay.target, a[lay.I] * b[lay.J], lay.size)
+def _product(n: int, K: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    I, J, target = _pairs(n, K)
+    return scatter_add(target, a[I] * b[J], a.size)
 
 
 class Jet:
@@ -81,13 +58,9 @@ class Jet:
         self.K = K
         self.c = c
 
-    @property
-    def _layout(self) -> _Layout:
-        return _layout(self.n, self.K)
-
     @classmethod
     def constant(cls, value, n: int, K: int) -> "Jet":
-        c = np.zeros(_layout(n, K).size, dtype=np.result_type(value, float))
+        c = np.zeros(_sum_table(n, K).shape[0], dtype=np.result_type(value, float))
         c[0] = value
         return cls(n, K, c)
 
@@ -97,14 +70,6 @@ class Jet:
         if K > 0:
             out.c[1 + i] = 1.0
         return out
-
-    def coeff(self, e: tuple[int, ...]):
-        row = self._layout.index.get(tuple(e))
-        return self.c[row] if row is not None else 0.0
-
-    def partial(self, e: tuple[int, ...]):
-        """Mixed partial with exponent vector e: coefficient times prod e_q!."""
-        return self.coeff(e) * math.prod(math.factorial(q) for q in e)
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -127,32 +92,26 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(self.n, self.K, self.c * other)
-        return Jet(self.n, self.K, _product(self._layout, self.c, other.c))
+        return Jet(self.n, self.K, _product(self.n, self.K, self.c, other.c))
 
     __rmul__ = __mul__
 
     def compose_series(self, series) -> "Jet":
         """Evaluate sum_m series[m] * (self - const)^m, m = 0..K."""
-        lay = self._layout
         w = self.c.copy()
         w[0] = 0.0
-        out = np.zeros(lay.size, dtype=np.result_type(w, *series))
+        out = np.zeros(w.size, dtype=np.result_type(w, *series))
         out[0] = series[0]
         wp = w
         for m in range(1, self.K + 1):
             if m > 1:
-                wp = _product(lay, wp, w)
+                wp = _product(self.n, self.K, wp, w)
             out += series[m] * wp
         return Jet(self.n, self.K, out)
 
     def cos(self) -> "Jet":
         a0 = self.c[0]
         series = [np.cos(a0 + m * np.pi / 2) / math.factorial(m) for m in range(self.K + 1)]
-        return self.compose_series(series)
-
-    def sin(self) -> "Jet":
-        a0 = self.c[0]
-        series = [np.sin(a0 + m * np.pi / 2) / math.factorial(m) for m in range(self.K + 1)]
         return self.compose_series(series)
 
     def power(self, p: float) -> "Jet":

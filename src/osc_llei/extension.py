@@ -5,10 +5,13 @@ The extension variable at reference point xhat collects all monomials
 dx/dt = (1/eps) A1 x + f(x) and Taylor-truncating f at xhat splits the
 lifted dynamics into (1/eps) * A1k + A0k plus a remainder the scheme
 never evaluates.  Every coefficient lands on the canonical
-representative of its target monomial, so duplicate contributions
-accumulate by construction.  Where each coefficient lands depends only
-on (d+1, k); an ExtensionPlan holds that map, compiled once per pair,
-and both builders feed it the Taylor coefficients of their field.  The
+representative of its target monomial chi + beta, read from mindex's
+multiset-sum table, so duplicate contributions accumulate by
+construction.  Where each coefficient lands depends only on (d+1, k);
+an ExtensionPlan holds that map, compiled once per pair, and both
+builders feed it the Taylor coefficients of their field.  build_S and
+lift use the same table: row alpha is the product of the degree-1 row
+of its first component and the row of the rest.  The
 matrices keep the dtype of their data: a real field at a real point
 gives float64 matrices, anything complex gives complex128 ones.
 
@@ -21,13 +24,12 @@ diagonal at xhat = 0.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import scatter_add
-from .mindex import MultiIndexCatalog, build_catalog, remove_component
+from .mindex import MultiIndexCatalog, _sum_table, build_catalog, remove_component
 from .sysdef import DerivativeOracle
 
 
@@ -66,22 +68,20 @@ class ExtensionPlan:
     @classmethod
     def compile(cls, catalog: MultiIndexCatalog) -> "ExtensionPlan":
         n, k, D = catalog.d_plus_1, catalog.k, catalog.size
-        reps = catalog.representatives
-        index = {alpha: i for i, alpha in enumerate(reps)}
+        sums = _sum_table(n, k)
         # n_upto[m]: number of representatives of degree <= m
         n_upto = np.cumsum(catalog.block_dims)
-        source: list[int] = []
-        target: list[int] = []
-        for row, alpha in enumerate(reps):
+        source: list[np.ndarray] = []
+        target: list[np.ndarray] = []
+        for row, alpha in enumerate(catalog.representatives):
             j = len(alpha)
             for l in range(1, j + 1):
-                c = alpha[l - 1] - 1
-                chi = remove_component(alpha, l)
-                for b in range(n_upto[k - j + 1]):
-                    source.append(b * n + c)
-                    target.append(row * D + index[tuple(sorted(chi + reps[b]))])
-        source_arr = np.array(source, dtype=np.intp)
-        target_arr = np.array(target, dtype=np.intp)
+                chi = catalog._pos[remove_component(alpha, l)]
+                b = np.arange(n_upto[k - j + 1])
+                source.append(b * n + alpha[l - 1] - 1)
+                target.append(row * D + sums[chi, : b.size])
+        source_arr = np.concatenate(source)
+        target_arr = np.concatenate(target)
         source_arr.flags.writeable = False
         target_arr.flags.writeable = False
         return cls(D, source_arr, target_arr)
@@ -145,29 +145,38 @@ def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.n
     return plan_for(catalog).assemble(G)
 
 
+def _first_and_rest(catalog: MultiIndexCatalog):
+    """(row, alpha_1, row of alpha minus alpha_1) for every row of degree >= 1.
+
+    Rows come in catalog order, so the rest's row is always done first.
+    """
+    return [
+        (row, alpha[0], catalog._pos[alpha[1:]])
+        for row, alpha in enumerate(catalog.representatives)
+        if alpha
+    ]
+
+
 def build_S(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
     """Basis transition from centered-at-zero to centered-at-xhat monomials.
 
-    Row alpha expands (x - xhat)^alpha = sum over subsets of kept
-    factors, so lift(x, xhat) = S @ lift(x, 0).  Lower triangular with
-    unit diagonal in the degree-grouped order; identity at xhat = 0.
+    Row alpha expands (x - xhat)^alpha as (x_c - xhat_c) times the row
+    of the rest of alpha, c = alpha_1, so lift(x, xhat) = S @ lift(x, 0).
+    Lower triangular with unit diagonal in the degree-grouped order;
+    identity at xhat = 0.
     """
     xhat = _check_point(catalog, xhat)
+    sums = _sum_table(catalog.d_plus_1, catalog.k)
+    # n_upto[m]: number of representatives of degree <= m
+    n_upto = np.cumsum(catalog.block_dims)
     D = catalog.size
     out = np.zeros((D, D), dtype=complex)
-    for row, alpha in enumerate(catalog.representatives):
-        j = len(alpha)
-        for kept in itertools.product((False, True), repeat=j):
-            coeff = 1.0 + 0.0j
-            target = []
-            for keep, c in zip(kept, alpha):
-                if keep:
-                    target.append(c)
-                else:
-                    coeff *= -xhat[c - 1]
-            if coeff == 0:
-                continue
-            out[row, catalog.position(tuple(target))] += coeff
+    out[0, 0] = 1.0
+    for row, c, rest in _first_and_rest(catalog):
+        # the rest's row is zero past its degree |alpha| - 1
+        m = n_upto[len(catalog.representatives[row]) - 1]
+        out[row, sums[c, :m]] = out[rest, :m]
+        out[row, :m] -= xhat[c - 1] * out[rest, :m]
     return out
 
 
@@ -181,9 +190,7 @@ def lift(catalog: MultiIndexCatalog, x, xhat) -> np.ndarray:
     xhat = _check_point(catalog, xhat)
     y = x - xhat
     out = np.empty(catalog.size, dtype=complex)
-    for row, alpha in enumerate(catalog.representatives):
-        v = 1.0 + 0.0j
-        for c in alpha:
-            v *= y[c - 1]
-        out[row] = v
+    out[0] = 1.0
+    for row, c, rest in _first_and_rest(catalog):
+        out[row] = y[c - 1] * out[rest]
     return out

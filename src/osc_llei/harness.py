@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .llei import BlowUpError, Trajectory, integrate
 from .refsolve import rk4_integrate
 from .sysdef import OscillatorySystem
@@ -52,7 +51,7 @@ class Thresholds:
 
 
 def thresholds(system: OscillatorySystem) -> Thresholds:
-    eigs = np.abs(linalg.eigvals(system.A))
+    eigs = np.abs(system._spectrum)
     rho = float(np.max(eigs))
     mu = float(np.min(eigs))
     if mu <= 1e-12 * max(1.0, rho):

@@ -9,6 +9,12 @@ enumerates one representative per equivalence class for all degrees
 vector in this package relies on: degree blocks 0, 1, ..., k, with
 lexicographic order on the sorted components inside each block (so the
 degree-1 block is exactly u_1, ..., u_d, t).
+
+This module is the only one that knows the layout.  Besides the catalog
+it keeps one read-only table per (n, k), _sum_table: entry [i, j] is the
+row of the multiset sum reps[i] + reps[j], or -1 when its degree passes
+k.  Jet products land their coefficient pairs there; the extension
+plan, build_S and lift land each chi + beta there.
 """
 
 from __future__ import annotations
@@ -90,13 +96,6 @@ class MultiIndexCatalog:
                 f"multi-index {tuple(alpha)} not in catalog (d+1={self.d_plus_1}, k={self.k})"
             ) from None
 
-    def degree_range(self, j: int) -> range:
-        """Row/column index range of the degree-j block."""
-        if not 0 <= j <= self.k:
-            raise ValueError(f"degree {j} outside 0..{self.k}")
-        start = sum(self.block_dims[:j])
-        return range(start, start + self.block_dims[j])
-
 
 def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
     """Enumerate the extension basis layout for d+1 symbols up to degree k.
@@ -108,23 +107,49 @@ def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
         raise ValueError(f"d_plus_1 must be >= 2, got {d_plus_1}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return _catalog(d_plus_1, k)
+
+
+def _catalog(n: int, k: int) -> MultiIndexCatalog:
+    """The catalog over n >= 1 symbols up to degree k >= 0, unvalidated.
+
+    Also serves the jets, whose n = 1 and k = 0 cases build_catalog
+    rejects as extension layouts.
+    """
     reps: list[MultiIndex] = []
     dims: list[int] = []
     for j in range(k + 1):
         # combinations_with_replacement yields sorted tuples in
         # lexicographic order, exactly the prescribed block layout
-        block = list(itertools.combinations_with_replacement(range(1, d_plus_1 + 1), j))
+        block = list(itertools.combinations_with_replacement(range(1, n + 1), j))
         reps.extend(block)
         dims.append(len(block))
-    pos = {alpha: i for i, alpha in enumerate(reps)}
     return MultiIndexCatalog(
-        d_plus_1=d_plus_1,
+        d_plus_1=n,
         k=k,
         representatives=tuple(reps),
         block_dims=tuple(dims),
         gammas=tuple(gamma(alpha) for alpha in reps),
-        _pos=pos,
+        _pos={alpha: i for i, alpha in enumerate(reps)},
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _sum_table(n: int, k: int) -> np.ndarray:
+    """sums[i, j] = row of reps[i] + reps[j] in the (n, k) catalog, or -1.
+
+    -1 marks the pairs whose degrees add up to more than k.  Read-only,
+    since every caller shares it through the cache.
+    """
+    cat = _catalog(n, k)
+    reps = cat.representatives
+    n_upto = np.cumsum(cat.block_dims)
+    sums = np.full((cat.size, cat.size), -1, dtype=np.intp)
+    for i, a in enumerate(reps):
+        fits = reps[: n_upto[k - len(a)]]
+        sums[i, : len(fits)] = [cat._pos[tuple(sorted(a + b))] for b in fits]
+    sums.flags.writeable = False
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +176,12 @@ def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restrict
 @functools.lru_cache(maxsize=32)
 def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restriction:
     sub = build_catalog(len(variables), k)
-    sub_index = {alpha: i for i, alpha in enumerate(sub.representatives)}
     renumber = {v: i + 1 for i, v in enumerate(variables)}
     rows, sub_rows = [], []
     for row, alpha in enumerate(build_catalog(d_plus_1, k).representatives):
         if all(c in renumber for c in alpha):
             rows.append(row)
-            sub_rows.append(sub_index[tuple(renumber[c] for c in alpha)])
+            sub_rows.append(sub._pos[tuple(renumber[c] for c in alpha)])
     rows_arr, sub_rows_arr = (np.array(r, dtype=np.intp) for r in (rows, sub_rows))
     # shared by every caller through the cache
     rows_arr.flags.writeable = False

@@ -18,13 +18,8 @@ import warnings
 
 import numpy as np
 
-from . import linalg
 from .llei import Trajectory, check_blow_up
 from .sysdef import OscillatorySystem
-
-
-def spectral_radius(A) -> float:
-    return float(np.max(np.abs(linalg.eigvals(np.asarray(A, dtype=complex)))))
 
 
 def rk4_integrate(
@@ -40,7 +35,7 @@ def rk4_integrate(
         raise ValueError("sample_stride must be a positive integer")
     sample_stride = int(sample_stride)
 
-    rho = spectral_radius(system.A)
+    rho = float(np.max(np.abs(system._spectrum)))
     if rho > 0:
         h_max = system.epsilon / (4.0 * rho)
         if h_ref > h_max * (1 + 1e-12):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import MultiIndex, MultiIndexCatalog, representative, restrict
+from .mindex import MultiIndex, MultiIndexCatalog, _catalog, representative, restrict
 
 _EPS = float(np.finfo(float).eps)
 # FiniteDifferenceOracle's largest measured relative error at orders 1..6
@@ -231,6 +231,9 @@ class OscillatorySystem:
     eps_factory: Callable[[float], "OscillatorySystem"] | None = field(
         default=None, repr=False, compare=False
     )
+    # eigenvalues of A, computed once here for the spectrum warning, the
+    # harness thresholds and the RK4 resolution guard
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=complex)
@@ -245,9 +248,10 @@ class OscillatorySystem:
             raise ValueError("T must be positive")
         if self.max_order == 0:
             self.max_order = self.oracle.max_order
+        self._spectrum = linalg.eigvals(self.A)
         norm_a = float(np.linalg.norm(self.A, 2))
         if norm_a > 0:
-            off_axis = float(np.max(np.abs(linalg.eigvals(self.A).real)))
+            off_axis = float(np.max(np.abs(self._spectrum.real)))
             if off_axis > 1e-9 * norm_a:
                 warnings.warn(
                     f"eigenvalues of A deviate from the imaginary axis by {off_axis:.3e}",
@@ -438,9 +442,11 @@ class _ChargedParticleOracle(DerivativeOracle):
         out = np.zeros(4, dtype=np.result_type(u, t))
         if 3 not in alpha and 4 not in alpha:
             g1, g2 = self._jets(u[0], u[1], t, len(alpha))
-            e = (alpha.count(1), alpha.count(2), alpha.count(5))
-            out[2] = g1.partial(e)
-            out[3] = g2.partial(e)
+            # the jets number (y_1, y_2, t) as 1, 2, 3
+            cat = _catalog(3, len(alpha))
+            row = cat.position(tuple(3 if c == 5 else c for c in alpha))
+            out[2] = g1.c[row] * cat.gammas[row]
+            out[3] = g2.c[row] * cat.gammas[row]
         return out
 
     def _taylor(self, catalog, u, t):

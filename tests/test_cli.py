@@ -106,6 +106,9 @@ def test_integrate_csv_shape_and_determinism(tmp_path) -> None:
         assert float(fields[4]) == 0.0
     assert lines[1].startswith("0,")
     assert lines[-1].startswith("1,")
+    # a real problem steps in real arithmetic: every Im(...) column is exactly 0
+    im_cols = [i for i, name in enumerate(lines[0].split(",")) if name.startswith("Im(")]
+    assert all(line.split(",")[i] == "0" for line in lines[1:] for i in im_cols)
 
 
 def test_integrate_reports_snapped_step(tmp_path, capsys) -> None:

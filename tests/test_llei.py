@@ -24,6 +24,9 @@ from osc_llei import (
     rk4_integrate,
     step,
 )
+from osc_llei._jets import _pairs
+from osc_llei.extension import _compiled
+from osc_llei.mindex import _restriction, _sum_table
 from osc_llei.sysdef import FiniteDifferenceOracle
 
 
@@ -181,8 +184,9 @@ def test_real_problem_keeps_imaginary_residue_small() -> None:
 
 def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> None:
     # one example2-E6 step: one taylor call, no per-beta partials, and no
-    # catalog lookups (the extension plan holds every target index); one
-    # example1 step: one taylor call on the pendulum forcing g as well
+    # catalog lookups, even while compiling (the extension plan reads its
+    # targets from the sum table); one example1 step: one taylor call on
+    # the pendulum forcing g as well
     calls: Counter = Counter()
 
     def counting(owner, name):
@@ -194,6 +198,10 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
 
         monkeypatch.setattr(owner, name, wrapped)
 
+    # cold: the plan, the sum table, the jet pairs and the restrictions
+    # are all compiled inside the counted steps
+    for cache in (_compiled, _sum_table, _pairs, _restriction):
+        cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")
     counting(MultiIndexCatalog, "position")

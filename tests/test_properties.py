@@ -5,14 +5,17 @@ drawn by hypothesis; xhat is complex in the state entries and real in
 the time entry, as in a scheme step.
 
 loop_A1 and loop_A0 are the entry-by-entry builders the plan-backed
-build_A1 and build_A0 replaced.  They derive every target monomial from
-scratch and serve here only as the reference the plan must match.
+build_A1 and build_A0 replaced, and loop_S and loop_lift the
+subset-expansion and factor-by-factor builders that build_S and lift
+replaced.  They derive every target monomial from scratch and serve
+here only as the reference the table-backed builders must match.
 loop_product is likewise the dict-of-exponents jet product the
 array-backed Jet replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +37,8 @@ from osc_llei import (
     random_imaginary_system,
     remove_component,
 )
-from osc_llei._jets import Jet, _layout
+from osc_llei._jets import Jet
+from osc_llei.mindex import _catalog, _sum_table
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -87,6 +91,33 @@ def loop_A0(catalog, oracle, xhat) -> np.ndarray:
                 if val == 0:
                     continue
                 out[row, catalog.position(chi + beta)] += val / gamma(beta)
+    return out
+
+
+def loop_S(catalog, xhat) -> np.ndarray:
+    D = catalog.size
+    out = np.zeros((D, D), dtype=complex)
+    for row, alpha in enumerate(catalog.representatives):
+        for kept in itertools.product((False, True), repeat=len(alpha)):
+            coeff = 1.0 + 0.0j
+            target = []
+            for keep, c in zip(kept, alpha):
+                if keep:
+                    target.append(c)
+                else:
+                    coeff *= -xhat[c - 1]
+            out[row, catalog.position(tuple(target))] += coeff
+    return out
+
+
+def loop_lift(catalog, x, xhat) -> np.ndarray:
+    y = np.asarray(x) - np.asarray(xhat)
+    out = np.empty(catalog.size, dtype=complex)
+    for row, alpha in enumerate(catalog.representatives):
+        v = 1.0 + 0.0j
+        for c in alpha:
+            v *= y[c - 1]
+        out[row] = v
     return out
 
 
@@ -164,6 +195,29 @@ def test_S_recenters_the_lift(setup) -> None:
     want = lift(cat, x, xhat)
     got = build_S(cat, xhat) @ lift(cat, x, np.zeros(d + 1))
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+@PROPERTY
+@given(setups())
+def test_S_and_lift_match_loop_builders(setup) -> None:
+    d, k, _, xhat, x = setup
+    cat = build_catalog(d + 1, k)
+    assert_close(build_S(cat, xhat), loop_S(cat, xhat), PLAN_RTOL)
+    assert_close(lift(cat, x, xhat), loop_lift(cat, x, xhat), PLAN_RTOL)
+
+
+def test_sum_table_is_multiset_addition() -> None:
+    # brute force: sorted-tuple addition looked up in the representative list
+    for n in range(1, 5):
+        for k in range(5):
+            reps = list(_catalog(n, k).representatives)
+            want = [
+                [reps.index(tuple(sorted(a + b))) if len(a) + len(b) <= k else -1 for b in reps]
+                for a in reps
+            ]
+            sums = _sum_table(n, k)
+            assert sums.tolist() == want, (n, k)
+            assert not sums.flags.writeable
 
 
 @PROPERTY
@@ -247,7 +301,7 @@ def jets(draw):
     """n, K and two random real polynomial jets; b has constant term >= 1."""
     n = draw(st.integers(min_value=1, max_value=3))
     K = draw(st.integers(min_value=1, max_value=4))
-    size = _layout(n, K).size
+    size = _catalog(n, K).size
     a = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
     b = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
     b[0] = 1.0 + abs(b[0])
@@ -258,7 +312,10 @@ def jets(draw):
 @given(jets())
 def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
     n, K, a, b = setup
-    exps = list(_layout(n, K).index)
+    exps = [
+        tuple(alpha.count(q) for q in range(1, n + 1))
+        for alpha in _catalog(n, K).representatives
+    ]
     ja, jb = Jet(n, K, a), Jet(n, K, b)
     # the scalar Taylor series of x^-1.5 at b_0 and of cos at a_0,
     # computed here independently of _jets
