@@ -232,6 +232,8 @@ def sweep_h(
         raise ValueError("h_values must be positive")
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ValueError("h_values must be strictly decreasing")
+    if h_ref_target is not None and not (math.isfinite(h_ref_target) and h_ref_target > 0):
+        raise ValueError(f"h_ref_target must be finite and positive, got {h_ref_target:g}")
 
     th = thresholds(system)
     T = system.T
@@ -323,6 +325,8 @@ def sweep_eps(
         raise ValueError("eps_values must be strictly decreasing")
     if h <= 0:
         raise ValueError("h must be positive")
+    if not (math.isfinite(h_ref_factor) and h_ref_factor > 0):
+        raise ValueError(f"h_ref_factor must be finite and positive, got {h_ref_factor:g}")
 
     base = factory(eps_values[0])
     th = thresholds(base)

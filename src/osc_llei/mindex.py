@@ -14,7 +14,8 @@ This module is the only one that knows the layout.  Besides the catalog
 it keeps one read-only table per (n, k), _sum_table: entry [i, j] is the
 row of the multiset sum reps[i] + reps[j], or -1 when its degree passes
 k.  Jet products land their coefficient pairs there; the extension
-plan, build_S and lift land each chi + beta there.
+plan, build_S and lift land each chi + beta there.  A second one,
+_exponent_table, holds each representative's exponent vector.
 """
 
 from __future__ import annotations
@@ -110,11 +111,12 @@ def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
     return _catalog(d_plus_1, k)
 
 
+@functools.lru_cache(maxsize=32)
 def _catalog(n: int, k: int) -> MultiIndexCatalog:
-    """The catalog over n >= 1 symbols up to degree k >= 0, unvalidated.
+    """The catalog over n >= 1 symbols up to degree k >= 0, unvalidated, cached.
 
-    Also serves the jets, whose n = 1 and k = 0 cases build_catalog
-    rejects as extension layouts.
+    Also serves the jets and DerivativeOracle.partial, whose n = 1 and
+    k = 0 cases build_catalog rejects as extension layouts.
     """
     reps: list[MultiIndex] = []
     dims: list[int] = []
@@ -152,20 +154,28 @@ def _sum_table(n: int, k: int) -> np.ndarray:
     return sums
 
 
+@functools.lru_cache(maxsize=32)
+def _exponent_table(n: int, k: int) -> np.ndarray:
+    """exps[i, q] = multiplicity of q + 1 in reps[i]; read-only, as it is shared."""
+    reps = _catalog(n, k).representatives
+    exps = np.array([[alpha.count(q) for q in range(1, n + 1)] for alpha in reps], dtype=np.intp)
+    exps.flags.writeable = False
+    return exps
+
+
 @dataclass(frozen=True, eq=False)
 class Restriction:
     """The rows of a catalog whose multi-index uses only some variables.
 
-    catalog is build_catalog(m, k) over the m kept variables, renumbered
-    1..m in their order.  Row rows[i] of the parent catalog and row
-    sub_rows[i] of catalog hold the same multi-index up to that
-    renumbering, so their gamma weights agree.  Every other parent row
-    involves a dropped variable.
+    catalog is the catalog over the m kept variables up to degree k,
+    renumbered 1..m in their order.  Row rows[i] of the parent catalog
+    holds the i-th multi-index of catalog up to that renumbering, which
+    keeps the layout's order, so their gamma weights agree.  Every other
+    parent row involves a dropped variable.
     """
 
     catalog: MultiIndexCatalog
     rows: np.ndarray
-    sub_rows: np.ndarray
 
 
 def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restriction:
@@ -175,15 +185,8 @@ def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restrict
 
 @functools.lru_cache(maxsize=32)
 def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restriction:
-    sub = build_catalog(len(variables), k)
-    renumber = {v: i + 1 for i, v in enumerate(variables)}
-    rows, sub_rows = [], []
-    for row, alpha in enumerate(build_catalog(d_plus_1, k).representatives):
-        if all(c in renumber for c in alpha):
-            rows.append(row)
-            sub_rows.append(sub._pos[tuple(renumber[c] for c in alpha)])
-    rows_arr, sub_rows_arr = (np.array(r, dtype=np.intp) for r in (rows, sub_rows))
+    dropped = [q for q in range(d_plus_1) if q + 1 not in variables]
+    rows = np.flatnonzero(~_exponent_table(d_plus_1, k)[:, dropped].any(axis=1))
     # shared by every caller through the cache
-    rows_arr.flags.writeable = False
-    sub_rows_arr.flags.writeable = False
-    return Restriction(sub, rows_arr, sub_rows_arr)
+    rows.flags.writeable = False
+    return Restriction(_catalog(len(variables), k), rows)

@@ -6,8 +6,9 @@ An OscillatorySystem is the initial value problem
 
 on [0, T], with A diagonalizable and purely imaginary in spectrum.  The
 nonlinearity F enters the integrator only through a DerivativeOracle
-supplying mixed partials d^alpha F evaluated at a point, where alpha is
-a multi-index over the d+1 variables (u_1, ..., u_d, t).
+supplying, at a point, its Taylor coefficients d^beta F / gamma(beta)
+for every multi-index beta over the d+1 variables (u_1, ..., u_d, t) up
+to a degree k, in the order of a multi-index catalog.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import MultiIndex, MultiIndexCatalog, _catalog, representative, restrict
+from .mindex import MultiIndexCatalog, _catalog, _exponent_table, gamma, representative, restrict
 
 _EPS = float(np.finfo(float).eps)
 # FiniteDifferenceOracle's largest measured relative error at orders 1..6
@@ -44,28 +45,34 @@ class SpectrumWarning(UserWarning):
 
 
 class DerivativeOracle:
-    """Evaluator of mixed partials d^alpha F(u, t).
+    """Evaluator of the Taylor coefficients of F(u, t) at a point.
 
-    alpha is a multi-index with components in [1, d+1]; component d+1
-    differentiates in t.  The value depends only on the multiset of
-    alpha (mixed partials commute), and |alpha| = 0 returns F itself.
-    Subclasses implement _partial on the sorted alpha, and may override
-    _taylor where all coefficients of one point come cheaper together.
+    Subclasses implement _taylor(catalog, u, t), the one override point:
+    row i holds d^beta F(u, t) / gamma(beta) for the i-th representative
+    beta of catalog, a multi-index with components in [1, d+1] where
+    component d+1 differentiates in t.  partial and value read their
+    numbers out of it; value may be overridden by a direct formula.
     """
 
     max_order: int = 64
     real_valued: bool = False
 
-    def partial(self, alpha, u, t) -> np.ndarray:
-        alpha = representative(alpha)
-        if len(alpha) > self.max_order:
-            raise UnsupportedOrderError(
-                f"order {len(alpha)} exceeds oracle max_order {self.max_order}"
-            )
-        return np.asarray(self._partial(alpha, np.asarray(u), t))
+    def _check_order(self, k: int) -> None:
+        if k > self.max_order:
+            raise UnsupportedOrderError(f"order {k} exceeds oracle max_order {self.max_order}")
 
-    def _partial(self, alpha: MultiIndex, u: np.ndarray, t) -> np.ndarray:
-        raise NotImplementedError
+    def partial(self, alpha, u, t) -> np.ndarray:
+        """d^alpha F(u, t): gamma(alpha) times alpha's row of taylor.
+
+        Depends only on the multiset of alpha (mixed partials commute);
+        |alpha| = 0 gives F itself.
+        """
+        alpha = representative(alpha)
+        self._check_order(len(alpha))
+        u = np.asarray(u)
+        catalog = _catalog(len(u) + 1, len(alpha))
+        row = catalog.position(alpha)
+        return gamma(alpha) * self.taylor(catalog, u, t)[row]
 
     def taylor(self, catalog: MultiIndexCatalog, u, t) -> np.ndarray:
         """Taylor coefficients d^beta F(u, t) / gamma(beta) for |beta| <= k.
@@ -75,10 +82,7 @@ class DerivativeOracle:
         points (u, t) of a real-valued oracle, complex128 at complex points
         or where F itself is complex.
         """
-        if catalog.k > self.max_order:
-            raise UnsupportedOrderError(
-                f"order {catalog.k} exceeds oracle max_order {self.max_order}"
-            )
+        self._check_order(catalog.k)
         u = np.asarray(u)
         out = np.asarray(self._taylor(catalog, u, t))
         if self.real_valued and not (np.iscomplexobj(u) or np.iscomplexobj(t)):
@@ -90,10 +94,8 @@ class DerivativeOracle:
             )
         return out
 
-    def _taylor(self, catalog: MultiIndexCatalog, u, t) -> np.ndarray:
-        """One _partial per representative, divided by its gamma weight."""
-        partials = np.array([self._partial(beta, u, t) for beta in catalog.representatives])
-        return partials / np.array(catalog.gammas)[:, None]
+    def _taylor(self, catalog: MultiIndexCatalog, u: np.ndarray, t) -> np.ndarray:
+        raise NotImplementedError
 
     def value(self, u, t) -> np.ndarray:
         """F(u, t) itself; overridden where a direct formula is cheaper."""
@@ -101,7 +103,7 @@ class DerivativeOracle:
 
 
 class PolynomialOracle(DerivativeOracle):
-    """Exact partials of a polynomial F given as monomial terms.
+    """Exact Taylor coefficients of a polynomial F given as monomial terms.
 
     terms: sequence of (row, alpha, coeff) with row in [1, d] (1-based F
     component), alpha a multi-index over [1, d+1] naming the monomial
@@ -125,27 +127,37 @@ class PolynomialOracle(DerivativeOracle):
         if self.real_valued:
             self.terms = [(row, exps, c.real) for row, exps, c in self.terms]
         self._dtype = np.dtype(float if self.real_valued else complex)
+        # the terms as arrays for _taylor, and the factorials up to the
+        # largest exponent
+        self._rows = np.array([row for row, _, _ in self.terms], dtype=np.intp)
+        self._exps = np.array([e for _, e, _ in self.terms], dtype=np.intp).reshape(-1, d + 1)
+        self._coeffs = np.array([c for _, _, c in self.terms], dtype=self._dtype)
+        self._fact = np.array(
+            [math.factorial(e) for e in range(self._exps.max(initial=0) + 1)], dtype=float
+        )
 
-    def _partial(self, alpha, u, t):
-        beta = [0] * (self.d + 1)
-        for c in alpha:
-            if c > self.d + 1:
-                raise ValueError(f"multi-index component {c} outside 1..{self.d + 1}")
-            beta[c - 1] += 1
+    def _taylor(self, catalog, u, t):
+        # d^b x^e = prod_q e_q! / (e_q - b_q)! x_q^(e_q - b_q), zero unless b <= e;
+        # over gamma(b) that is the coefficient prod_q C(e_q, b_q) x_q^(e_q - b_q)
+        x = np.append(u, t)
+        rest = self._exps[:, None, :] - _exponent_table(catalog.d_plus_1, catalog.k)
+        fits = (rest >= 0).all(axis=2)
+        rest = np.maximum(rest, 0)
+        falling = self._fact[self._exps][:, None, :] / self._fact[rest]
+        per_term = np.where(fits, self._coeffs[:, None] * (falling * x**rest).prod(axis=2), 0.0)
+        out = np.zeros((self.d, catalog.size), dtype=per_term.dtype)
+        np.add.at(out, self._rows, per_term)
+        return (out / np.array(catalog.gammas)).T
+
+    def value(self, u, t):
+        u = np.asarray(u)
         x = list(u) + [t]
         out = np.zeros(self.d, dtype=np.result_type(self._dtype, u, t))
         for row, exps, coeff in self.terms:
             val = coeff
-            for q in range(self.d + 1):
-                e, b = exps[q], beta[q]
-                if b > e:
-                    val = 0.0
-                    break
-                # falling factorial e*(e-1)*...*(e-b+1), then x^(e-b)
-                for i in range(b):
-                    val *= e - i
-                if e - b:
-                    val *= x[q] ** (e - b)
+            for xq, e in zip(x, exps):
+                if e:
+                    val *= xq**e
             out[row] += val
         return out
 
@@ -183,13 +195,14 @@ class FiniteDifferenceOracle(DerivativeOracle):
                 stacklevel=2,
             )
 
-    def _partial(self, alpha, u, t):
-        j = len(alpha)
-        if j == 0:
-            return np.asarray(self.F(u, t))
+    def _taylor(self, catalog, u, t):
+        # one iterated central difference per representative
         scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0, abs(t))
-        eta = _EPS ** (1.0 / (j + 2)) * scale
-        return self._diff(alpha, u.astype(np.result_type(u, float)), t, eta)
+        u = u.astype(np.result_type(u, float))
+        return np.array([
+            self._diff(beta, u, t, _EPS ** (1.0 / (len(beta) + 2)) * scale) / g
+            for beta, g in zip(catalog.representatives, catalog.gammas)
+        ])
 
     def _diff(self, comps, u, t, eta):
         if not comps:
@@ -310,21 +323,6 @@ class _TransformedOracle(DerivativeOracle):
         self.max_order = g_oracle.max_order
         self.real_valued = g_oracle.real_valued
 
-    def _partial(self, alpha, u, t):
-        dy = self.dy
-        g_alpha = []
-        for c in alpha:
-            if c <= dy:
-                g_alpha.append(c)
-            elif c <= 2 * dy:
-                return np.zeros(2 * dy, dtype=np.result_type(u, t))
-            else:
-                g_alpha.append(dy + 1)
-        g = self.g_oracle.partial(tuple(g_alpha), u[:dy], t)
-        out = np.zeros(2 * dy, dtype=g.dtype)
-        out[dy:] = self.epsilon * g
-        return out
-
     def _taylor(self, catalog, u, t):
         # the rows without a p component are g's Taylor coefficients with
         # the same multiplicities, so the gamma weights carry over
@@ -332,7 +330,7 @@ class _TransformedOracle(DerivativeOracle):
         sub = restrict(catalog, tuple(range(1, dy + 1)) + (2 * dy + 1,))
         g = self.g_oracle.taylor(sub.catalog, u[:dy], t)
         out = np.zeros((catalog.size, 2 * dy), dtype=g.dtype)
-        out[sub.rows, dy:] = self.epsilon * g[sub.sub_rows]
+        out[sub.rows, dy:] = self.epsilon * g
         return out
 
     def value(self, u, t):
@@ -396,7 +394,7 @@ _OMEGA1 = 2.0 * math.sqrt(6.0)
 
 
 class _PendulumForcingOracle(DerivativeOracle):
-    """Exact partials of g(y, t) = -(t + cos(2 sqrt(6) t)) sin(y), d = 1.
+    """Exact Taylor coefficients of g(y, t) = -(t + cos(2 sqrt(6) t)) sin(y), d = 1.
 
     d^m_y d^n_t g = -a_n(t) * sin(y + m pi/2), where a_0 = t + cos(w t),
     a_n = [n == 1] + w^n cos(w t + n pi/2) for n >= 1, w = 2 sqrt(6).
@@ -404,21 +402,23 @@ class _PendulumForcingOracle(DerivativeOracle):
 
     real_valued = True
 
-    def _partial(self, alpha, u, t):
-        m = sum(1 for c in alpha if c == 1)
-        n = len(alpha) - m
-        if n == 0:
-            a_n = t + np.cos(_OMEGA1 * t)
-        else:
-            a_n = (1.0 if n == 1 else 0.0) + _OMEGA1**n * np.cos(_OMEGA1 * t + n * np.pi / 2)
-        return np.array([-a_n * np.sin(u[0] + m * np.pi / 2)])
+    def _taylor(self, catalog, u, t):
+        K = catalog.k
+        a = [t + np.cos(_OMEGA1 * t)] + [
+            (1.0 if n == 1 else 0.0) + _OMEGA1**n * np.cos(_OMEGA1 * t + n * np.pi / 2)
+            for n in range(1, K + 1)
+        ]
+        s = [np.sin(u[0] + m * np.pi / 2) for m in range(K + 1)]
+        # (m, n) of each row: its multiplicities of y and t
+        m, n = _exponent_table(2, K).T
+        return (-np.array(a)[n] * np.array(s)[m] / np.array(catalog.gammas))[:, None]
 
     def value(self, u, t):
         return np.array([-(t + np.cos(_OMEGA1 * t)) * np.sin(u[0])])
 
 
 class _ChargedParticleOracle(DerivativeOracle):
-    """Exact partials of F = [0, 0, g_1, g_2] for the charged-particle force.
+    """Exact Taylor coefficients of F = [0, 0, g_1, g_2], the charged-particle force.
 
     g_i(y, t) = y_i / (y_1^2 + y_2^2 + (2 - cos(pi t))^2)^(3/2), evaluated
     through truncated Taylor (jet) arithmetic in the active variables
@@ -438,17 +438,6 @@ class _ChargedParticleOracle(DerivativeOracle):
         s32 = s.power(-1.5)
         return j_y1 * s32, j_y2 * s32
 
-    def _partial(self, alpha, u, t):
-        out = np.zeros(4, dtype=np.result_type(u, t))
-        if 3 not in alpha and 4 not in alpha:
-            g1, g2 = self._jets(u[0], u[1], t, len(alpha))
-            # the jets number (y_1, y_2, t) as 1, 2, 3
-            cat = _catalog(3, len(alpha))
-            row = cat.position(tuple(3 if c == 5 else c for c in alpha))
-            out[2] = g1.c[row] * cat.gammas[row]
-            out[3] = g2.c[row] * cat.gammas[row]
-        return out
-
     def _taylor(self, catalog, u, t):
         # jet row i holds d^beta g / prod e_q! for the i-th representative
         # beta of the (y_1, y_2, t) catalog: its gamma-weighted Taylor
@@ -456,8 +445,8 @@ class _ChargedParticleOracle(DerivativeOracle):
         g1, g2 = self._jets(u[0], u[1], t, catalog.k)
         sub = restrict(catalog, (1, 2, 5))
         out = np.zeros((catalog.size, 4), dtype=g1.c.dtype)
-        out[sub.rows, 2] = g1.c[sub.sub_rows]
-        out[sub.rows, 3] = g2.c[sub.sub_rows]
+        out[sub.rows, 2] = g1.c
+        out[sub.rows, 3] = g2.c
         return out
 
     def value(self, u, t):

@@ -284,6 +284,26 @@ def test_converge_eps_report_structure(tmp_path) -> None:
     assert any(ln.startswith("# threshold eps0 ") for ln in lines)
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["converge-h", "--k", "1", "--hmin", "0.125", "--hmax", "0.5", "--points", "3",
+         "--href-target"],
+        ["converge-eps", "--k", "1", "--h", "0.25", "--epsmin", "0.125", "--epsmax", "0.25",
+         "--points", "2", "--href-factor"],
+    ],
+    ids=["converge-h", "converge-eps"],
+)
+def test_reference_step_must_be_finite_and_positive(tmp_path, capsys, command, value) -> None:
+    cfg_path = write_config(tmp_path, QUADRATIC_CFG)
+    assert main(command[:1] + ["--config", cfg_path] + command[1:] + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "must be finite and positive" in err[0], err
+
+
 def test_validate_random_systems(capsys) -> None:
     rc = main(["validate", "--k", "1", "--random", "2", "--seed", "1"])
     assert rc == 0

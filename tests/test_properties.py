@@ -10,7 +10,11 @@ subset-expansion and factor-by-factor builders that build_S and lift
 replaced.  They derive every target monomial from scratch and serve
 here only as the reference the table-backed builders must match.
 loop_product is likewise the dict-of-exponents jet product the
-array-backed Jet replaced.
+array-backed Jet replaced.  polynomial_partial, pendulum_partial,
+transformed_partial and charged_partial are the per-multi-index partials
+the builtin oracles computed before _taylor became their one override
+point; loop_taylor turns any of them into Taylor coefficients one beta
+at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osc_llei import (
     DerivativeOracle,
+    FiniteDifferenceOracle,
     PolynomialOracle,
+    UnsupportedOrderError,
     augment,
     build_A0,
     build_A1,
@@ -38,7 +45,8 @@ from osc_llei import (
     remove_component,
 )
 from osc_llei._jets import Jet
-from osc_llei.mindex import _catalog, _sum_table
+from osc_llei.mindex import _catalog, _exponent_table, _sum_table, restrict
+from osc_llei.sysdef import _ChargedParticleOracle
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -220,6 +228,31 @@ def test_sum_table_is_multiset_addition() -> None:
             assert not sums.flags.writeable
 
 
+def test_exponent_table_rebuilds_the_representatives() -> None:
+    for n in range(1, 5):
+        for k in range(5):
+            exps = _exponent_table(n, k)
+            got = [tuple(np.repeat(np.arange(1, n + 1), row).tolist()) for row in exps]
+            assert got == list(_catalog(n, k).representatives), (n, k)
+            assert not exps.flags.writeable
+
+
+def test_restriction_rows_follow_the_sub_catalog() -> None:
+    # row rows[i] of the parent is the sub-catalog's i-th multi-index with
+    # the kept variables renumbered 1..m, for every subset of variables
+    for n in range(2, 5):
+        for k in range(4):
+            parent = _catalog(n, k)
+            for m in range(1, n + 1):
+                for variables in itertools.combinations(range(1, n + 1), m):
+                    sub = restrict(parent, variables)
+                    renumber = {v: i + 1 for i, v in enumerate(variables)}
+                    got = [tuple(renumber[c] for c in parent.representatives[r]) for r in sub.rows]
+                    assert got == list(sub.catalog.representatives), (n, k, variables)
+                    kept = [a for a in parent.representatives if set(a) <= set(variables)]
+                    assert len(sub.rows) == len(kept)
+
+
 @PROPERTY
 @given(poly_setups())
 def test_plan_builders_match_loop_builders(setup) -> None:
@@ -246,6 +279,78 @@ def test_taylor_reconstructs_polynomials_of_degree_k(data) -> None:
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+def loop_taylor(partial, catalog, u, t) -> np.ndarray:
+    return np.array([
+        partial(beta, u, t) / g for beta, g in zip(catalog.representatives, catalog.gammas)
+    ])
+
+
+def polynomial_partial(oracle, alpha, u, t) -> np.ndarray:
+    # falling factorial e (e-1) ... (e-b+1) times x^(e-b), per variable
+    beta = [alpha.count(q) for q in range(1, oracle.d + 2)]
+    x = list(u) + [t]
+    out = np.zeros(oracle.d, dtype=complex)
+    for row, exps, coeff in oracle.terms:
+        val = coeff
+        for q in range(oracle.d + 1):
+            e, b = exps[q], beta[q]
+            if b > e:
+                val = 0.0
+                break
+            for i in range(b):
+                val *= e - i
+            if e - b:
+                val *= x[q] ** (e - b)
+        out[row] += val
+    return out
+
+
+def pendulum_partial(alpha, u, t) -> np.ndarray:
+    # d^m_y d^n_t of g(y, t) = -(t + cos(w t)) sin(y), w = 2 sqrt(6)
+    w = 2.0 * math.sqrt(6.0)
+    m = alpha.count(1)
+    n = len(alpha) - m
+    if n == 0:
+        a_n = t + np.cos(w * t)
+    else:
+        a_n = (1.0 if n == 1 else 0.0) + w**n * np.cos(w * t + n * np.pi / 2)
+    return np.array([-a_n * np.sin(u[0] + m * np.pi / 2)])
+
+
+def transformed_partial(g_partial, dy, epsilon, alpha, u, t) -> np.ndarray:
+    # F = [0; epsilon g(y, t)] over (y, p, t): p-derivatives vanish
+    out = np.zeros(2 * dy, dtype=complex)
+    if all(c <= dy or c > 2 * dy for c in alpha):
+        g_alpha = tuple(c if c <= dy else dy + 1 for c in alpha)
+        out[dy:] = epsilon * g_partial(g_alpha, u[:dy], t)
+    return out
+
+
+def charged_partial(alpha, u, t) -> np.ndarray:
+    # one jet of degree |alpha| in (y_1, y_2, t), read at alpha's row
+    out = np.zeros(4, dtype=np.result_type(u, t))
+    if 3 not in alpha and 4 not in alpha:
+        g1, g2 = _ChargedParticleOracle._jets(u[0], u[1], t, len(alpha))
+        cat = _catalog(3, len(alpha))
+        row = cat.position(tuple(3 if c == 5 else c for c in alpha))
+        out[2] = g1.c[row] * cat.gammas[row]
+        out[3] = g2.c[row] * cat.gammas[row]
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_polynomial_taylor_matches_partials(data) -> None:
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    oracle = data.draw(polynomials(d, k + 1))
+    x = data.draw(points(d))
+    cat = build_catalog(d + 1, k)
+    got = oracle.taylor(cat, x[:d], x[d].real)
+    want = loop_taylor(lambda a, u, t: polynomial_partial(oracle, a, u, t), cat, x[:d], x[d].real)
+    assert_close(got, want, PLAN_RTOL)
+
+
 @PROPERTY
 @given(st.integers(min_value=1, max_value=4), st.lists(COORD, min_size=5, max_size=5))
 def test_jet_taylor_matches_partials(k, coords) -> None:
@@ -255,22 +360,79 @@ def test_jet_taylor_matches_partials(k, coords) -> None:
     cat = build_catalog(5, k)
     x = np.array(coords, dtype=complex)
     got = oracle.taylor(cat, x[:4], x[4])
-    want = DerivativeOracle._taylor(oracle, cat, x[:4], x[4])
+    want = loop_taylor(charged_partial, cat, x[:4], x[4])
     assert_close(got, want, PLAN_RTOL)
 
 
 @PROPERTY
 @given(st.integers(min_value=1, max_value=4), st.lists(COORD, min_size=3, max_size=3))
 def test_transformed_taylor_matches_partials(k, coords) -> None:
-    # example1's taylor (one call on the forcing g's (y, t) catalog) equals
-    # one partial per beta of the phase-space catalog
+    # example1's taylor (one call on the forcing g's (y, t) catalog, whose
+    # closed form gives all rows at once) equals one partial per beta of
+    # the phase-space catalog
     oracle = builtin("example1", 0.3).oracle
     cat = build_catalog(3, k)
     x = np.array(coords)
+
+    def partial(alpha, u, t):
+        return transformed_partial(pendulum_partial, 1, 0.3, alpha, u, t)
+
     got = oracle.taylor(cat, x[:2], x[2])
-    want = DerivativeOracle._taylor(oracle, cat, x[:2], x[2])
     assert got.dtype == np.float64
-    assert_close(got, want, PLAN_RTOL)
+    assert_close(got, loop_taylor(partial, cat, x[:2], x[2]), PLAN_RTOL)
+
+
+class ExpOracle(DerivativeOracle):
+    """F(u, t) = c exp(a . x), a user oracle that defines only _taylor.
+
+    It has a formula for single partials, d^beta F = prod_q a_q^b_q F,
+    and builds its Taylor coefficients from it one beta at a time.
+    """
+
+    def __init__(self, a, c):
+        self.a = np.asarray(a, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+
+    def d_partial(self, beta, u, t):
+        scale = np.prod(self.a[np.array(beta, dtype=int) - 1])
+        return scale * self.c * np.exp(self.a @ np.append(u, t))
+
+    def _taylor(self, catalog, u, t):
+        return np.array([
+            self.d_partial(b, u, t) / g for b, g in zip(catalog.representatives, catalog.gammas)
+        ])
+
+
+def every_oracle() -> list[tuple[DerivativeOracle, int]]:
+    """(oracle, d) for each oracle class the package offers, plus a user one."""
+    poly = PolynomialOracle(2, [(1, (1, 1, 3), 2.0), (2, (2, 2), 1.0), (1, (), -0.7)])
+    return [
+        (poly, 2),
+        (FiniteDifferenceOracle(poly.value, k_max=1), 2),
+        (builtin("example1", 0.3).oracle, 2),
+        (builtin("example2-E6", 0.3).oracle, 4),
+        (ExpOracle([0.5, -0.3, 1.2], [1.0, -2.0]), 2),
+    ]
+
+
+@PROPERTY
+@given(st.data())
+def test_partial_reads_out_taylor(data) -> None:
+    for oracle, d in every_oracle():
+        k = min(3, oracle.max_order)
+        alpha = tuple(data.draw(st.lists(st.integers(1, d + 1), max_size=k)))
+        x = np.array(data.draw(st.lists(COORD, min_size=d + 1, max_size=d + 1)))
+        u, t = x[:d], x[d]
+        cat = build_catalog(d + 1, k)
+        got = oracle.partial(alpha, u, t)
+        want = gamma(alpha) * oracle.taylor(cat, u, t)[cat.position(alpha)]
+        assert_close(got, want, PLAN_RTOL)
+        shuffled = tuple(data.draw(st.permutations(alpha)))
+        assert np.array_equal(oracle.partial(shuffled, u, t), got)
+        with pytest.raises(ValueError, match="not in catalog"):
+            oracle.partial((d + 2,) + alpha[1:], u, t)
+        with pytest.raises(UnsupportedOrderError):
+            oracle.partial((1,) * (oracle.max_order + 1), u, t)
 
 
 def loop_product(exps, a, b, K) -> dict:
