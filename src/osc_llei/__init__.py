@@ -2,7 +2,9 @@
 extension: lift the state to a truncated monomial basis where the
 dynamics are linear, advance with one matrix exponential per step, and
 project back.  Includes the multi-index catalog machinery, the extension
-matrix builders, the stepping scheme, an RK4 reference solver, a
+matrix builders, the stepping scheme, derivative oracles (JetOracle
+for any F(u, t) written with + - * /, ** and sin, cos, exp;
+PolynomialOracle for polynomial F), an RK4 reference solver, a
 convergence-study harness, and structural validation checks.
 """
 
@@ -32,7 +34,7 @@ from .refsolve import rk4_integrate
 from .sysdef import (
     ConfigError,
     DerivativeOracle,
-    FiniteDifferenceOracle,
+    JetOracle,
     OscillatorySystem,
     PolynomialOracle,
     SpectrumWarning,
@@ -54,7 +56,7 @@ __all__ = [
     "DerivativeOracle",
     "ErrorReport",
     "ErrorValues",
-    "FiniteDifferenceOracle",
+    "JetOracle",
     "MultiIndexCatalog",
     "OscillatorySystem",
     "PolynomialOracle",

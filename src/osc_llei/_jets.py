@@ -12,12 +12,15 @@ whose degrees sum to at most K, with the row their sum lands on (the
 dense-coefficient Taylor arithmetic of Griewank and Walther, Evaluating
 Derivatives, ch. 13).  Arithmetic propagates exact coefficients, so
 mixed partials recovered from a jet are accurate to machine precision.
-Analytic functions are applied by composing their scalar Taylor series
-with the zero-constant part of the jet, which terminates at degree K
-because that part is nilpotent under truncation.  The coefficient dtype
-follows the base point: float64 at real points, complex128 otherwise.
+Analytic functions (cos, sin, exp, and powers other than non-negative
+integers, which multiply out) are applied by composing their scalar
+Taylor series with the zero-constant part of the jet, which terminates
+at degree K because that part is nilpotent under truncation.  With no
+__array_ufunc__, np.cos, np.sin and np.exp reach the methods of those
+names through numpy's object loop.  The coefficient dtype follows the
+base point: float64 at real points, complex128 otherwise.
 
-Internal helper for derivative oracles; not part of the public API.
+The engine of sysdef.JetOracle; not part of the public API.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ def _product(n: int, K: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    # numpy scalars defer to Jet's reflected operators
-    __array_ufunc__ = None
     __slots__ = ("n", "K", "c")
 
     def __init__(self, n: int, K: int, c: np.ndarray):
@@ -63,13 +64,6 @@ class Jet:
         c = np.zeros(_sum_table(n, K).shape[0], dtype=np.result_type(value, float))
         c[0] = value
         return cls(n, K, c)
-
-    @classmethod
-    def variable(cls, i: int, value, n: int, K: int) -> "Jet":
-        out = cls.constant(value, n, K)
-        if K > 0:
-            out.c[1 + i] = 1.0
-        return out
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -96,11 +90,28 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet(self.n, self.K, self.c / other)
+        return self * other.power(-1)
+
+    def __rtruediv__(self, other) -> "Jet":
+        return other * self.power(-1)
+
+    def __pow__(self, p) -> "Jet":
+        if isinstance(p, (int, np.integer)) and p >= 0:
+            out = Jet.constant(1.0, self.n, self.K) if p == 0 else self
+            for _ in range(p - 1):
+                out = out * self
+            return out
+        return self.power(p)
+
     def compose_series(self, series) -> "Jet":
         """Evaluate sum_m series[m] * (self - const)^m, m = 0..K."""
+        series = np.asarray(series)
         w = self.c.copy()
         w[0] = 0.0
-        out = np.zeros(w.size, dtype=np.result_type(w, *series))
+        out = np.zeros(w.size, dtype=np.result_type(w, series))
         out[0] = series[0]
         wp = w
         for m in range(1, self.K + 1):
@@ -114,8 +125,15 @@ class Jet:
         series = [np.cos(a0 + m * np.pi / 2) / math.factorial(m) for m in range(self.K + 1)]
         return self.compose_series(series)
 
+    def sin(self) -> "Jet":
+        return (self - np.pi / 2).cos()
+
+    def exp(self) -> "Jet":
+        e0 = np.exp(self.c[0])
+        return self.compose_series([e0 / math.factorial(m) for m in range(self.K + 1)])
+
     def power(self, p: float) -> "Jet":
-        """self**p for non-integer p; the constant term must be nonzero."""
+        """self**p by the binomial series; the constant term must be nonzero."""
         a0 = self.c[0]
         if a0 == 0:
             raise ZeroDivisionError("jet power with zero constant term")

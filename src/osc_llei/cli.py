@@ -133,8 +133,8 @@ def _dyadic_h_grid(T: float, hmax: float, hmin: float, points: int) -> list[floa
     Nesting keeps the shared reference grid (built on the lcm of the
     step counts) no finer than the finest requested grid.
     """
-    if not 0 < hmin <= hmax:
-        raise ConfigError("need 0 < hmin <= hmax")
+    if not 0 < hmin <= hmax < math.inf:
+        raise ConfigError("hmin and hmax must be finite and positive, with hmin <= hmax")
     if points < 1:
         raise ConfigError("need at least one grid point")
     n0 = max(1, round(T / hmax))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .llei import BlowUpError, Trajectory, integrate
 from .refsolve import rk4_integrate
-from .sysdef import OscillatorySystem
+from .sysdef import OscillatorySystem, check_finite_positive
 
 ACCURACY_FLOOR = 1e-10
 REF_STEP_CAP = 20_000_000
@@ -228,12 +228,12 @@ def sweep_h(
     resolve the oscillation and the finest scheme grid).
     """
     h_values = [float(h) for h in h_values]
-    if not h_values or any(h <= 0 for h in h_values):
-        raise ValueError("h_values must be positive")
+    if not h_values or not all(math.isfinite(h) and h > 0 for h in h_values):
+        raise ValueError("h_values must be finite and positive")
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ValueError("h_values must be strictly decreasing")
-    if h_ref_target is not None and not (math.isfinite(h_ref_target) and h_ref_target > 0):
-        raise ValueError(f"h_ref_target must be finite and positive, got {h_ref_target:g}")
+    if h_ref_target is not None:
+        check_finite_positive("h_ref_target", h_ref_target)
 
     th = thresholds(system)
     T = system.T
@@ -323,10 +323,8 @@ def sweep_eps(
         raise ValueError("eps_values must be positive")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps_values must be strictly decreasing")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if not (math.isfinite(h_ref_factor) and h_ref_factor > 0):
-        raise ValueError(f"h_ref_factor must be finite and positive, got {h_ref_factor:g}")
+    check_finite_positive("h", h)
+    check_finite_positive("h_ref_factor", h_ref_factor)
 
     base = factory(eps_values[0])
     th = thresholds(base)

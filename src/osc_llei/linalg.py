@@ -47,7 +47,7 @@ def scatter_add(target: np.ndarray, weights: np.ndarray, size: int) -> np.ndarra
 
     One bincount for real weights, one per part for complex ones.
     """
-    if np.iscomplexobj(weights):
+    if weights.dtype.kind == "c":
         out = np.empty(size, dtype=weights.dtype)
         out.real = np.bincount(target, weights=weights.real, minlength=size)
         out.imag = np.bincount(target, weights=weights.imag, minlength=size)

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .extension import build_A0, build_A1
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import OscillatorySystem, UnsupportedOrderError, augment
+from .sysdef import OscillatorySystem, UnsupportedOrderError, augment, check_finite_positive
 
 BLOWUP_NORM = 1e12
 
@@ -68,8 +68,7 @@ def check_blow_up(u, step_index: int | None, t: float) -> None:
 
 
 def _check_args(system: OscillatorySystem, k: int, h: float) -> None:
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    check_finite_positive("step size", h)
     if k > system.max_order:
         raise UnsupportedOrderError(
             f"k = {k} exceeds the oracle's max_order {system.max_order}"

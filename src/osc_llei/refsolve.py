@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .llei import Trajectory, check_blow_up
-from .sysdef import OscillatorySystem
+from .sysdef import OscillatorySystem, check_finite_positive
 
 
 def rk4_integrate(
@@ -29,8 +29,7 @@ def rk4_integrate(
     allow_unresolved: bool = False,
 ) -> Trajectory:
     """Reference trajectory sampled every sample_stride RK4 steps."""
-    if h_ref <= 0:
-        raise ValueError("reference step must be positive")
+    check_finite_positive("reference step", h_ref)
     if sample_stride < 1 or int(sample_stride) != sample_stride:
         raise ValueError("sample_stride must be a positive integer")
     sample_stride = int(sample_stride)

@@ -8,7 +8,10 @@ on [0, T], with A diagonalizable and purely imaginary in spectrum.  The
 nonlinearity F enters the integrator only through a DerivativeOracle
 supplying, at a point, its Taylor coefficients d^beta F / gamma(beta)
 for every multi-index beta over the d+1 variables (u_1, ..., u_d, t) up
-to a degree k, in the order of a multi-index catalog.
+to a degree k, in the order of a multi-index catalog.  JetOracle
+derives them from F(u, t) written as a plain function (the charged
+particle's force is one); the pendulum forcing and PolynomialOracle use
+closed forms.
 """
 
 from __future__ import annotations
@@ -25,12 +28,6 @@ from . import linalg
 from ._jets import Jet
 from .mindex import MultiIndexCatalog, _catalog, _exponent_table, gamma, representative, restrict
 
-_EPS = float(np.finfo(float).eps)
-# FiniteDifferenceOracle's largest measured relative error at orders 1..6
-# (table in its docstring) and the last order that stays below 1e-6
-_FD_MAX_REL_ERROR = (3.8e-10, 2.4e-6, 9.1e-5, 2.0e-3, 1.1e-2, 5.8e-2)
-_FD_ACCURATE_ORDER = max(j for j, e in enumerate(_FD_MAX_REL_ERROR, 1) if e < 1e-6)
-
 
 class ConfigError(ValueError):
     """Malformed problem configuration."""
@@ -42,6 +39,12 @@ class UnsupportedOrderError(ValueError):
 
 class SpectrumWarning(UserWarning):
     """A's eigenvalues sit measurably off the imaginary axis."""
+
+
+def check_finite_positive(name: str, value) -> None:
+    """Raise ValueError unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
 class DerivativeOracle:
@@ -85,8 +88,9 @@ class DerivativeOracle:
         self._check_order(catalog.k)
         u = np.asarray(u)
         out = np.asarray(self._taylor(catalog, u, t))
-        if self.real_valued and not (np.iscomplexobj(u) or np.iscomplexobj(t)):
-            out = out.real
+        if out.dtype.kind == "c" and self.real_valued:
+            if not (np.iscomplexobj(u) or np.iscomplexobj(t)):
+                out = out.real
         d = catalog.d_plus_1 - 1
         if out.shape != (catalog.size, d):
             raise ValueError(
@@ -162,65 +166,36 @@ class PolynomialOracle(DerivativeOracle):
         return out
 
 
-class FiniteDifferenceOracle(DerivativeOracle):
-    """Iterated central differences of a black-box F(u, t) -> d-vector.
+class JetOracle(DerivativeOracle):
+    """Exact Taylor coefficients of a user's F(u, t) by jet arithmetic.
 
-    The step for an order-j derivative is eps^(1/(j+2)) * max(1, |u|_inf,
-    |t|), balancing truncation against cancellation; accuracy degrades
-    with order.  Measured against the exact partials of the example1
-    forcing g(y, t) = -(t + cos(2 sqrt(6) t)) sin(y) at three points
-    (y, t), as the largest error over all order-j partials divided by the
-    largest such partial:
-
-        order j:          1        2        3        4        5        6
-        (0.3, 0.7)        7.7e-11  1.2e-07  4.5e-06  9.7e-05  5.4e-04  2.9e-03
-        (1.1, 2.0)        3.8e-10  4.8e-07  2.6e-05  3.9e-04  2.7e-03  1.2e-02
-        (-0.8, 4.5)       2.3e-10  2.4e-06  9.1e-05  2.0e-03  1.1e-02  5.8e-02
-
-    Only order 1 stays below 1e-6 at all three points, so a k_max above
-    it warns at construction (UserWarning).
+    F(u, t) returns the d components of F at the state u (a length-d
+    array) and the time t.  value calls F on plain numbers.  taylor
+    calls F once, on jets of degree k in the d+1 variables (u, t) (see
+    _jets), so F may use + - * / and ** on them, np.sin, np.cos and
+    np.exp, and numeric constants.  Each output jet holds its
+    component's coefficients d^beta F_i / gamma(beta) in catalog order;
+    an output that does not depend on (u, t) may be a plain number.
     """
 
-    def __init__(self, F: Callable, k_max: int, real_valued: bool = False):
+    def __init__(self, F: Callable, real_valued: bool = False):
         self.F = F
-        self.max_order = k_max
         self.real_valued = real_valued
-        if k_max > _FD_ACCURATE_ORDER:
-            worst = _FD_MAX_REL_ERROR[min(k_max, len(_FD_MAX_REL_ERROR)) - 1]
-            warnings.warn(
-                f"finite-difference partials above order {_FD_ACCURATE_ORDER} lose "
-                f"accuracy: k_max = {k_max} (measured relative error up to "
-                f"{worst:.0e} at order {min(k_max, len(_FD_MAX_REL_ERROR))})",
-                UserWarning,
-                stacklevel=2,
-            )
 
     def _taylor(self, catalog, u, t):
-        # one iterated central difference per representative
-        scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0, abs(t))
-        u = u.astype(np.result_type(u, float))
+        # variable q is x_q plus one unit coefficient on its degree-1 row q+1
+        n, K = catalog.d_plus_1, catalog.k
+        c = np.eye(n, catalog.size, 1, dtype=np.result_type(u, t, float))
+        c[:-1, 0] = u
+        c[-1, 0] = t
+        jets = [Jet(n, K, row) for row in c]
+        outputs = self.F(np.array(jets[:-1], dtype=object), jets[-1])
         return np.array([
-            self._diff(beta, u, t, _EPS ** (1.0 / (len(beta) + 2)) * scale) / g
-            for beta, g in zip(catalog.representatives, catalog.gammas)
-        ])
-
-    def _diff(self, comps, u, t, eta):
-        if not comps:
-            return np.asarray(self.F(u, t))
-        q, rest = comps[0], comps[1:]
-        if q <= len(u):
-            up, um = u.copy(), u.copy()
-            up[q - 1] += eta
-            um[q - 1] -= eta
-            hi = self._diff(rest, up, t, eta)
-            lo = self._diff(rest, um, t, eta)
-        else:
-            hi = self._diff(rest, u, t + eta, eta)
-            lo = self._diff(rest, u, t - eta, eta)
-        return (hi - lo) / (2 * eta)
+            (f if isinstance(f, Jet) else Jet.constant(f, n, K)).c for f in outputs
+        ]).T
 
     def value(self, u, t):
-        return np.asarray(self.F(u, t))
+        return np.asarray(self.F(np.asarray(u), t))
 
 
 @dataclass
@@ -255,10 +230,8 @@ class OscillatorySystem:
             raise ValueError(f"A has shape {self.A.shape}, expected ({self.d}, {self.d})")
         if self.u_in.shape != (self.d,):
             raise ValueError(f"u_in has shape {self.u_in.shape}, expected ({self.d},)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        check_finite_positive("epsilon", self.epsilon)
+        check_finite_positive("T", self.T)
         if self.max_order == 0:
             self.max_order = self.oracle.max_order
         self._spectrum = linalg.eigvals(self.A)
@@ -310,16 +283,16 @@ def augment(A) -> np.ndarray:
 
 
 class _TransformedOracle(DerivativeOracle):
-    """Oracle for F(u, t) = [0; epsilon * g(y, t)] with u = [y; p].
+    """Oracle for F(u, t) = [0; scale * g(y, t)] with u = [y; p].
 
     Remaps multi-indices over (y_1..y_dy, p_1..p_dy, t) to g's variables
     (y_1..y_dy, t); any p-derivative is identically zero.
     """
 
-    def __init__(self, g_oracle: DerivativeOracle, dy: int, epsilon: float):
+    def __init__(self, g_oracle: DerivativeOracle, dy: int, scale: float):
         self.g_oracle = g_oracle
         self.dy = dy
-        self.epsilon = epsilon
+        self.scale = scale
         self.max_order = g_oracle.max_order
         self.real_valued = g_oracle.real_valued
 
@@ -330,7 +303,7 @@ class _TransformedOracle(DerivativeOracle):
         sub = restrict(catalog, tuple(range(1, dy + 1)) + (2 * dy + 1,))
         g = self.g_oracle.taylor(sub.catalog, u[:dy], t)
         out = np.zeros((catalog.size, 2 * dy), dtype=g.dtype)
-        out[sub.rows, dy:] = self.epsilon * g
+        out[sub.rows, dy:] = self.scale * g
         return out
 
     def value(self, u, t):
@@ -339,7 +312,7 @@ class _TransformedOracle(DerivativeOracle):
         if g.dtype.kind == "c" and self.real_valued and u.dtype.kind != "c":
             g = g.real
         out = np.zeros(2 * self.dy, dtype=np.result_type(g.dtype, float))
-        out[self.dy :] = self.epsilon * g
+        out[self.dy :] = self.scale * g
         return out
 
 
@@ -383,7 +356,7 @@ def second_order_to_first_order(
         nu=nu,
         u_in=u_in,
         T=T,
-        oracle=_TransformedOracle(g_oracle, dy, epsilon),
+        oracle=_TransformedOracle(g_oracle, dy, scale=epsilon),
         y_dim=dy,
         name=name,
         eps_factory=factory,
@@ -417,43 +390,11 @@ class _PendulumForcingOracle(DerivativeOracle):
         return np.array([-(t + np.cos(_OMEGA1 * t)) * np.sin(u[0])])
 
 
-class _ChargedParticleOracle(DerivativeOracle):
-    """Exact Taylor coefficients of F = [0, 0, g_1, g_2], the charged-particle force.
-
-    g_i(y, t) = y_i / (y_1^2 + y_2^2 + (2 - cos(pi t))^2)^(3/2), evaluated
-    through truncated Taylor (jet) arithmetic in the active variables
-    (y_1, y_2, t); derivatives in the momentum variables vanish.
-    """
-
-    max_order = 10
-    real_valued = True
-
-    @staticmethod
-    def _jets(y1, y2, t, K):
-        j_y1 = Jet.variable(0, y1, 3, K)
-        j_y2 = Jet.variable(1, y2, 3, K)
-        j_t = Jet.variable(2, t, 3, K)
-        c = 2.0 - (np.pi * j_t).cos()
-        s = j_y1 * j_y1 + j_y2 * j_y2 + c * c
-        s32 = s.power(-1.5)
-        return j_y1 * s32, j_y2 * s32
-
-    def _taylor(self, catalog, u, t):
-        # jet row i holds d^beta g / prod e_q! for the i-th representative
-        # beta of the (y_1, y_2, t) catalog: its gamma-weighted Taylor
-        # coefficient
-        g1, g2 = self._jets(u[0], u[1], t, catalog.k)
-        sub = restrict(catalog, (1, 2, 5))
-        out = np.zeros((catalog.size, 4), dtype=g1.c.dtype)
-        out[sub.rows, 2] = g1.c
-        out[sub.rows, 3] = g2.c
-        return out
-
-    def value(self, u, t):
-        c = 2.0 - np.cos(np.pi * t)
-        s = u[0] * u[0] + u[1] * u[1] + c * c
-        w = s**-1.5
-        return np.array([0.0 * w, 0.0 * w, u[0] * w, u[1] * w])
+def _charged_particle_force(y, t):
+    """g(y, t) = y / (y_1^2 + y_2^2 + (2 - cos(pi t))^2)^(3/2), the charged particle's force."""
+    c = 2.0 - np.cos(np.pi * t)
+    s32 = (y[0] * y[0] + y[1] * y[1] + c * c) ** -1.5
+    return y[0] * s32, y[1] * s32
 
 
 def builtin(name: str, epsilon: float, T: float | None = None) -> OscillatorySystem:
@@ -499,7 +440,9 @@ def builtin(name: str, epsilon: float, T: float | None = None) -> OscillatorySys
             nu=1.0,
             u_in=np.array([0.0, 0.0, 3.0, 4.0]),
             T=Tval,
-            oracle=_ChargedParticleOracle(),
+            oracle=_TransformedOracle(
+                JetOracle(_charged_particle_force, real_valued=True), dy=2, scale=1.0
+            ),
             y_dim=2,
             name=name,
             eps_factory=lambda eps: builtin(name, eps, Tval),
@@ -529,7 +472,8 @@ def load_config(cfg: dict) -> OscillatorySystem:
     if "name" in cfg:
         if "epsilon" not in cfg:
             raise ConfigError("builtin config requires 'epsilon'")
-        return builtin(cfg["name"], float(cfg["epsilon"]), cfg.get("T"))
+        T = cfg.get("T")
+        return builtin(cfg["name"], float(cfg["epsilon"]), None if T is None else float(T))
     missing = [k for k in ("d", "A", "epsilon", "nu", "u_in", "T") if k not in cfg]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")

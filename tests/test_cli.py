@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,45 @@ def test_converge_eps_report_structure(tmp_path) -> None:
 def test_reference_step_must_be_finite_and_positive(tmp_path, capsys, command, value) -> None:
     cfg_path = write_config(tmp_path, QUADRATIC_CFG)
     assert main(command[:1] + ["--config", cfg_path] + command[1:] + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "must be finite and positive" in err[0], err
+
+
+EXAMPLE1_CFG = {"name": "example1", "epsilon": 0.25}
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "cfg, command",
+    [
+        (QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "inf"]),
+        (QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "nan"]),
+        (QUADRATIC_CFG, ["reference", "--href", "inf"]),
+        (QUADRATIC_CFG, ["reference", "--href", "nan"]),
+        (EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "inf", "--epsmin", "0.125",
+                        "--epsmax", "0.25", "--points", "2"]),
+        (EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "nan", "--epsmin", "0.125",
+                        "--epsmax", "0.25", "--points", "2"]),
+        (EXAMPLE1_CFG, ["converge-h", "--k", "1", "--hmin", "0.125", "--hmax", "inf"]),
+        ({**EXAMPLE1_CFG, "T": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
+        ({**EXAMPLE1_CFG, "epsilon": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
+        ({**QUADRATIC_CFG, "epsilon": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
+    ],
+    ids=["integrate-h-inf", "integrate-h-nan", "reference-href-inf", "reference-href-nan",
+         "converge-eps-h-inf", "converge-eps-h-nan", "converge-h-hmax-inf", "builtin-T-inf", "builtin-eps-inf",
+         "inline-eps-inf"],
+)
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, cfg, command) -> None:
+    # a config with Infinity (json.dumps writes it so) or a step of inf or
+    # nan is rejected up front: exit 2, one stderr line, no numpy warnings
+    cfg_path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(command[:1] + ["--config", cfg_path] + command[1:])
+    assert rc == 2
+    assert not caught, [str(w.message) for w in caught]
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()

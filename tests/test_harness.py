@@ -169,6 +169,9 @@ def test_sweep_h_validation() -> None:
         sweep_h(system, 1, [])
     with pytest.raises(ValueError):
         sweep_h(system, 1, [0.5, -0.1])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sweep_h(system, 1, [bad, 0.1])
 
 
 def test_sweep_h_records_blow_up_as_failed_point(monkeypatch) -> None:
@@ -210,6 +213,9 @@ def test_sweep_eps_validation() -> None:
         sweep_eps(system, 1, -0.1, [0.2, 0.1])
     with pytest.raises(ValueError):
         sweep_eps(system, 1, 0.1, [])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sweep_eps(system, 1, bad, [0.2, 0.1])
 
 
 def test_sweep_eps_accepts_factory() -> None:

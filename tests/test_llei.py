@@ -11,6 +11,7 @@ import pytest
 from osc_llei import (
     BlowUpError,
     DerivativeOracle,
+    JetOracle,
     MultiIndexCatalog,
     OscillatorySystem,
     PolynomialOracle,
@@ -27,7 +28,6 @@ from osc_llei import (
 from osc_llei._jets import _pairs
 from osc_llei.extension import _compiled
 from osc_llei.mindex import _restriction, _sum_table
-from osc_llei.sysdef import FiniteDifferenceOracle
 
 
 def linear_system(eps: float) -> OscillatorySystem:
@@ -70,6 +70,12 @@ def test_step_validation() -> None:
         step(system, build_catalog(3, 2), np.array([1.0]), 0.0, 0.1)
 
 
+class FirstOrderOnly(JetOracle):
+    """A JetOracle that supplies derivatives up to order 1 only."""
+
+    max_order = 1
+
+
 def test_step_order_limit() -> None:
     system = OscillatorySystem(
         d=1,
@@ -78,7 +84,7 @@ def test_step_order_limit() -> None:
         nu=0.0,
         u_in=np.ones(1),
         T=1.0,
-        oracle=FiniteDifferenceOracle(lambda u, t: np.zeros(1), k_max=1),
+        oracle=FirstOrderOnly(lambda u, t: [0.0]),
     )
     with pytest.raises(UnsupportedOrderError):
         integrate(system, 2, 0.1)
@@ -182,11 +188,19 @@ def test_real_problem_keeps_imaginary_residue_small() -> None:
         assert not rk4_integrate(system, 1 / 2**9).states.imag.any()
 
 
+def oracle_classes(cls=DerivativeOracle):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from oracle_classes(sub)
+
+
 def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> None:
-    # one example2-E6 step: one taylor call, no per-beta partials, and no
-    # catalog lookups, even while compiling (the extension plan reads its
-    # targets from the sum table); one example1 step: one taylor call on
-    # the pendulum forcing g as well
+    # one example2-E6 step: one taylor call, which makes one taylor call
+    # on the jet oracle of the force g; no per-beta partials, no value
+    # calls (the RK4 reference alone evaluates F), and no catalog lookups,
+    # even while compiling (the extension plan reads its targets from the
+    # sum table); one example1 step: one taylor call on the pendulum
+    # forcing g as well
     calls: Counter = Counter()
 
     def counting(owner, name):
@@ -204,11 +218,14 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")
+    for cls in oracle_classes():
+        if "value" in vars(cls):
+            counting(cls, "value")
     counting(MultiIndexCatalog, "position")
     system = builtin("example2-E6", 1 / 64, T=1 / 1024)
     traj = integrate(system, 3, 1 / 1024)
     assert traj.n_steps == 1
-    assert calls == Counter({"_ChargedParticleOracle.taylor": 1})
+    assert calls == Counter({"_TransformedOracle.taylor": 1, "JetOracle.taylor": 1})
 
     calls.clear()
     system = builtin("example1", 0.25, T=1 / 16)

@@ -9,16 +9,18 @@ build_A1 and build_A0 replaced, and loop_S and loop_lift the
 subset-expansion and factor-by-factor builders that build_S and lift
 replaced.  They derive every target monomial from scratch and serve
 here only as the reference the table-backed builders must match.
-loop_product is likewise the dict-of-exponents jet product the
-array-backed Jet replaced.  polynomial_partial, pendulum_partial,
-transformed_partial and charged_partial are the per-multi-index partials
-the builtin oracles computed before _taylor became their one override
-point; loop_taylor turns any of them into Taylor coefficients one beta
-at a time.
+loop_product and loop_compose are likewise the dict-of-exponents jet
+arithmetic the array-backed Jet replaced.  polynomial_partial,
+pendulum_partial and transformed_partial are the per-multi-index
+partials the builtin oracles computed before _taylor became their one
+override point, and charged_partial evaluates the charged particle's
+force in the dict-of-exponents arithmetic; loop_taylor turns any of
+them into Taylor coefficients one beta at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from osc_llei import (
     DerivativeOracle,
-    FiniteDifferenceOracle,
+    JetOracle,
     PolynomialOracle,
     UnsupportedOrderError,
     augment,
@@ -46,7 +48,7 @@ from osc_llei import (
 )
 from osc_llei._jets import Jet
 from osc_llei.mindex import _catalog, _exponent_table, _sum_table, restrict
-from osc_llei.sysdef import _ChargedParticleOracle
+from osc_llei.sysdef import _PendulumForcingOracle
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -326,15 +328,53 @@ def transformed_partial(g_partial, dy, epsilon, alpha, u, t) -> np.ndarray:
     return out
 
 
+def exponents(n: int, K: int) -> list[tuple[int, ...]]:
+    """Every exponent vector over n variables of total degree <= K, constant first."""
+    return sorted((e for e in itertools.product(range(K + 1), repeat=n) if sum(e) <= K), key=sum)
+
+
+@functools.lru_cache(maxsize=16)
+def charged_jet(y1, y2, t, K) -> tuple[dict, dict]:
+    """Taylor coefficients of the charged particle's force g(y, t) at (y1, y2, t).
+
+    g_i = y_i s^(-3/2), s = y_1^2 + y_2^2 + (2 - cos(pi t))^2, in the
+    dict-of-exponents arithmetic of loop_product and loop_compose, with
+    the scalar series of cos and x^-1.5 written out here.
+    """
+    exps = exponents(3, K)
+
+    def coeffs(d):
+        return [d.get(e, 0.0) for e in exps]
+
+    def variable(q, value):
+        return [value] + [float(e[q] == 1 and sum(e) == 1) for e in exps[1:]]
+
+    y1j, y2j, tj = variable(0, y1), variable(1, y2), variable(2, t)
+    pit = [np.pi * c for c in tj]
+    cos_series = [np.cos(pit[0] + m * np.pi / 2) / math.factorial(m) for m in range(K + 1)]
+    c = [-x for x in coeffs(loop_compose(exps, pit, cos_series, K))]
+    c[0] += 2.0
+    s = [
+        a + b + cc
+        for a, b, cc in zip(
+            coeffs(loop_product(exps, y1j, y1j, K)),
+            coeffs(loop_product(exps, y2j, y2j, K)),
+            coeffs(loop_product(exps, c, c, K)),
+        )
+    ]
+    power_series = [scipy.special.binom(-1.5, m) * s[0] ** (-1.5 - m) for m in range(K + 1)]
+    s32 = coeffs(loop_compose(exps, s, power_series, K))
+    return loop_product(exps, y1j, s32, K), loop_product(exps, y2j, s32, K)
+
+
 def charged_partial(alpha, u, t) -> np.ndarray:
-    # one jet of degree |alpha| in (y_1, y_2, t), read at alpha's row
+    # one dict jet of degree |alpha| in (y_1, y_2, t), read at alpha's exponents
     out = np.zeros(4, dtype=np.result_type(u, t))
     if 3 not in alpha and 4 not in alpha:
-        g1, g2 = _ChargedParticleOracle._jets(u[0], u[1], t, len(alpha))
-        cat = _catalog(3, len(alpha))
-        row = cat.position(tuple(3 if c == 5 else c for c in alpha))
-        out[2] = g1.c[row] * cat.gammas[row]
-        out[3] = g2.c[row] * cat.gammas[row]
+        g1, g2 = charged_jet(u[0], u[1], t, len(alpha))
+        e = (alpha.count(1), alpha.count(2), alpha.count(5))
+        out[2] = g1.get(e, 0.0) * gamma(alpha)
+        out[3] = g2.get(e, 0.0) * gamma(alpha)
     return out
 
 
@@ -354,8 +394,9 @@ def test_polynomial_taylor_matches_partials(data) -> None:
 @PROPERTY
 @given(st.integers(min_value=1, max_value=4), st.lists(COORD, min_size=5, max_size=5))
 def test_jet_taylor_matches_partials(k, coords) -> None:
-    # the charged particle's one-jet taylor equals one partial per beta;
-    # real states keep the force's denominator at or above 1
+    # the charged particle's JetOracle taylor equals one partial per beta
+    # from the test's own jet arithmetic; real states keep the force's
+    # denominator at or above 1
     oracle = builtin("example2-E6", 0.1).oracle
     cat = build_catalog(5, k)
     x = np.array(coords, dtype=complex)
@@ -380,6 +421,85 @@ def test_transformed_taylor_matches_partials(k, coords) -> None:
     got = oracle.taylor(cat, x[:2], x[2])
     assert got.dtype == np.float64
     assert_close(got, loop_taylor(partial, cat, x[:2], x[2]), PLAN_RTOL)
+
+
+def polynomial_F(oracle: PolynomialOracle):
+    """oracle's polynomial as a plain callable F(u, t), one monomial at a time."""
+
+    def F(u, t):
+        x = list(u) + [t]
+        out = [0.0] * oracle.d
+        for row, exps, coeff in oracle.terms:
+            term = coeff
+            for xq, e in zip(x, exps):
+                if e:
+                    term = term * xq**e
+            out[row] = out[row] + term
+        return out
+
+    return F
+
+
+ZERO_OR_COORD = st.one_of(st.just(0.0), COORD)
+
+
+@PROPERTY
+@given(st.data())
+def test_jet_oracle_matches_polynomial_oracle(data) -> None:
+    # int powers multiply out, so a zero coordinate is a valid base point;
+    # a row without a non-constant term comes back as a plain number
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    oracle = data.draw(polynomials(d, k + 1))
+    re = data.draw(st.lists(ZERO_OR_COORD, min_size=d + 1, max_size=d + 1))
+    im = data.draw(st.lists(ZERO_OR_COORD, min_size=d, max_size=d))
+    x = np.array(re) + 1j * np.array(im + [0.0])
+    cat = build_catalog(d + 1, k)
+    jet = JetOracle(polynomial_F(oracle))
+    assert_close(jet.taylor(cat, x[:d], x[d].real), oracle.taylor(cat, x[:d], x[d].real), 1e-13)
+    assert_close(jet.value(x[:d], x[d].real), oracle.value(x[:d], x[d].real), 1e-13)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=5), COORD, COORD)
+def test_jet_oracle_matches_pendulum_closed_form(k, y, t) -> None:
+    w = 2.0 * math.sqrt(6.0)
+    jet = JetOracle(lambda u, t: [-(t + np.cos(w * t)) * np.sin(u[0])], real_valued=True)
+    cat = build_catalog(2, k)
+    got = jet.taylor(cat, np.array([y]), t)
+    assert got.dtype == np.float64
+    assert_close(got, _PendulumForcingOracle().taylor(cat, np.array([y]), t), PLAN_RTOL)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=6), COORD, COORD.filter(lambda b: abs(b) > 0.1))
+def test_jet_functions_match_univariate_series(K, a, b) -> None:
+    # the coefficient of x^m in the Taylor series of f at the jet's base point
+    m = np.arange(K + 1)
+    fact = np.array([math.factorial(j) for j in m], dtype=float)
+    x, y, zero = (Jet(1, K, np.array([base, 1.0] + [0.0] * (K - 1))) for base in (a, b, 0.0))
+    # x / y multiplies x by 1 / y, whose coefficients reach |b|^-(K+1), so
+    # its rounding scales with them even where the quotient is small
+    quotient_scale = abs(b) ** -(K + 1) * (1 + abs(a))
+    cases = [
+        (np.exp(x), np.exp(a) / fact, 1.0),
+        (np.sin(x), np.sin(a + m * np.pi / 2) / fact, 1.0),
+        (1.0 / y, (-1.0) ** m * b ** (-1.0 - m), 1.0),
+        (x / y, np.array([a / b] + [(-1.0) ** j * (a - b) / b ** (j + 1) for j in m[1:]]),
+         quotient_scale),
+        (x / 4.0, np.array([a / 4, 0.25] + [0.0] * (K - 1)), 1.0),
+        # numpy scalars on the left reach Jet's reflected operators
+        (np.float64(1.0) - np.float64(3.0) * x, np.array([1 - 3 * a, -3.0] + [0.0] * (K - 1)),
+         1.0),
+        (y**-2, (-1.0) ** m * (m + 1) * b ** (-2.0 - m), 1.0),
+        (x**3, np.array([math.comb(3, j) * a ** (3 - j) if j <= 3 else 0.0 for j in m]), 1.0),
+        (x**0, np.array([1.0] + [0.0] * K), 1.0),
+    ]
+    for jet, want, scale in cases:
+        assert_close(jet.c, want, PLAN_RTOL * scale)
+    assert_close((zero**2).c, np.array([0.0, 0.0, 1.0] + [0.0] * (K - 2))[: K + 1], PLAN_RTOL)
+    with pytest.raises(ZeroDivisionError):
+        1.0 / zero
 
 
 class ExpOracle(DerivativeOracle):
@@ -408,7 +528,7 @@ def every_oracle() -> list[tuple[DerivativeOracle, int]]:
     poly = PolynomialOracle(2, [(1, (1, 1, 3), 2.0), (2, (2, 2), 1.0), (1, (), -0.7)])
     return [
         (poly, 2),
-        (FiniteDifferenceOracle(poly.value, k_max=1), 2),
+        (JetOracle(polynomial_F(poly)), 2),
         (builtin("example1", 0.3).oracle, 2),
         (builtin("example2-E6", 0.3).oracle, 4),
         (ExpOracle([0.5, -0.3, 1.2], [1.0, -2.0]), 2),

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from osc_llei import (
     ConfigError,
-    FiniteDifferenceOracle,
+    JetOracle,
     OscillatorySystem,
     PolynomialOracle,
     SpectrumWarning,
@@ -23,7 +21,8 @@ from osc_llei import (
     load_config_file,
     second_order_to_first_order,
 )
-from osc_llei.sysdef import _FD_ACCURATE_ORDER, _FD_MAX_REL_ERROR, _PendulumForcingOracle
+
+_EPS = float(np.finfo(float).eps)
 
 
 def make_linear_system(eps: float = 1.0) -> OscillatorySystem:
@@ -65,62 +64,63 @@ def test_oracle_partials_are_permutation_invariant() -> None:
         assert np.array_equal(oracle.partial(tuple(alpha), u, t), base)
 
 
+def fd_partial(F, alpha, u, t) -> np.ndarray:
+    """d^alpha F(u, t) by iterated central differences of a black-box F.
+
+    The step eps^(1/(|alpha|+2)) * max(1, |u|_inf, |t|) balances
+    truncation against cancellation; accuracy degrades with order (about
+    1e-9 relative at order 1, 1e-4 at order 3), which is enough for a
+    cross-check that shares no code with the oracles' Taylor arithmetic.
+    """
+    u = np.asarray(u, dtype=float)
+    eta = _EPS ** (1.0 / (len(alpha) + 2)) * max(1.0, float(np.max(np.abs(u))), abs(t))
+
+    def diff(comps, u, t):
+        if not comps:
+            return np.asarray(F(u, t))
+        q, rest = comps[0], comps[1:]
+        if q <= len(u):
+            up, um = u.copy(), u.copy()
+            up[q - 1] += eta
+            um[q - 1] -= eta
+            return (diff(rest, up, t) - diff(rest, um, t)) / (2 * eta)
+        return (diff(rest, u, t + eta) - diff(rest, u, t - eta)) / (2 * eta)
+
+    return diff(tuple(alpha), u, t)
+
+
 def test_finite_difference_matches_polynomial() -> None:
+    # the difference reference below is itself checked against exact partials
     terms = [(1, (1, 1, 3), 2.0), (2, (2, 2), 1.0), (1, (), -0.7)]
     exact = PolynomialOracle(2, terms)
-    with pytest.warns(UserWarning, match="lose accuracy"):
-        approx = FiniteDifferenceOracle(lambda u, t: exact.value(u, t), k_max=3)
     u = np.array([0.4, -1.1])
     t = 0.6
     for alpha in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 2), (1, 2, 3), (3, 3, 3)]:
         want = exact.partial(alpha, u, t)
-        got = approx.partial(alpha, u, t)
+        got = fd_partial(exact.value, alpha, u, t)
         assert np.allclose(got, want, rtol=1e-4, atol=1e-4)
 
 
 def test_builtin_oracles_match_finite_differences() -> None:
-    # the analytic/jet partials cross-checked against a black-box oracle
+    # the closed-form and jet partials cross-checked against differences
+    # of each oracle's value, which shares no code with its taylor
     cases = [
         (builtin("example1", 0.25), np.array([0.3, -0.2]), 0.7),
         (builtin("example2-E6", 0.25), np.array([0.3, 0.4, -0.1, 0.2]), 0.45),
     ]
     for system, u, t in cases:
-        with pytest.warns(UserWarning, match="lose accuracy"):
-            fd = FiniteDifferenceOracle(system.oracle.value, k_max=3)
         n_vars = system.d + 1
         rng = np.random.default_rng(5)
         for _ in range(15):
             size = int(rng.integers(0, 4))
             alpha = tuple(int(c) for c in rng.integers(1, n_vars + 1, size=size))
-            want = fd.partial(alpha, u, t)
+            want = fd_partial(system.oracle.value, alpha, u, t)
             got = system.oracle.partial(alpha, u, t)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.allclose(got, want, rtol=0, atol=1e-4 * scale), (
                 system.name,
                 alpha,
             )
-
-
-def test_finite_difference_warns_above_its_accurate_order() -> None:
-    # re-measures the docstring's error table against the exact pendulum
-    # forcing partials: only order 1 stays below 1e-6
-    exact = _PendulumForcingOracle()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        FiniteDifferenceOracle(exact.value, k_max=1)
-    with pytest.warns(UserWarning, match="above order 1 lose accuracy: k_max = 6"):
-        fd = FiniteDifferenceOracle(exact.value, k_max=6, real_valued=True)
-    points = [(0.3, 0.7), (1.1, 2.0), (-0.8, 4.5)]
-    for j, documented in enumerate(_FD_MAX_REL_ERROR, 1):
-        alphas = list(itertools.combinations_with_replacement((1, 2), j))
-        worst = 0.0
-        for y, t in points:
-            u = np.array([y])
-            want = np.array([exact.partial(a, u, t)[0] for a in alphas])
-            got = np.array([fd.partial(a, u, t)[0] for a in alphas])
-            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-        assert 0.5 * documented <= worst <= 2.0 * documented, (j, worst)
-        assert (worst < 1e-6) == (j <= _FD_ACCURATE_ORDER)
 
 
 def test_pendulum_forcing_closed_form() -> None:
@@ -151,9 +151,14 @@ def test_charged_particle_value_formula() -> None:
     assert np.allclose(s.oracle.partial((1, 4), u, t), np.zeros(4))
 
 
+class SecondOrderOnly(JetOracle):
+    """A JetOracle that supplies derivatives up to order 2 only."""
+
+    max_order = 2
+
+
 def test_order_limit_raises() -> None:
-    with pytest.warns(UserWarning, match="lose accuracy"):
-        oracle = FiniteDifferenceOracle(lambda u, t: np.array([t]), k_max=2)
+    oracle = SecondOrderOnly(lambda u, t: [t])
     with pytest.raises(UnsupportedOrderError):
         oracle.partial((1, 1, 2), np.array([0.0]), 0.0)
     assert np.allclose(oracle.partial((2, 2), np.array([0.0]), 1.0), [0.0])
