@@ -3,9 +3,9 @@ extension: lift the state to a truncated monomial basis where the
 dynamics are linear, advance with one matrix exponential per step, and
 project back.  Includes the multi-index catalog machinery, the extension
 matrix builders, the stepping scheme, derivative oracles (JetOracle
-for any F(u, t) written with + - * /, ** and sin, cos, exp;
-PolynomialOracle for polynomial F), an RK4 reference solver, a
-convergence-study harness, and structural validation checks.
+for any F(u, t) written with + - * /, ** and sin, cos, exp, and
+PolynomialOracle, a JetOracle on monomial terms), an RK4 reference
+solver, a convergence-study harness, and structural validation checks.
 """
 
 from .algebra_checks import CheckResult, random_imaginary_system, run_suite
@@ -38,7 +38,6 @@ from .sysdef import (
     OscillatorySystem,
     PolynomialOracle,
     SpectrumWarning,
-    UnsupportedOrderError,
     augment,
     builtin,
     load_config,
@@ -64,7 +63,6 @@ __all__ = [
     "SweepPoint",
     "Thresholds",
     "Trajectory",
-    "UnsupportedOrderError",
     "augment",
     "build_A0",
     "build_A1",

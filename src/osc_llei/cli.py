@@ -226,6 +226,8 @@ def _cmd_converge_eps(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.random < 0:
+        raise ConfigError(f"--random must be a count >= 0, got {args.random}")
     if args.config is None and args.random == 0:
         raise ConfigError("validate needs --config and/or --random N")
     all_passed = True

@@ -300,7 +300,7 @@ def sweep_h(
 
 
 def sweep_eps(
-    system_or_factory,
+    system: OscillatorySystem,
     k: int,
     h: float,
     eps_values,
@@ -308,16 +308,11 @@ def sweep_eps(
 ) -> ErrorReport:
     """Error vs epsilon at fixed step size h.
 
-    system_or_factory is an OscillatorySystem (rebuilt per epsilon via
-    with_epsilon) or a callable epsilon -> OscillatorySystem.  Each
-    epsilon gets its own RK4 reference with step about h_ref_factor *
-    epsilon; the Richardson accuracy estimate is run at the smallest
-    epsilon, where the reference works hardest.
+    system is rebuilt per epsilon by system.with_epsilon.  Each epsilon
+    gets its own RK4 reference with step about h_ref_factor * epsilon;
+    the Richardson accuracy estimate is run at the smallest epsilon,
+    where the reference works hardest.
     """
-    if isinstance(system_or_factory, OscillatorySystem):
-        factory = system_or_factory.with_epsilon
-    else:
-        factory = system_or_factory
     eps_values = [float(e) for e in eps_values]
     if not eps_values or any(e <= 0 for e in eps_values):
         raise ValueError("eps_values must be positive")
@@ -326,7 +321,7 @@ def sweep_eps(
     check_finite_positive("h", h)
     check_finite_positive("h_ref_factor", h_ref_factor)
 
-    base = factory(eps_values[0])
+    base = system.with_epsilon(eps_values[0])
     th = thresholds(base)
     T = base.T
     N = max(1, round(T / h))
@@ -349,9 +344,9 @@ def sweep_eps(
         return stride + stride % 2
 
     def run_one(eps: float):
-        sys_e = factory(eps)
+        sys_e = system.with_epsilon(eps)
         if abs(sys_e.T - T) > 1e-12 * T:
-            raise ValueError("factory changed the horizon T between epsilons")
+            raise ValueError("with_epsilon changed the horizon T between epsilons")
         regime = classify(eps)
         stride = ref_stride(eps)
         if N * stride > REF_STEP_CAP:

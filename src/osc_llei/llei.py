@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .extension import build_A0, build_A1
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import OscillatorySystem, UnsupportedOrderError, augment, check_finite_positive
+from .sysdef import OscillatorySystem, augment, check_finite_positive
 
 BLOWUP_NORM = 1e12
 
@@ -65,14 +65,6 @@ def check_blow_up(u, step_index: int | None, t: float) -> None:
     norm = float(np.linalg.norm(u))
     if not np.isfinite(norm) or norm > BLOWUP_NORM:
         raise BlowUpError(step_index, t, norm)
-
-
-def _check_args(system: OscillatorySystem, k: int, h: float) -> None:
-    check_finite_positive("step size", h)
-    if k > system.max_order:
-        raise UnsupportedOrderError(
-            f"k = {k} exceeds the oracle's max_order {system.max_order}"
-        )
 
 
 def _working_state(system: OscillatorySystem, U) -> np.ndarray:
@@ -120,7 +112,7 @@ def step(
     Raises BlowUpError, with no step index, when the new state's norm
     passes 1e12 or goes non-finite.
     """
-    _check_args(system, catalog.k, h)
+    check_finite_positive("step size", h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
     out = _advance(system, catalog, _augmented_A(system), _working_state(system, Un), tn, h)
@@ -138,7 +130,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     recorded on the returned trajectory.  Aborts with BlowUpError when
     the state norm passes 1e12 or goes non-finite.
     """
-    _check_args(system, k, h)
+    check_finite_positive("step size", h)
     catalog = build_catalog(system.d + 1, k)
     A1 = _augmented_A(system)
     N = max(1, round(system.T / h))

@@ -31,6 +31,11 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
+# the largest catalog enumerated, in rows D: it keeps the D x D
+# _sum_table of intp entries at or below 128 MiB, and still allows
+# k <= 27 at d = 2, k <= 15 at d = 3 and k <= 10 at d = 4
+MAX_CATALOG_SIZE = 4096
+
 
 def representative(alpha) -> MultiIndex:
     """Canonical (sorted) representative of alpha's equivalence class."""
@@ -116,8 +121,15 @@ def _catalog(n: int, k: int) -> MultiIndexCatalog:
     """The catalog over n >= 1 symbols up to degree k >= 0, unvalidated, cached.
 
     Also serves the jets and DerivativeOracle.partial, whose n = 1 and
-    k = 0 cases build_catalog rejects as extension layouts.
+    k = 0 cases build_catalog rejects as extension layouts.  Raises
+    ValueError, before enumerating, above MAX_CATALOG_SIZE rows.
     """
+    size = math.comb(n + k, k)
+    if size > MAX_CATALOG_SIZE:
+        raise ValueError(
+            f"catalog for {n} variables at degree {k} has {size} rows, "
+            f"above the limit of {MAX_CATALOG_SIZE}"
+        )
     reps: list[MultiIndex] = []
     dims: list[int] = []
     for j in range(k + 1):

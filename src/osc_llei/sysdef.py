@@ -9,9 +9,9 @@ nonlinearity F enters the integrator only through a DerivativeOracle
 supplying, at a point, its Taylor coefficients d^beta F / gamma(beta)
 for every multi-index beta over the d+1 variables (u_1, ..., u_d, t) up
 to a degree k, in the order of a multi-index catalog.  JetOracle
-derives them from F(u, t) written as a plain function (the charged
-particle's force is one); the pendulum forcing and PolynomialOracle use
-closed forms.
+derives them from F(u, t) written as a plain function; PolynomialOracle
+is a JetOracle on its monomials, and the charged particle's force is
+one too.  The pendulum forcing alone uses a closed form.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .mindex import MultiIndexCatalog, _catalog, _exponent_table, gamma, represe
 
 class ConfigError(ValueError):
     """Malformed problem configuration."""
-
-
-class UnsupportedOrderError(ValueError):
-    """A derivative of order beyond the oracle's max_order was requested."""
 
 
 class SpectrumWarning(UserWarning):
@@ -57,12 +53,7 @@ class DerivativeOracle:
     numbers out of it; value may be overridden by a direct formula.
     """
 
-    max_order: int = 64
     real_valued: bool = False
-
-    def _check_order(self, k: int) -> None:
-        if k > self.max_order:
-            raise UnsupportedOrderError(f"order {k} exceeds oracle max_order {self.max_order}")
 
     def partial(self, alpha, u, t) -> np.ndarray:
         """d^alpha F(u, t): gamma(alpha) times alpha's row of taylor.
@@ -71,7 +62,6 @@ class DerivativeOracle:
         |alpha| = 0 gives F itself.
         """
         alpha = representative(alpha)
-        self._check_order(len(alpha))
         u = np.asarray(u)
         catalog = _catalog(len(u) + 1, len(alpha))
         row = catalog.position(alpha)
@@ -85,7 +75,6 @@ class DerivativeOracle:
         points (u, t) of a real-valued oracle, complex128 at complex points
         or where F itself is complex.
         """
-        self._check_order(catalog.k)
         u = np.asarray(u)
         out = np.asarray(self._taylor(catalog, u, t))
         if out.dtype.kind == "c" and self.real_valued:
@@ -104,66 +93,6 @@ class DerivativeOracle:
     def value(self, u, t) -> np.ndarray:
         """F(u, t) itself; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
-
-
-class PolynomialOracle(DerivativeOracle):
-    """Exact Taylor coefficients of a polynomial F given as monomial terms.
-
-    terms: sequence of (row, alpha, coeff) with row in [1, d] (1-based F
-    component), alpha a multi-index over [1, d+1] naming the monomial
-    x^alpha in the variables x = (u_1, ..., u_d, t), and coeff complex.
-    An empty term list is the zero nonlinearity.
-    """
-
-    def __init__(self, d: int, terms):
-        self.d = d
-        self.terms: list[tuple[int, tuple[int, ...], complex]] = []
-        for row, alpha, coeff in terms:
-            if not 1 <= row <= d:
-                raise ValueError(f"term row {row} outside 1..{d}")
-            exps = [0] * (d + 1)
-            for c in representative(alpha):
-                if c > d + 1:
-                    raise ValueError(f"monomial component {c} outside 1..{d + 1}")
-                exps[c - 1] += 1
-            self.terms.append((row - 1, tuple(exps), complex(coeff)))
-        self.real_valued = all(c.imag == 0 for _, _, c in self.terms)
-        if self.real_valued:
-            self.terms = [(row, exps, c.real) for row, exps, c in self.terms]
-        self._dtype = np.dtype(float if self.real_valued else complex)
-        # the terms as arrays for _taylor, and the factorials up to the
-        # largest exponent
-        self._rows = np.array([row for row, _, _ in self.terms], dtype=np.intp)
-        self._exps = np.array([e for _, e, _ in self.terms], dtype=np.intp).reshape(-1, d + 1)
-        self._coeffs = np.array([c for _, _, c in self.terms], dtype=self._dtype)
-        self._fact = np.array(
-            [math.factorial(e) for e in range(self._exps.max(initial=0) + 1)], dtype=float
-        )
-
-    def _taylor(self, catalog, u, t):
-        # d^b x^e = prod_q e_q! / (e_q - b_q)! x_q^(e_q - b_q), zero unless b <= e;
-        # over gamma(b) that is the coefficient prod_q C(e_q, b_q) x_q^(e_q - b_q)
-        x = np.append(u, t)
-        rest = self._exps[:, None, :] - _exponent_table(catalog.d_plus_1, catalog.k)
-        fits = (rest >= 0).all(axis=2)
-        rest = np.maximum(rest, 0)
-        falling = self._fact[self._exps][:, None, :] / self._fact[rest]
-        per_term = np.where(fits, self._coeffs[:, None] * (falling * x**rest).prod(axis=2), 0.0)
-        out = np.zeros((self.d, catalog.size), dtype=per_term.dtype)
-        np.add.at(out, self._rows, per_term)
-        return (out / np.array(catalog.gammas)).T
-
-    def value(self, u, t):
-        u = np.asarray(u)
-        x = list(u) + [t]
-        out = np.zeros(self.d, dtype=np.result_type(self._dtype, u, t))
-        for row, exps, coeff in self.terms:
-            val = coeff
-            for xq, e in zip(x, exps):
-                if e:
-                    val *= xq**e
-            out[row] += val
-        return out
 
 
 class JetOracle(DerivativeOracle):
@@ -198,6 +127,45 @@ class JetOracle(DerivativeOracle):
         return np.asarray(self.F(np.asarray(u), t))
 
 
+class PolynomialOracle(JetOracle):
+    """A JetOracle on a polynomial F given as monomial terms.
+
+    terms: sequence of (row, alpha, coeff) with row in [1, d] (1-based F
+    component), alpha a multi-index over [1, d+1] naming the monomial
+    x^alpha in the variables x = (u_1, ..., u_d, t), and coeff complex.
+    An empty term list is the zero nonlinearity.  Real-valued when every
+    coefficient is real.
+    """
+
+    def __init__(self, d: int, terms):
+        self.d = d
+        self.terms: list[tuple[int, tuple[int, ...], complex]] = []
+        for row, alpha, coeff in terms:
+            if not 1 <= row <= d:
+                raise ValueError(f"term row {row} outside 1..{d}")
+            exps = [0] * (d + 1)
+            for c in representative(alpha):
+                if c > d + 1:
+                    raise ValueError(f"monomial component {c} outside 1..{d + 1}")
+                exps[c - 1] += 1
+            self.terms.append((row - 1, tuple(exps), complex(coeff)))
+        real_valued = all(c.imag == 0 for _, _, c in self.terms)
+        if real_valued:
+            self.terms = [(row, exps, c.real) for row, exps, c in self.terms]
+        super().__init__(self._sum_monomials, real_valued)
+
+    def _sum_monomials(self, u, t):
+        x = list(u) + [t]
+        out = [0.0] * self.d
+        for row, exps, coeff in self.terms:
+            term = coeff
+            for xq, e in zip(x, exps):
+                if e:
+                    term = term * xq**e
+            out[row] = out[row] + term
+        return out
+
+
 @dataclass
 class OscillatorySystem:
     """The problem (A, epsilon, nu, u_in, T) plus F's derivative oracle.
@@ -213,7 +181,6 @@ class OscillatorySystem:
     u_in: np.ndarray
     T: float
     oracle: DerivativeOracle
-    max_order: int = 0
     y_dim: int | None = None
     name: str = ""
     eps_factory: Callable[[float], "OscillatorySystem"] | None = field(
@@ -232,8 +199,6 @@ class OscillatorySystem:
             raise ValueError(f"u_in has shape {self.u_in.shape}, expected ({self.d},)")
         check_finite_positive("epsilon", self.epsilon)
         check_finite_positive("T", self.T)
-        if self.max_order == 0:
-            self.max_order = self.oracle.max_order
         self._spectrum = linalg.eigvals(self.A)
         norm_a = float(np.linalg.norm(self.A, 2))
         if norm_a > 0:
@@ -293,7 +258,6 @@ class _TransformedOracle(DerivativeOracle):
         self.g_oracle = g_oracle
         self.dy = dy
         self.scale = scale
-        self.max_order = g_oracle.max_order
         self.real_valued = g_oracle.real_valued
 
     def _taylor(self, catalog, u, t):
@@ -308,11 +272,12 @@ class _TransformedOracle(DerivativeOracle):
 
     def value(self, u, t):
         u = np.asarray(u)
-        g = np.asarray(self.g_oracle.value(u[: self.dy], t))
+        dy = self.dy
+        g = self.g_oracle.value(u[:dy], t)
         if g.dtype.kind == "c" and self.real_valued and u.dtype.kind != "c":
             g = g.real
-        out = np.zeros(2 * self.dy, dtype=np.result_type(g.dtype, float))
-        out[self.dy :] = self.scale * g
+        out = np.zeros(2 * dy, dtype=np.promote_types(g.dtype, np.float64))
+        out[dy:] = self.scale * g
         return out
 
 
@@ -375,6 +340,7 @@ class _PendulumForcingOracle(DerivativeOracle):
 
     real_valued = True
 
+    # closed form, not a JetOracle: 15 vs 61 us at k = 3, of a 106 us example1 step
     def _taylor(self, catalog, u, t):
         K = catalog.k
         a = [t + np.cos(_OMEGA1 * t)] + [
@@ -432,20 +398,18 @@ def builtin(name: str, epsilon: float, T: float | None = None) -> OscillatorySys
                 [0.0, -E, -B, 0.0],
             ]
         )
-        Tval = 1.0 if T is None else T
         return OscillatorySystem(
             d=4,
             A=A,
             epsilon=epsilon,
             nu=1.0,
             u_in=np.array([0.0, 0.0, 3.0, 4.0]),
-            T=Tval,
+            T=1.0 if T is None else T,
             oracle=_TransformedOracle(
                 JetOracle(_charged_particle_force, real_valued=True), dy=2, scale=1.0
             ),
             y_dim=2,
             name=name,
-            eps_factory=lambda eps: builtin(name, eps, Tval),
         )
     raise ConfigError(f"unknown builtin problem {name!r}")
 
@@ -477,8 +441,12 @@ def load_config(cfg: dict) -> OscillatorySystem:
     missing = [k for k in ("d", "A", "epsilon", "nu", "u_in", "T") if k not in cfg]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
+    d = cfg["d"]
+    if isinstance(d, float) and d.is_integer():
+        d = int(d)
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ConfigError(f"d must be an integer >= 1, got {cfg['d']!r}")
     try:
-        d = int(cfg["d"])
         flat = [_complex_entry(v, "A entry") for v in cfg["A"]]
         if len(flat) != d * d:
             raise ConfigError(f"A must have d*d = {d * d} entries, got {len(flat)}")

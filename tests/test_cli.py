@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import osc_llei
-from osc_llei import SpectrumWarning, build_catalog, builtin, load_config
+from osc_llei import SpectrumWarning, build_catalog, builtin, load_config, mindex
 from osc_llei.cli import _dyadic_h_grid, _fmt, main
 from osc_llei.extension import build_A1, build_S
 from osc_llei.harness import ErrorReport
@@ -367,6 +367,40 @@ def test_validate_flags_real_spectrum(tmp_path, capsys) -> None:
 
 def test_validate_requires_some_target() -> None:
     assert main(["validate", "--k", "1"]) == 2
+
+
+def test_validate_rejects_negative_random_count(capsys) -> None:
+    # a negative count runs no check, so it must not report that all passed
+    assert main(["validate", "--k", "2", "--random", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --random"), err
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1.5, "1", True])
+def test_config_dimension_must_be_a_positive_integer(tmp_path, capsys, d) -> None:
+    # named as the bad key, before the size of A is checked against d * d;
+    # a fractional d is not truncated
+    cfg_path = write_config(tmp_path, {**QUADRATIC_CFG, "d": d})
+    assert main(["integrate", "--config", cfg_path, "--k", "1", "--h", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "d must be an integer >= 1" in err[0], err
+
+
+def test_oversize_catalog_is_a_usage_error(monkeypatch, capsys) -> None:
+    # 70,058,751 rows: refused before any multi-index is enumerated
+    def refuse(*args):
+        raise AssertionError("catalog enumerated")
+
+    monkeypatch.setattr(mindex.itertools, "combinations_with_replacement", refuse)
+    assert main(["catalog", "--d", "3", "--k", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: catalog") and "above the limit" in err[0]
 
 
 def test_usage_and_config_errors_exit_2(tmp_path, capsys) -> None:

@@ -17,6 +17,7 @@ from osc_llei import (
     builtin,
     fit_order,
     global_max_error,
+    integrate,
     sweep_eps,
     sweep_h,
     thresholds,
@@ -218,14 +219,13 @@ def test_sweep_eps_validation() -> None:
             sweep_eps(system, 1, bad, [0.2, 0.1])
 
 
-def test_sweep_eps_accepts_factory() -> None:
-    report = sweep_eps(
-        lambda eps: builtin("example1", eps, T=1.0),
-        1,
-        1 / 8,
-        [1.0, 0.5],
-        h_ref_factor=1 / 256,
-    )
-    assert len(report.points) == 2
-    assert all(p.error_u is not None for p in report.points)
-    assert report.slopes["small_y"] is None  # two points never fit
+def test_with_epsilon_matches_a_fresh_builtin() -> None:
+    # sweep_eps rebuilds its system only through with_epsilon; example2's
+    # oracle does not depend on epsilon, so replace gives the same system
+    a, b = 1 / 16, 1 / 64
+    moved = builtin("example2-E6", a).with_epsilon(b)
+    fresh = builtin("example2-E6", b)
+    assert moved.epsilon == b
+    got, want = integrate(moved, 2, b / 4), integrate(fresh, 2, b / 4)
+    assert got.states.dtype == want.states.dtype
+    assert np.array_equal(got.states, want.states)

@@ -11,11 +11,9 @@ import pytest
 from osc_llei import (
     BlowUpError,
     DerivativeOracle,
-    JetOracle,
     MultiIndexCatalog,
     OscillatorySystem,
     PolynomialOracle,
-    UnsupportedOrderError,
     build_catalog,
     builtin,
     fit_order,
@@ -68,26 +66,6 @@ def test_step_validation() -> None:
         step(system, catalog, np.array([1.0]), 0.0, -0.1)
     with pytest.raises(ValueError):
         step(system, build_catalog(3, 2), np.array([1.0]), 0.0, 0.1)
-
-
-class FirstOrderOnly(JetOracle):
-    """A JetOracle that supplies derivatives up to order 1 only."""
-
-    max_order = 1
-
-
-def test_step_order_limit() -> None:
-    system = OscillatorySystem(
-        d=1,
-        A=np.array([[1j]]),
-        epsilon=1.0,
-        nu=0.0,
-        u_in=np.ones(1),
-        T=1.0,
-        oracle=FirstOrderOnly(lambda u, t: [0.0]),
-    )
-    with pytest.raises(UnsupportedOrderError):
-        integrate(system, 2, 0.1)
 
 
 def test_single_step_local_order() -> None:
@@ -247,7 +225,6 @@ class ComplexView(DerivativeOracle):
 
     def __init__(self, inner: DerivativeOracle):
         self.inner = inner
-        self.max_order = inner.max_order
 
     def _taylor(self, catalog, u, t):
         return self.inner.taylor(catalog, u, t)

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from osc_llei import build_catalog, gamma, remove_component, representative
+from osc_llei import build_catalog, builtin, gamma, mindex, remove_component, representative
 
 
 def brute_force_count(n_vars: int, k: int) -> int:
@@ -118,3 +118,31 @@ def test_build_catalog_rejects_bad_args() -> None:
         build_catalog(1, 2)
     with pytest.raises(ValueError):
         build_catalog(3, 0)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make any enumeration of multi-indices fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("catalog enumerated")
+
+    monkeypatch.setattr(mindex.itertools, "combinations_with_replacement", refuse)
+
+
+def test_oversize_catalog_is_rejected_before_enumeration(no_enumeration) -> None:
+    # d = 3 at k = 200 has 70,058,751 rows
+    with pytest.raises(ValueError, match="70058751 rows"):
+        build_catalog(4, 200)
+    # partial builds the catalog of degree |alpha|: 176,851 rows at d = 2
+    oracle = builtin("example1", 0.25).oracle
+    with pytest.raises(ValueError, match="above the limit"):
+        oracle.partial((1,) * 100, np.array([0.1, 0.2]), 0.0)
+
+
+def test_catalog_size_limit_boundary() -> None:
+    # C(91, 2) = 4095 rows fit under the limit, C(92, 2) = 4186 do not
+    assert mindex.MAX_CATALOG_SIZE == 4096
+    assert build_catalog(2, 89).size == 4095
+    with pytest.raises(ValueError, match="4186 rows"):
+        build_catalog(2, 90)

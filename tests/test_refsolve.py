@@ -135,7 +135,6 @@ class _ComplexWrap:
     """Force the complex path by reporting real_valued = False."""
 
     real_valued = False
-    max_order = 64
 
     def __init__(self, inner):
         self.inner = inner

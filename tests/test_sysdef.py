@@ -10,11 +10,9 @@ import pytest
 
 from osc_llei import (
     ConfigError,
-    JetOracle,
     OscillatorySystem,
     PolynomialOracle,
     SpectrumWarning,
-    UnsupportedOrderError,
     augment,
     builtin,
     load_config,
@@ -151,19 +149,6 @@ def test_charged_particle_value_formula() -> None:
     assert np.allclose(s.oracle.partial((1, 4), u, t), np.zeros(4))
 
 
-class SecondOrderOnly(JetOracle):
-    """A JetOracle that supplies derivatives up to order 2 only."""
-
-    max_order = 2
-
-
-def test_order_limit_raises() -> None:
-    oracle = SecondOrderOnly(lambda u, t: [t])
-    with pytest.raises(UnsupportedOrderError):
-        oracle.partial((1, 1, 2), np.array([0.0]), 0.0)
-    assert np.allclose(oracle.partial((2, 2), np.array([0.0]), 1.0), [0.0])
-
-
 def test_initial_state_scaling_and_validation() -> None:
     s = make_linear_system(eps=0.25)
     assert np.allclose(s.initial_state, s.u_in)  # nu = 0
@@ -274,6 +259,7 @@ def test_load_config_builtin_and_inline(tmp_path) -> None:
     }
     s2 = load_config(inline)
     assert s2.d == 1 and s2.A[0, 0] == 1j
+    assert load_config({**inline, "d": 1.0}).d == 1  # a whole number written as a float
     assert np.allclose(s2.F(np.array([3.0]), 0.0), [2.25])
 
     path = tmp_path / "sys.json"
