@@ -71,6 +71,8 @@ def _write_trajectory(traj: Trajectory, fh) -> None:
 
 
 def _cmd_catalog(args) -> int:
+    if args.d < 1:
+        raise ConfigError(f"--d must be >= 1, got {args.d}")
     catalog = build_catalog(args.d + 1, args.k)
     print("position,degree,components")
     for pos, alpha in enumerate(catalog.representatives):
@@ -115,6 +117,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_reference(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be a positive integer, got {args.stride}")
     system = load_config_file(args.config)
     traj = rk4_integrate(
         system,

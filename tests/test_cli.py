@@ -390,6 +390,27 @@ def test_config_dimension_must_be_a_positive_integer(tmp_path, capsys, d) -> Non
     assert len(err) == 1 and "d must be an integer >= 1" in err[0], err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["catalog", "--d", "0", "--k", "2"], "--d must be >= 1, got 0"),
+        (["catalog", "--d", "-2", "--k", "2"], "--d must be >= 1, got -2"),
+        (["reference", "--href", "0.015625", "--stride", "0"], "--stride must be a positive"),
+        (["reference", "--href", "0.015625", "--stride", "-4"], "--stride must be a positive"),
+    ],
+)
+def test_usage_errors_name_the_flag(tmp_path, capsys, argv, flag) -> None:
+    # the message names the option as typed, not the library parameter
+    # (d_plus_1, sample_stride) it feeds
+    if argv[0] == "reference":
+        argv = argv + ["--config", write_config(tmp_path, {"name": "example1", "epsilon": 0.25})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}"), err
+
+
 def test_oversize_catalog_is_a_usage_error(monkeypatch, capsys) -> None:
     # 70,058,751 rows: refused before any multi-index is enumerated
     def refuse(*args):
