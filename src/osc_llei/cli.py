@@ -301,7 +301,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--hmin", type=float, required=True)
     p.add_argument("--hmax", type=float, required=True)
     p.add_argument("--points", type=int, default=6)
-    p.add_argument("--href-target", type=float, default=None)
+    p.add_argument(
+        "--href-target",
+        type=float,
+        default=None,
+        help="largest step of the first shared RK4 reference run (default: "
+        "eps / (8 rho)); the step is then halved until the reference is 100x "
+        "more accurate than the smallest error it measures or stops improving",
+    )
     p.add_argument("--out")
     p.add_argument("--ci", action="store_true", help="exit 1 on slope misses")
     p.set_defaults(func=_cmd_converge_h)

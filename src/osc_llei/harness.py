@@ -6,13 +6,18 @@ phase-space systems ([y; p] with p = eps * dy/dt) the error is also
 split into error(y) and error(dy/dt) = |p - p_ref| / eps.
 
 Step-size sweeps share a single reference trajectory: the scheme grids
-are nested into one fine RK4 grid (lcm of the step counts times an even
-refinement), so every comparison point is an exact reference sample.
-The reference's own accuracy is estimated by Richardson extrapolation
-against a second run at twice the step (RK4 is fourth order, so the
-disagreement overestimates the fine run's error by about 15x), and the
-report records the margin between measured scheme errors and that
-estimate.
+are nested into one fine RK4 grid (lcm L of the step counts times an
+even refinement m), so every comparison point is an exact reference
+sample.  The reference's own accuracy is estimated by Richardson
+extrapolation against a partner run at half the refinement (RK4 is
+fourth order, so the disagreement overestimates the fine run's error by
+about 15x), and the report records the margin between measured scheme
+errors and that estimate.  sweep_h sizes the reference from that
+margin: it starts at the coarsest m that resolves the oscillation,
+doubles m until the margin reaches REF_MARGIN_TARGET, and each doubled
+run takes the previous one as its partner.  It stops early when a
+doubling no longer cuts the estimate 4x (round-off, not truncation, is
+left) or when the next run would pass REF_STEP_CAP steps.
 
 Order fits are least-squares slopes on log-log data, done separately
 for the small-step regime (h below h0 = pi eps / (2 rho)) and the
@@ -34,6 +39,9 @@ from .sysdef import OscillatorySystem, check_finite_positive
 
 ACCURACY_FLOOR = 1e-10
 REF_STEP_CAP = 20_000_000
+# a reference counts as trusted when the smallest error it measures is
+# at least this many times its own Richardson error estimate
+REF_MARGIN_TARGET = 100.0
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,8 @@ class ErrorReport:
     ref_error_estimate: ErrorValues | None = None
     ref_margin: float | None = None
     notes: list[str] = field(default_factory=list)
+    # RK4 steps spent on the reference, Richardson partners included
+    ref_steps: int = 0
 
     def regime_points(self, regime: str) -> list[SweepPoint]:
         return [p for p in self.points if p.regime == regime and p.failed is None]
@@ -172,14 +182,25 @@ def _fit_regime_slopes(system, points) -> dict[str, float | None]:
     return slopes
 
 
-def _richardson_estimate(system, ref, h_fine, stride) -> ErrorValues:
-    """Reference-error estimate: |ref - run at 2 h_fine| / 15 on ref's grid."""
+def _rk4_nested(system, n: int, m: int, partner: bool = False) -> Trajectory:
+    """RK4 with m steps per interval of the n-interval grid on [0, T].
+
+    The run is sampled on that grid.  A Richardson partner (half the
+    refinement of the run it checks) may not resolve the oscillation;
+    its resolution warning is silenced, since only its disagreement with
+    the finer run is used.
+    """
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ref2 = rk4_integrate(
-            system, 2.0 * h_fine, sample_stride=stride // 2, allow_unresolved=True
+        if partner:
+            warnings.simplefilter("ignore")
+        return rk4_integrate(
+            system, system.T / (n * m), sample_stride=m, allow_unresolved=partner
         )
-    errs = global_max_error(ref, ref2)
+
+
+def _richardson_estimate(ref: Trajectory, partner: Trajectory) -> ErrorValues:
+    """Error estimate of ref: |ref - partner| / 15, partner at twice ref's step."""
+    errs = global_max_error(ref, partner)
     scale = 1.0 / 15.0
     return ErrorValues(
         u=errs.u * scale,
@@ -188,16 +209,20 @@ def _richardson_estimate(system, ref, h_fine, stride) -> ErrorValues:
     )
 
 
+def _ref_margin(est: ErrorValues, min_error: float | None) -> float | None:
+    """Smallest measured error over the reference-error estimate, if defined."""
+    if min_error is None or est.u <= 0:
+        return None
+    return min_error / est.u
+
+
 def _margin_note(report: ErrorReport, est: ErrorValues, min_error: float | None):
     report.ref_error_estimate = est
-    if min_error is None or est.u <= 0:
-        return
-    margin = min_error / est.u
-    report.ref_margin = margin
-    if margin < 100.0:
+    margin = report.ref_margin = _ref_margin(est, min_error)
+    if margin is not None and margin < REF_MARGIN_TARGET:
         report.notes.append(
-            f"reference accuracy margin is {margin:.1f}x, below the 100x target; "
-            "decrease the reference step"
+            f"reference accuracy margin is {margin:.1f}x, below the "
+            f"{REF_MARGIN_TARGET:g}x target; decrease the reference step"
         )
 
 
@@ -223,9 +248,14 @@ def sweep_h(
     """Error vs step size at fixed epsilon, against one shared reference.
 
     h_values must be positive and strictly decreasing.  Each h is snapped
-    to divide T exactly; the shared RK4 grid refines the lcm of the step
-    counts, so its step is at most h_ref_target (default: fine enough to
-    resolve the oscillation and the finest scheme grid).
+    to divide T exactly, and the scheme runs once per h.  The shared RK4
+    grid refines the lcm L of the step counts by an even m, starting at
+    the smallest m whose step is at most h_ref_target (default:
+    eps / (8 rho), which resolves the oscillation).  m then doubles until
+    the smallest scheme error is REF_MARGIN_TARGET times the reference's
+    Richardson estimate, a doubling cuts the estimate less than 4x, or
+    the next run would pass REF_STEP_CAP steps; errors are taken against
+    the last run.  report.ref_steps counts every RK4 step spent.
     """
     h_values = [float(h) for h in h_values]
     if not h_values or not all(math.isfinite(h) and h > 0 for h in h_values):
@@ -241,18 +271,14 @@ def sweep_h(
     L = math.lcm(*n_values)
 
     if h_ref_target is None:
-        resolve = system.epsilon / (8.0 * th.rho) if th.rho > 0 else math.inf
-        h_ref_target = min(resolve, T / (16.0 * L))
+        h_ref_target = system.epsilon / (8.0 * th.rho) if th.rho > 0 else math.inf
     m = max(2, math.ceil((T / L) / h_ref_target))
     m += m % 2
-    n_ref = L * m
-    if n_ref > REF_STEP_CAP:
+    if L * m > REF_STEP_CAP:
         raise ValueError(
-            f"shared reference would need {n_ref} steps (cap {REF_STEP_CAP}); "
+            f"shared reference would need {L * m} steps (cap {REF_STEP_CAP}); "
             "use nested step sizes or a coarser h_ref_target"
         )
-    h_ref = T / n_ref
-    ref = rk4_integrate(system, h_ref, sample_stride=m)
 
     def classify(h: float) -> str:
         if th.h0 is not None and h < th.h0:
@@ -261,24 +287,51 @@ def sweep_h(
             return "large"
         return "intermediate"
 
-    def run_one(n: int) -> SweepPoint:
-        h = T / n
-        regime = classify(h)
+    runs = []  # (n, scheme trajectory, blow-up message): one of the two is None
+    for n in n_values:
         try:
-            traj = integrate(system, k, h)
+            runs.append((n, integrate(system, k, T / n), None))
         except BlowUpError as exc:
-            return SweepPoint(h, None, None, None, regime, failed=str(exc))
-        stride = L // n
-        sub = Trajectory(
-            times=ref.times[::stride],
-            states=ref.states[::stride],
-            epsilon=ref.epsilon,
-            h=h,
-            y_dim=ref.y_dim,
-        )
-        return _point_from_errors(h, global_max_error(traj, sub), regime)
+            runs.append((n, None, str(exc)))
 
-    points = [run_one(n) for n in n_values]
+    def compare(ref: Trajectory) -> list[SweepPoint]:
+        points = []
+        for n, traj, failed in runs:
+            h = T / n
+            if failed is not None:
+                points.append(SweepPoint(h, None, None, None, classify(h), failed=failed))
+                continue
+            stride = L // n
+            sub = Trajectory(
+                times=ref.times[::stride],
+                states=ref.states[::stride],
+                epsilon=ref.epsilon,
+                h=h,
+                y_dim=ref.y_dim,
+            )
+            points.append(_point_from_errors(h, global_max_error(traj, sub), classify(h)))
+        return points
+
+    def min_error(points) -> float | None:
+        ok_errors = [p.error_u for p in points if p.error_u is not None]
+        return min(ok_errors) if ok_errors else None
+
+    partner = _rk4_nested(system, L, m // 2, partner=True)
+    ref = _rk4_nested(system, L, m)
+    ref_steps = L * (m // 2 + m)
+    points = compare(ref)
+    est = _richardson_estimate(ref, partner)
+    while True:
+        margin = _ref_margin(est, min_error(points))
+        if margin is None or margin >= REF_MARGIN_TARGET or 2 * L * m > REF_STEP_CAP:
+            break
+        m *= 2
+        partner, ref = ref, _rk4_nested(system, L, m)
+        ref_steps += L * m
+        points = compare(ref)
+        prev_est, est = est, _richardson_estimate(ref, partner)
+        if est.u > prev_est.u / 4.0:
+            break  # round-off, not truncation, dominates the estimate
 
     report = ErrorReport(
         axis="h",
@@ -291,10 +344,9 @@ def sweep_h(
             "rho": th.rho,
             "mu": th.mu,
         },
+        ref_steps=ref_steps,
     )
-    est = _richardson_estimate(system, ref, h_ref, m)
-    ok_errors = [p.error_u for p in points if p.error_u is not None]
-    _margin_note(report, est, min(ok_errors) if ok_errors else None)
+    _margin_note(report, est, min_error(points))
     _point_notes(report)
     return report
 
@@ -354,7 +406,7 @@ def sweep_eps(
                 f"reference for eps = {eps:g} would need {N * stride} steps "
                 f"(cap {REF_STEP_CAP})"
             )
-        ref = rk4_integrate(sys_e, h_snap / stride, sample_stride=stride)
+        ref = _rk4_nested(sys_e, N, stride)
         try:
             traj = integrate(sys_e, k, h_snap)
         except BlowUpError as exc:
@@ -367,6 +419,7 @@ def sweep_eps(
 
     results = [run_one(eps) for eps in eps_values]
     points = [r[0] for r in results]
+    ref_steps = sum(N * ref_stride(eps) for eps in eps_values)
 
     report = ErrorReport(
         axis="epsilon",
@@ -383,8 +436,9 @@ def sweep_eps(
     smallest = results[-1][1]
     if smallest is not None:
         sys_e, ref, stride = smallest
-        est = _richardson_estimate(sys_e, ref, h_snap / stride, stride)
-        last = points[-1]
-        _margin_note(report, est, last.error_u)
+        partner = _rk4_nested(sys_e, N, stride // 2, partner=True)
+        ref_steps += N * (stride // 2)
+        _margin_note(report, _richardson_estimate(ref, partner), points[-1].error_u)
+    report.ref_steps = ref_steps
     _point_notes(report)
     return report

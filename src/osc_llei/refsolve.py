@@ -124,7 +124,8 @@ def rk4_integrate(
     half = 0.5 * h
     t = 0.0
     # a state that blows up inside a sample overflows here; check_blow_up
-    # reports it once the sample ends
+    # reports it once the sample ends, naming the sample's last step and
+    # that step's start time, as integrate names its steps
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(n_samples):
             for _ in range(sample_stride):
@@ -135,7 +136,8 @@ def rk4_integrate(
                 u += C_step @ z
                 t += h
             states[s + 1] = u
-            check_blow_up(u, s * sample_stride, t)
+            last = (s + 1) * sample_stride - 1
+            check_blow_up(u, last, last * h)
             t = float(times[s + 1])
 
     return Trajectory(

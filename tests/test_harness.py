@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from osc_llei import (
     fit_order,
     global_max_error,
     integrate,
+    rk4_integrate,
     sweep_eps,
     sweep_h,
     thresholds,
@@ -145,7 +147,7 @@ def test_sweep_h_small_regime_slope_and_margin() -> None:
         assert b <= 2.0 * a
 
 
-def test_sweep_h_linear_problem_sits_at_floor() -> None:
+def test_sweep_h_linear_problem_sits_at_floor(monkeypatch) -> None:
     system = OscillatorySystem(
         d=1,
         A=np.array([[1j]]),
@@ -155,11 +157,75 @@ def test_sweep_h_linear_problem_sits_at_floor() -> None:
         T=1.0,
         oracle=PolynomialOracle(1, []),
     )
+    runs = recorded_rk4(monkeypatch)
     report = sweep_h(system, 2, [1 / 4, 1 / 8, 1 / 16, 1 / 32], h_ref_target=1e-4)
     assert all(p.error_u <= ACCURACY_FLOOR for p in report.points)
     assert all(p.floored for p in report.points)
     assert report.slopes["small_u"] is None  # degenerate fit reported absent
     assert any("floor" in note for note in report.notes)
+    # the Richardson estimate is round-off here: one doubling shows it and
+    # the reference stops refining
+    assert len(runs) <= 3
+
+
+def recorded_rk4(monkeypatch) -> list:
+    """Record (h_ref, sample_stride, trajectory) of every harness RK4 run."""
+    runs = []
+
+    def recording(system, h_ref, sample_stride=1, allow_unresolved=False):
+        traj = rk4_integrate(system, h_ref, sample_stride, allow_unresolved)
+        runs.append((h_ref, sample_stride, traj))
+        return traj
+
+    monkeypatch.setattr(harness_mod, "rk4_integrate", recording)
+    return runs
+
+
+CH_H = [2.0**-j for j in range(4, 10)]  # the h grid of acceptance criterion 5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_h_default_reference_is_sized_by_its_margin(k) -> None:
+    system = builtin("example1", 0.25, T=1.5)
+    L = math.lcm(*(round(system.T / h) for h in CH_H))
+    report = sweep_h(system, k, CH_H)
+    assert report.ref_margin is not None and report.ref_margin >= 100
+    assert not any("margin" in note for note in report.notes)
+    # a reference at the old fixed refinement T / (16 L) took 24 L steps
+    assert 0 < report.ref_steps <= (3 if k == 1 else 15) * L
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_sweep_h_estimate_bounds_the_stopping_reference_error(monkeypatch, eps) -> None:
+    system = builtin("example1", eps, T=1.5)
+    runs = recorded_rk4(monkeypatch)
+    report = sweep_h(system, 3, CH_H)
+    h_ref, stride, ref = runs[-1]  # the run the errors were taken against
+    finer = rk4_integrate(system, h_ref / 4, sample_stride=4 * stride)
+    assert global_max_error(ref, finer).u <= 2 * report.ref_error_estimate.u
+
+
+def test_sweep_h_explicit_target_that_meets_the_margin_runs_one_pair() -> None:
+    # one run at the target's refinement and a partner at half of it,
+    # written out here as the reference computation
+    system = builtin("example1", 0.25)
+    ns = [24, 48, 96, 192]
+    report = sweep_h(system, 1, [system.T / n for n in ns], h_ref_target=1e-3)
+    L, m = 192, 32  # smallest even m with T / (L m) <= 1e-3
+    ref = rk4_integrate(system, system.T / (L * m), sample_stride=m)
+    partner = rk4_integrate(system, 2 * system.T / (L * m), sample_stride=m // 2)
+    for p, n in zip(report.points, ns):
+        stride = L // n
+        sub = dataclasses.replace(
+            ref, times=ref.times[::stride], states=ref.states[::stride]
+        )
+        errs = global_max_error(integrate(system, 1, system.T / n), sub)
+        assert (p.error_u, p.error_y, p.error_ydot) == (errs.u, errs.y, errs.ydot)
+    est = global_max_error(ref, partner).u * (1.0 / 15.0)
+    assert report.ref_error_estimate.u == est
+    assert report.ref_margin == min(p.error_u for p in report.points) / est
+    assert report.ref_steps == L * m + L * m // 2
+    assert report.notes == []
 
 
 def test_sweep_h_validation() -> None:

@@ -110,6 +110,34 @@ def test_blow_up_detection() -> None:
         rk4_integrate(system, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "solver, stride",
+    [("rk4", 1), ("rk4", 10), ("integrate", None)],
+    ids=["rk4-stride-1", "rk4-stride-10", "integrate"],
+)
+def test_blow_up_names_a_step_and_its_start_time(solver, stride) -> None:
+    # du/dt = u^2 from u(0) = 3 blows up at t = 1/3; both solvers name
+    # the step after which the state is found too large, with its start time
+    system = OscillatorySystem(
+        d=1,
+        A=np.zeros((1, 1)),
+        epsilon=1.0,
+        nu=0.0,
+        u_in=np.array([3.0]),
+        T=2.0,
+        oracle=PolynomialOracle(1, [(1, (1, 1), 1.0)]),
+    )
+    h = 1e-3
+    with pytest.raises(BlowUpError) as info:
+        if solver == "rk4":
+            rk4_integrate(system, h, sample_stride=stride)
+        else:
+            integrate(system, 2, h)
+    err = info.value
+    assert 0.3 < err.t < 0.4
+    assert math.isclose(err.t, err.step_index * h, rel_tol=1e-12)
+
+
 def test_argument_validation() -> None:
     system = identity_growth_system(T=1.0)
     with pytest.raises(ValueError):
