@@ -320,7 +320,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsmin", type=float, required=True)
     p.add_argument("--epsmax", type=float, required=True)
     p.add_argument("--points", type=int, default=5)
-    p.add_argument("--href-factor", type=float, default=1.0 / 1024.0)
+    p.add_argument(
+        "--href-factor",
+        type=float,
+        default=None,
+        help="largest step of the first RK4 reference run, as a fraction of eps "
+        "(default: 1 / (8 rho)); at the smallest eps the step is then halved until "
+        "the reference is 100x more accurate than the error it measures or stops "
+        "improving, and every other eps runs at the ratio reached there",
+    )
     p.add_argument("--out")
     p.add_argument("--ci", action="store_true", help="exit 1 on slope misses")
     p.set_defaults(func=_cmd_converge_eps)

@@ -5,19 +5,22 @@ Euclidean norm of the state difference against an RK4 reference.  For
 phase-space systems ([y; p] with p = eps * dy/dt) the error is also
 split into error(y) and error(dy/dt) = |p - p_ref| / eps.
 
-Step-size sweeps share a single reference trajectory: the scheme grids
-are nested into one fine RK4 grid (lcm L of the step counts times an
-even refinement m), so every comparison point is an exact reference
-sample.  The reference's own accuracy is estimated by Richardson
-extrapolation against a partner run at half the refinement (RK4 is
-fourth order, so the disagreement overestimates the fine run's error by
-about 15x), and the report records the margin between measured scheme
-errors and that estimate.  sweep_h sizes the reference from that
-margin: it starts at the coarsest m that resolves the oscillation,
-doubles m until the margin reaches REF_MARGIN_TARGET, and each doubled
-run takes the previous one as its partner.  It stops early when a
-doubling no longer cuts the estimate 4x (round-off, not truncation, is
-left) or when the next run would pass REF_STEP_CAP steps.
+Both sweeps size their RK4 references by one policy,
+_certified_reference.  A reference runs on the scheme's grid refined by
+an even m (sweep_h nests all its grids into one grid, the lcm L of the
+step counts, so one reference serves every h).  m starts at the
+smallest value whose step is at most the caller's step and at most
+eps / (8 rho), so even the partner below resolves the oscillation.  The
+reference's accuracy is estimated by Richardson extrapolation against a
+partner run at m / 2 (RK4 is fourth order, so their disagreement over
+15 estimates the finer run's error), and m doubles, the previous run
+becoming the partner, until the smallest error the reference measures
+is REF_MARGIN_TARGET times that estimate.  Refinement stops early when
+a doubling cuts the estimate less than 4x (round-off, not truncation,
+is left) or when the next run would pass REF_STEP_CAP steps; the
+report's margin note names the rule that stopped it.  sweep_eps
+certifies the reference at its smallest eps and runs every other eps
+at the step-to-eps ratio that certification ended at.
 
 Order fits are least-squares slopes on log-log data, done separately
 for the small-step regime (h below h0 = pi eps / (2 rho)) and the
@@ -28,8 +31,8 @@ floor excluded.  Fewer than three usable points means no fit.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -79,9 +82,6 @@ class ErrorValues:
     u: float
     y: float | None = None
     ydot: float | None = None
-
-    def get(self, component: str) -> float | None:
-        return getattr(self, component)
 
 
 def global_max_error(traj: Trajectory, ref: Trajectory) -> ErrorValues:
@@ -182,20 +182,22 @@ def _fit_regime_slopes(system, points) -> dict[str, float | None]:
     return slopes
 
 
-def _rk4_nested(system, n: int, m: int, partner: bool = False) -> Trajectory:
-    """RK4 with m steps per interval of the n-interval grid on [0, T].
+def _rk4_nested(system, n: int, m: int) -> Trajectory:
+    """RK4 with m steps per interval of the n-interval grid on [0, T], sampled on it."""
+    return rk4_integrate(system, system.T / (n * m), sample_stride=m)
 
-    The run is sampled on that grid.  A Richardson partner (half the
-    refinement of the run it checks) may not resolve the oscillation;
-    its resolution warning is silenced, since only its disagreement with
-    the finer run is used.
+
+def _first_refinement(system, interval: float, step: float) -> int:
+    """Smallest even m >= 2 with interval / m at most step and at most eps / (8 rho).
+
+    eps / (8 rho) resolves the oscillation with a factor 2 to spare, so
+    the Richardson partner at m / 2 resolves it too.
     """
-    with warnings.catch_warnings():
-        if partner:
-            warnings.simplefilter("ignore")
-        return rk4_integrate(
-            system, system.T / (n * m), sample_stride=m, allow_unresolved=partner
-        )
+    rho = thresholds(system).rho
+    if rho > 0:
+        step = min(step, system.epsilon / (8.0 * rho))
+    m = max(2, math.ceil(interval / step))
+    return m + m % 2
 
 
 def _richardson_estimate(ref: Trajectory, partner: Trajectory) -> ErrorValues:
@@ -209,21 +211,54 @@ def _richardson_estimate(ref: Trajectory, partner: Trajectory) -> ErrorValues:
     )
 
 
-def _ref_margin(est: ErrorValues, min_error: float | None) -> float | None:
-    """Smallest measured error over the reference-error estimate, if defined."""
-    if min_error is None or est.u <= 0:
-        return None
-    return min_error / est.u
+# what a margin note advises, by the rule that stopped the refinement
+_STOP_ADVICE = {
+    "round-off": "halving the step no longer cut the Richardson estimate 4x "
+    "(round-off), so a finer reference step will not help",
+    "step cap": "a finer reference would pass the REF_STEP_CAP step cap",
+}
 
 
-def _margin_note(report: ErrorReport, est: ErrorValues, min_error: float | None):
-    report.ref_error_estimate = est
-    margin = report.ref_margin = _ref_margin(est, min_error)
+def _margin_note(report: ErrorReport, stop: str | None) -> None:
+    margin = report.ref_margin
     if margin is not None and margin < REF_MARGIN_TARGET:
+        advice = _STOP_ADVICE.get(stop, "decrease the reference step")
         report.notes.append(
             f"reference accuracy margin is {margin:.1f}x, below the "
-            f"{REF_MARGIN_TARGET:g}x target; decrease the reference step"
+            f"{REF_MARGIN_TARGET:g}x target; {advice}"
         )
+
+
+def _certified_reference(system, n: int, m: int, min_error):
+    """Certify an RK4 reference on the n-interval grid, from m steps per interval.
+
+    min_error(ref) measures the scheme against a reference run and
+    returns the smallest error, or None.  Returns (m, Richardson
+    estimate, margin, RK4 steps spent, "round-off", "step cap" or None);
+    the last min_error call was against the run at the returned m.
+    """
+    if n * m > REF_STEP_CAP:
+        raise ValueError(
+            f"reference would need {n * m} steps (cap {REF_STEP_CAP}); "
+            "use nested step sizes or a coarser reference step"
+        )
+    partner, ref = _rk4_nested(system, n, m // 2), _rk4_nested(system, n, m)
+    steps = n * (m // 2 + m)
+    est = _richardson_estimate(ref, partner)
+    stop = None
+    while True:
+        error = min_error(ref)
+        margin = error / est.u if error is not None and est.u > 0 else None
+        if stop or margin is None or margin >= REF_MARGIN_TARGET:
+            return m, est, margin, steps, stop
+        if 2 * n * m > REF_STEP_CAP:
+            return m, est, margin, steps, "step cap"
+        m *= 2
+        partner, ref = ref, _rk4_nested(system, n, m)
+        steps += n * m
+        prev_est, est = est, _richardson_estimate(ref, partner)
+        if est.u > prev_est.u / 4.0:
+            stop = "round-off"
 
 
 def _point_notes(report: ErrorReport) -> None:
@@ -248,14 +283,10 @@ def sweep_h(
     """Error vs step size at fixed epsilon, against one shared reference.
 
     h_values must be positive and strictly decreasing.  Each h is snapped
-    to divide T exactly, and the scheme runs once per h.  The shared RK4
-    grid refines the lcm L of the step counts by an even m, starting at
-    the smallest m whose step is at most h_ref_target (default:
-    eps / (8 rho), which resolves the oscillation).  m then doubles until
-    the smallest scheme error is REF_MARGIN_TARGET times the reference's
-    Richardson estimate, a doubling cuts the estimate less than 4x, or
-    the next run would pass REF_STEP_CAP steps; errors are taken against
-    the last run.  report.ref_steps counts every RK4 step spent.
+    to divide T exactly, and the scheme runs once per h.  The reference
+    starts at a step of at most h_ref_target (default eps / (8 rho)) and
+    is certified as the module docstring describes; errors are taken
+    against its last run.  report.ref_steps counts every RK4 step spent.
     """
     h_values = [float(h) for h in h_values]
     if not h_values or not all(math.isfinite(h) and h > 0 for h in h_values):
@@ -269,16 +300,6 @@ def sweep_h(
     T = system.T
     n_values = list(dict.fromkeys(max(1, round(T / h)) for h in h_values))
     L = math.lcm(*n_values)
-
-    if h_ref_target is None:
-        h_ref_target = system.epsilon / (8.0 * th.rho) if th.rho > 0 else math.inf
-    m = max(2, math.ceil((T / L) / h_ref_target))
-    m += m % 2
-    if L * m > REF_STEP_CAP:
-        raise ValueError(
-            f"shared reference would need {L * m} steps (cap {REF_STEP_CAP}); "
-            "use nested step sizes or a coarser h_ref_target"
-        )
 
     def classify(h: float) -> str:
         if th.h0 is not None and h < th.h0:
@@ -294,59 +315,34 @@ def sweep_h(
         except BlowUpError as exc:
             runs.append((n, None, str(exc)))
 
-    def compare(ref: Trajectory) -> list[SweepPoint]:
-        points = []
+    points: list[SweepPoint] = []
+
+    def min_error(ref: Trajectory) -> float | None:
+        points.clear()
         for n, traj, failed in runs:
             h = T / n
             if failed is not None:
                 points.append(SweepPoint(h, None, None, None, classify(h), failed=failed))
                 continue
             stride = L // n
-            sub = Trajectory(
-                times=ref.times[::stride],
-                states=ref.states[::stride],
-                epsilon=ref.epsilon,
-                h=h,
-                y_dim=ref.y_dim,
-            )
+            sub = replace(ref, times=ref.times[::stride], states=ref.states[::stride])
             points.append(_point_from_errors(h, global_max_error(traj, sub), classify(h)))
-        return points
-
-    def min_error(points) -> float | None:
         ok_errors = [p.error_u for p in points if p.error_u is not None]
         return min(ok_errors) if ok_errors else None
 
-    partner = _rk4_nested(system, L, m // 2, partner=True)
-    ref = _rk4_nested(system, L, m)
-    ref_steps = L * (m // 2 + m)
-    points = compare(ref)
-    est = _richardson_estimate(ref, partner)
-    while True:
-        margin = _ref_margin(est, min_error(points))
-        if margin is None or margin >= REF_MARGIN_TARGET or 2 * L * m > REF_STEP_CAP:
-            break
-        m *= 2
-        partner, ref = ref, _rk4_nested(system, L, m)
-        ref_steps += L * m
-        points = compare(ref)
-        prev_est, est = est, _richardson_estimate(ref, partner)
-        if est.u > prev_est.u / 4.0:
-            break  # round-off, not truncation, dominates the estimate
-
+    m = _first_refinement(system, T / L, h_ref_target or math.inf)
+    _, est, margin, ref_steps, stop = _certified_reference(system, L, m, min_error)
     report = ErrorReport(
         axis="h",
         k=k,
         points=points,
         slopes=_fit_regime_slopes(system, points),
-        thresholds={
-            "h0": th.h0,
-            "h0_lower": th.h0_lower,
-            "rho": th.rho,
-            "mu": th.mu,
-        },
+        thresholds={"h0": th.h0, "h0_lower": th.h0_lower, "rho": th.rho, "mu": th.mu},
+        ref_error_estimate=est,
+        ref_margin=margin,
         ref_steps=ref_steps,
     )
-    _margin_note(report, est, min_error(points))
+    _margin_note(report, stop)
     _point_notes(report)
     return report
 
@@ -356,14 +352,16 @@ def sweep_eps(
     k: int,
     h: float,
     eps_values,
-    h_ref_factor: float = 1.0 / 1024.0,
+    h_ref_factor: float | None = None,
 ) -> ErrorReport:
     """Error vs epsilon at fixed step size h.
 
-    system is rebuilt per epsilon by system.with_epsilon.  Each epsilon
-    gets its own RK4 reference with step about h_ref_factor * epsilon;
-    the Richardson accuracy estimate is run at the smallest epsilon,
-    where the reference works hardest.
+    system is rebuilt per epsilon by system.with_epsilon, and the scheme
+    runs once per epsilon.  Each epsilon whose run held gets an RK4
+    reference on the scheme's grid.  The smallest one's reference starts
+    at a step of at most h_ref_factor * eps (default eps / (8 rho)) and is
+    certified as the module docstring describes; every other epsilon runs
+    at the step-to-eps ratio it ended at, with no partner of its own.
     """
     eps_values = [float(e) for e in eps_values]
     if not eps_values or any(e <= 0 for e in eps_values):
@@ -371,7 +369,8 @@ def sweep_eps(
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps_values must be strictly decreasing")
     check_finite_positive("h", h)
-    check_finite_positive("h_ref_factor", h_ref_factor)
+    if h_ref_factor is not None:
+        check_finite_positive("h_ref_factor", h_ref_factor)
 
     base = system.with_epsilon(eps_values[0])
     th = thresholds(base)
@@ -380,6 +379,10 @@ def sweep_eps(
     h_snap = T / N
     eps0 = 2.0 * h_snap * th.rho / math.pi if th.rho > 0 else None
     eps0_lower = h_snap * th.mu / (2.0 * math.pi) if th.mu else None
+    # a factor above 1 / (8 rho) starts at the resolution bound instead,
+    # and is scaled down from there if the reference has to be refined
+    resolved = 1.0 / (8.0 * th.rho) if th.rho > 0 else math.inf
+    h_ref_factor = resolved if h_ref_factor is None else min(h_ref_factor, resolved)
 
     def classify(eps: float) -> str:
         if eps0 is not None and eps > eps0:
@@ -388,57 +391,47 @@ def sweep_eps(
             return "large"
         return "intermediate"
 
-    def ref_stride(eps: float) -> int:
-        stride = math.ceil(h_snap / (h_ref_factor * eps))
-        if th.rho > 0:
-            stride = max(stride, math.ceil(4.0 * th.rho * h_snap / eps))
-        stride = max(2, stride)
-        return stride + stride % 2
-
-    def run_one(eps: float):
+    points: list[SweepPoint] = []
+    runs = []  # (index into points, system, scheme trajectory) of the runs that held
+    for eps in eps_values:
         sys_e = system.with_epsilon(eps)
         if abs(sys_e.T - T) > 1e-12 * T:
             raise ValueError("with_epsilon changed the horizon T between epsilons")
-        regime = classify(eps)
-        stride = ref_stride(eps)
-        if N * stride > REF_STEP_CAP:
-            raise ValueError(
-                f"reference for eps = {eps:g} would need {N * stride} steps "
-                f"(cap {REF_STEP_CAP})"
-            )
-        ref = _rk4_nested(sys_e, N, stride)
         try:
-            traj = integrate(sys_e, k, h_snap)
+            runs.append((len(points), sys_e, integrate(sys_e, k, h_snap)))
+            points.append(None)  # measured against its reference below
         except BlowUpError as exc:
-            return SweepPoint(eps, None, None, None, regime, failed=str(exc)), None
-        return _point_from_errors(eps, global_max_error(traj, ref), regime), (
-            sys_e,
-            ref,
-            stride,
-        )
+            points.append(SweepPoint(eps, None, None, None, classify(eps), failed=str(exc)))
 
-    results = [run_one(eps) for eps in eps_values]
-    points = [r[0] for r in results]
-    ref_steps = sum(N * ref_stride(eps) for eps in eps_values)
+    def measure(i: int, traj: Trajectory, ref: Trajectory) -> float:
+        eps = eps_values[i]
+        points[i] = _point_from_errors(eps, global_max_error(traj, ref), classify(eps))
+        return points[i].error_u
+
+    est = margin = stop = None
+    ref_steps = 0
+    if runs:
+        i, sys_e, traj = runs[-1]
+        m0 = _first_refinement(sys_e, h_snap, h_ref_factor * eps_values[i])
+        m, est, margin, ref_steps, stop = _certified_reference(
+            sys_e, N, m0, partial(measure, i, traj)
+        )
+        h_ref_factor *= m0 / m
+        for i, sys_e, traj in runs[:-1]:
+            stride = _first_refinement(sys_e, h_snap, h_ref_factor * eps_values[i])
+            measure(i, traj, _rk4_nested(sys_e, N, stride))
+            ref_steps += N * stride
 
     report = ErrorReport(
         axis="epsilon",
         k=k,
         points=points,
         slopes=_fit_regime_slopes(base, points),
-        thresholds={
-            "eps0": eps0,
-            "eps0_lower": eps0_lower,
-            "rho": th.rho,
-            "mu": th.mu,
-        },
+        thresholds={"eps0": eps0, "eps0_lower": eps0_lower, "rho": th.rho, "mu": th.mu},
+        ref_error_estimate=est,
+        ref_margin=margin,
+        ref_steps=ref_steps,
     )
-    smallest = results[-1][1]
-    if smallest is not None:
-        sys_e, ref, stride = smallest
-        partner = _rk4_nested(sys_e, N, stride // 2, partner=True)
-        ref_steps += N * (stride // 2)
-        _margin_note(report, _richardson_estimate(ref, partner), points[-1].error_u)
-    report.ref_steps = ref_steps
+    _margin_note(report, stop)
     _point_notes(report)
     return report

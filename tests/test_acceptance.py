@@ -298,7 +298,7 @@ def test_criterion_7_eps_uniform_error_split() -> None:
     h_small = 1.0 / 64.0
     eps_small = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
     assert all(e > 2.0 * h_small / math.pi for e in eps_small)
-    rep_s = sweep_eps(system, 2, h_small, eps_small, h_ref_factor=1 / 256)
+    rep_s = sweep_eps(system, 2, h_small, eps_small)
     small_ok = all(p.regime == "small" for p in rep_s.points)
     ydots = [p.error_ydot for p in rep_s.points]
     spread = max(ydots) / min(ydots)
@@ -307,7 +307,7 @@ def test_criterion_7_eps_uniform_error_split() -> None:
     h_large = 0.5
     eps_large = [1 / 32, 1 / 64, 1 / 128, 1 / 256]
     assert all(e < h_large / (2.0 * math.pi) for e in eps_large)
-    rep_l = sweep_eps(system, 1, h_large, eps_large, h_ref_factor=1 / 128)
+    rep_l = sweep_eps(system, 1, h_large, eps_large)
     large_ok = all(p.regime == "large" for p in rep_l.points)
     slope_ly = rep_l.slopes["large_y"]
     slope_lp = rep_l.slopes["large_ydot"]

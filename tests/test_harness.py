@@ -164,16 +164,36 @@ def test_sweep_h_linear_problem_sits_at_floor(monkeypatch) -> None:
     assert report.slopes["small_u"] is None  # degenerate fit reported absent
     assert any("floor" in note for note in report.notes)
     # the Richardson estimate is round-off here: one doubling shows it and
-    # the reference stops refining
+    # the reference stops refining, and the margin note says so
     assert len(runs) <= 3
+    (note,) = [note for note in report.notes if "margin" in note]
+    assert "round-off" in note and "decrease the reference step" not in note
+
+
+def test_sweep_h_margin_note_names_the_step_cap(monkeypatch) -> None:
+    # k = 3 needs one doubling of the reference here; a cap that admits the
+    # first pair but not the doubled run stops the refinement short
+    system = builtin("example1", 0.25, T=1.5)
+    L = math.lcm(*(round(system.T / h) for h in CH_H))
+    monkeypatch.setattr(harness_mod, "REF_STEP_CAP", 3 * L)
+    report = sweep_h(system, 3, CH_H)
+    assert report.ref_steps == 3 * L  # L (m = 2) plus its partner, L (m = 1)
+    assert report.ref_margin < 100
+    (note,) = [note for note in report.notes if "margin" in note]
+    assert "step cap" in note and "decrease the reference step" not in note
 
 
 def recorded_rk4(monkeypatch) -> list:
-    """Record (h_ref, sample_stride, trajectory) of every harness RK4 run."""
+    """Record (h_ref, sample_stride, trajectory) of every harness RK4 run.
+
+    The stand-in accepts only rk4_integrate(system, h_ref, sample_stride=s),
+    the one call the benchmark's tracer spans; every run a sweep makes must
+    resolve the oscillation without allow_unresolved.
+    """
     runs = []
 
-    def recording(system, h_ref, sample_stride=1, allow_unresolved=False):
-        traj = rk4_integrate(system, h_ref, sample_stride, allow_unresolved)
+    def recording(system, h_ref, *, sample_stride):
+        traj = rk4_integrate(system, h_ref, sample_stride=sample_stride)
         runs.append((h_ref, sample_stride, traj))
         return traj
 
@@ -270,6 +290,80 @@ def test_sweep_eps_small_step_regime() -> None:
     assert max(ydots) <= 4.0 * min(ydots)
     assert report.ref_error_estimate is not None
     assert report.thresholds["eps0"] == pytest.approx(2 * (6 / 384) * 1 / math.pi)
+
+
+def test_sweep_eps_explicit_factor_that_meets_the_margin_keeps_its_strides(
+    monkeypatch,
+) -> None:
+    # one reference per eps at stride ceil(h / (f eps)) rounded up to even,
+    # and one partner at half the stride at the smallest eps, written out
+    # here as the reference computation
+    system = builtin("example1", 0.25)
+    h, f, eps_values = 1 / 8, 1 / 64, [1 / 4, 1 / 8]
+    runs = recorded_rk4(monkeypatch)
+    report = sweep_eps(system, 1, h, eps_values, h_ref_factor=f)
+    T = system.T
+    N = round(T / h)
+    strides = [s + s % 2 for s in (math.ceil(h / (f * eps)) for eps in eps_values)]
+    systems = [system.with_epsilon(eps) for eps in eps_values]
+    refs = [
+        rk4_integrate(s, T / (N * stride), sample_stride=stride)
+        for s, stride in zip(systems, strides)
+    ]
+    half = strides[-1] // 2
+    partner = rk4_integrate(systems[-1], T / (N * half), sample_stride=half)
+    want_runs = [(T / (N * s), s) for s in strides + [half]]
+    assert sorted((h_ref, s) for h_ref, s, _ in runs) == sorted(want_runs)
+    for p, s, ref in zip(report.points, systems, refs):
+        errs = global_max_error(integrate(s, 1, h), ref)
+        assert (p.error_u, p.error_y, p.error_ydot) == (errs.u, errs.y, errs.ydot)
+    est = global_max_error(refs[-1], partner).u * (1.0 / 15.0)
+    assert report.ref_error_estimate.u == est
+    assert report.ref_margin == report.points[-1].error_u / est >= 100
+    assert report.ref_steps == N * (sum(strides) + half)
+    assert report.notes == []
+
+
+def test_sweep_eps_default_reference_is_sized_by_its_margin() -> None:
+    # acceptance criterion 7's large-step inputs; with a fixed step of
+    # eps / 1024 the references took 3,735,552 RK4 steps, against 135,168
+    # when sized by the margin
+    system = builtin("example1", 0.25)
+    report = sweep_eps(system, 1, 0.5, [1 / 32, 1 / 64, 1 / 128, 1 / 256])
+    assert report.ref_margin is not None and report.ref_margin >= 100
+    assert not any("margin" in note for note in report.notes)
+    assert 0 < report.ref_steps <= 140_000
+
+
+def test_sweep_eps_coarse_factor_starts_at_the_resolution_bound() -> None:
+    # the certified reference doubles once here; every eps must follow it,
+    # also when the requested factor was coarser than 1 / (8 rho)
+    system = builtin("example1", 0.25, T=1.5)
+    eps_values = [1 / 16, 1 / 32, 1 / 64]
+    default = sweep_eps(system, 1, 1 / 4, eps_values)
+    assert default.ref_steps == 3840  # N = 6: 6 * (64 + 128 + 256) + 6 * (128 + 64)
+    assert sweep_eps(system, 1, 1 / 4, eps_values, h_ref_factor=1.0) == default
+
+
+def test_sweep_eps_blown_up_point_runs_no_reference(monkeypatch) -> None:
+    system = builtin("example1", 0.25)
+    real_integrate = harness_mod.integrate
+
+    def flaky(sys_, k, h):
+        if sys_.epsilon < 0.1:
+            raise BlowUpError(3, 0.75, 2e12)
+        return real_integrate(sys_, k, h)
+
+    monkeypatch.setattr(harness_mod, "integrate", flaky)
+    runs = recorded_rk4(monkeypatch)
+    report = sweep_eps(system, 1, 1 / 8, [1 / 4, 1 / 8, 1 / 16], h_ref_factor=1 / 64)
+    failed = report.points[-1]
+    assert failed.failed is not None and failed.error_u is None
+    assert all(p.failed is None and p.error_u > 0 for p in report.points[:2])
+    assert runs and all(ref.epsilon != 1 / 16 for _, _, ref in runs)
+    # the smallest eps that held is the one certified
+    assert report.ref_margin == report.points[1].error_u / report.ref_error_estimate.u
+    assert any("blow-up" in note for note in report.notes)
 
 
 def test_sweep_eps_validation() -> None:
