@@ -120,12 +120,7 @@ def _cmd_reference(args) -> int:
     if args.stride < 1:
         raise ConfigError(f"--stride must be a positive integer, got {args.stride}")
     system = load_config_file(args.config)
-    traj = rk4_integrate(
-        system,
-        args.href,
-        sample_stride=args.stride,
-        allow_unresolved=args.allow_unresolved,
-    )
+    traj = rk4_integrate(system, args.href, sample_stride=args.stride)
     with _out_stream(args.out) as fh:
         _write_trajectory(traj, fh)
     return 0
@@ -291,7 +286,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--href", type=float, required=True)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--allow-unresolved", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reference)
 

@@ -5,11 +5,13 @@ Euclidean norm of the state difference against an RK4 reference.  For
 phase-space systems ([y; p] with p = eps * dy/dt) the error is also
 split into error(y) and error(dy/dt) = |p - p_ref| / eps.
 
-Both sweeps size their RK4 references by one policy,
-_certified_reference.  A reference runs on the scheme's grid refined by
-an even m (sweep_h nests all its grids into one grid, the lcm L of the
-step counts, so one reference serves every h).  m starts at the
-smallest value whose step is at most the caller's step and at most
+sweep_h and sweep_eps only build a list of (param, system, n) runs;
+one engine, _sweep, runs the scheme, measures and certifies both.  Runs
+that share a system (all of sweep_h's, one per eps in sweep_eps) share
+one RK4 reference on the lcm L of their step counts, refined by an even
+m.  One reference per sweep is certified, by _certified_reference: that
+of the smallest eps with a run that held.  m starts at the smallest
+value whose step is at most the caller's step and at most
 eps / (8 rho), so even the partner below resolves the oscillation.  The
 reference's accuracy is estimated by Richardson extrapolation against a
 partner run at m / 2 (RK4 is fourth order, so their disagreement over
@@ -18,9 +20,9 @@ becoming the partner, until the smallest error the reference measures
 is REF_MARGIN_TARGET times that estimate.  Refinement stops early when
 a doubling cuts the estimate less than 4x (round-off, not truncation,
 is left) or when the next run would pass REF_STEP_CAP steps; the
-report's margin note names the rule that stopped it.  sweep_eps
-certifies the reference at its smallest eps and runs every other eps
-at the step-to-eps ratio that certification ended at.
+report's margin note names the rule that stopped it.  Every other
+system runs its reference at the step-to-eps ratio that certification
+ended at.
 
 Order fits are least-squares slopes on log-log data, done separately
 for the small-step regime (h below h0 = pi eps / (2 rho)) and the
@@ -158,17 +160,6 @@ def _components(system: OscillatorySystem) -> list[str]:
     return ["u", "y", "ydot"] if system.y_dim is not None else ["u"]
 
 
-def _point_from_errors(param, errs: ErrorValues, regime: str) -> SweepPoint:
-    return SweepPoint(
-        param=param,
-        error_u=errs.u,
-        error_y=errs.y,
-        error_ydot=errs.ydot,
-        regime=regime,
-        floored=errs.u <= ACCURACY_FLOOR,
-    )
-
-
 def _fit_regime_slopes(system, points) -> dict[str, float | None]:
     slopes: dict[str, float | None] = {}
     for regime in ("small", "large"):
@@ -219,16 +210,6 @@ _STOP_ADVICE = {
 }
 
 
-def _margin_note(report: ErrorReport, stop: str | None) -> None:
-    margin = report.ref_margin
-    if margin is not None and margin < REF_MARGIN_TARGET:
-        advice = _STOP_ADVICE.get(stop, "decrease the reference step")
-        report.notes.append(
-            f"reference accuracy margin is {margin:.1f}x, below the "
-            f"{REF_MARGIN_TARGET:g}x target; {advice}"
-        )
-
-
 def _certified_reference(system, n: int, m: int, min_error):
     """Certify an RK4 reference on the n-interval grid, from m steps per interval.
 
@@ -261,17 +242,107 @@ def _certified_reference(system, n: int, m: int, min_error):
             stop = "round-off"
 
 
-def _point_notes(report: ErrorReport) -> None:
-    """Append the aborted-point and floored-point notes to a finished sweep."""
-    n_failed = sum(1 for p in report.points if p.failed)
+def _regime(system: OscillatorySystem, h: float) -> str:
+    th = thresholds(system)
+    if th.h0 is not None and h < th.h0:
+        return "small"
+    if th.h0_lower is not None and h > th.h0_lower:
+        return "large"
+    return "intermediate"
+
+
+def _decreasing(name: str, values) -> list[float]:
+    values = [float(v) for v in values]
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{name} must be finite and positive")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly decreasing")
+    return values
+
+
+def _sweep(axis: str, k: int, runs, factor: float | None, bounds: dict) -> ErrorReport:
+    """Run, measure and certify a sweep of (param, system, n) runs.
+
+    The scheme runs once per triple at h = T / n; a blow-up marks the
+    point failed, and h against thresholds(system) gives its regime.
+    Runs that share a system share one RK4 reference on the lcm of their
+    grids.  The system of smallest epsilon with a run that held (of all
+    systems, if none held) gets the certified reference, starting at a
+    step of at most factor * eps (default eps / (8 rho)).  Every other
+    system with a run that held gets one reference run at the
+    step-to-eps ratio that certification ended at.
+    """
+    points: list[SweepPoint] = []
+    by_system: dict[int, tuple] = {}  # id(system): (system, [(point, n, trajectory)])
+    for param, system, n in runs:
+        h = system.T / n
+        try:
+            traj, failed = integrate(system, k, h), None
+        except BlowUpError as exc:
+            traj, failed = None, str(exc)
+        by_system.setdefault(id(system), (system, []))[1].append((len(points), n, traj))
+        points.append(SweepPoint(param, None, None, None, _regime(system, h), failed=failed))
+
+    def measure(members, L: int, ref: Trajectory) -> float | None:
+        errors = []
+        for i, n, traj in members:
+            if traj is None:
+                continue
+            stride = L // n
+            sub = replace(ref, times=ref.times[::stride], states=ref.states[::stride])
+            errs = global_max_error(traj, sub)
+            points[i] = replace(points[i], error_u=errs.u, error_y=errs.y,
+                                error_ydot=errs.ydot, floored=errs.u <= ACCURACY_FLOOR)
+            errors.append(errs.u)
+        return min(errors, default=None)
+
+    groups = [(s, math.lcm(*(n for _, n, _ in ms)), ms) for s, ms in by_system.values()]
+    held = [g for g in groups if any(traj is not None for _, _, traj in g[2])]
+    certified = min(held or groups, key=lambda g: g[0].epsilon)
+    system, L, members = certified
+    rho = thresholds(system).rho
+    # a factor above 1 / (8 rho) starts at the resolution bound instead,
+    # and is scaled down from there if the reference has to be refined
+    resolved = 1.0 / (8.0 * rho) if rho > 0 else math.inf
+    factor = resolved if factor is None else min(factor, resolved)
+    m0 = _first_refinement(system, system.T / L, factor * system.epsilon)
+    m, est, margin, ref_steps, stop = _certified_reference(
+        system, L, m0, partial(measure, members, L)
+    )
+    factor *= m0 / m
+    for group in held:
+        if group is not certified:
+            system, L, members = group
+            stride = _first_refinement(system, system.T / L, factor * system.epsilon)
+            measure(members, L, _rk4_nested(system, L, stride))
+            ref_steps += L * stride
+
+    report = ErrorReport(
+        axis=axis,
+        k=k,
+        points=points,
+        slopes=_fit_regime_slopes(runs[0][1], points),
+        thresholds=bounds,
+        ref_error_estimate=est,
+        ref_margin=margin,
+        ref_steps=ref_steps,
+    )
+    if margin is not None and margin < REF_MARGIN_TARGET:
+        advice = _STOP_ADVICE.get(stop, "decrease the reference step")
+        report.notes.append(
+            f"reference accuracy margin is {margin:.1f}x, below the "
+            f"{REF_MARGIN_TARGET:g}x target; {advice}"
+        )
+    n_failed = sum(1 for p in points if p.failed)
     if n_failed:
         report.notes.append(f"{n_failed} point(s) aborted (state blow-up)")
-    n_floored = sum(1 for p in report.points if p.floored)
+    n_floored = sum(1 for p in points if p.floored)
     if n_floored:
         report.notes.append(
             f"{n_floored} point(s) at the {ACCURACY_FLOOR:g} accuracy floor were "
             "excluded from fits"
         )
+    return report
 
 
 def sweep_h(
@@ -288,63 +359,19 @@ def sweep_h(
     is certified as the module docstring describes; errors are taken
     against its last run.  report.ref_steps counts every RK4 step spent.
     """
-    h_values = [float(h) for h in h_values]
-    if not h_values or not all(math.isfinite(h) and h > 0 for h in h_values):
-        raise ValueError("h_values must be finite and positive")
-    if any(b >= a for a, b in zip(h_values, h_values[1:])):
-        raise ValueError("h_values must be strictly decreasing")
+    h_values = _decreasing("h_values", h_values)
     if h_ref_target is not None:
         check_finite_positive("h_ref_target", h_ref_target)
-
     th = thresholds(system)
     T = system.T
-    n_values = list(dict.fromkeys(max(1, round(T / h)) for h in h_values))
-    L = math.lcm(*n_values)
-
-    def classify(h: float) -> str:
-        if th.h0 is not None and h < th.h0:
-            return "small"
-        if th.h0_lower is not None and h > th.h0_lower:
-            return "large"
-        return "intermediate"
-
-    runs = []  # (n, scheme trajectory, blow-up message): one of the two is None
-    for n in n_values:
-        try:
-            runs.append((n, integrate(system, k, T / n), None))
-        except BlowUpError as exc:
-            runs.append((n, None, str(exc)))
-
-    points: list[SweepPoint] = []
-
-    def min_error(ref: Trajectory) -> float | None:
-        points.clear()
-        for n, traj, failed in runs:
-            h = T / n
-            if failed is not None:
-                points.append(SweepPoint(h, None, None, None, classify(h), failed=failed))
-                continue
-            stride = L // n
-            sub = replace(ref, times=ref.times[::stride], states=ref.states[::stride])
-            points.append(_point_from_errors(h, global_max_error(traj, sub), classify(h)))
-        ok_errors = [p.error_u for p in points if p.error_u is not None]
-        return min(ok_errors) if ok_errors else None
-
-    m = _first_refinement(system, T / L, h_ref_target or math.inf)
-    _, est, margin, ref_steps, stop = _certified_reference(system, L, m, min_error)
-    report = ErrorReport(
-        axis="h",
-        k=k,
-        points=points,
-        slopes=_fit_regime_slopes(system, points),
-        thresholds={"h0": th.h0, "h0_lower": th.h0_lower, "rho": th.rho, "mu": th.mu},
-        ref_error_estimate=est,
-        ref_margin=margin,
-        ref_steps=ref_steps,
+    n_values = dict.fromkeys(max(1, round(T / h)) for h in h_values)
+    return _sweep(
+        "h",
+        k,
+        [(T / n, system, n) for n in n_values],
+        None if h_ref_target is None else h_ref_target / system.epsilon,
+        {"h0": th.h0, "h0_lower": th.h0_lower, "rho": th.rho, "mu": th.mu},
     )
-    _margin_note(report, stop)
-    _point_notes(report)
-    return report
 
 
 def sweep_eps(
@@ -357,81 +384,32 @@ def sweep_eps(
     """Error vs epsilon at fixed step size h.
 
     system is rebuilt per epsilon by system.with_epsilon, and the scheme
-    runs once per epsilon.  Each epsilon whose run held gets an RK4
-    reference on the scheme's grid.  The smallest one's reference starts
-    at a step of at most h_ref_factor * eps (default eps / (8 rho)) and is
-    certified as the module docstring describes; every other epsilon runs
-    at the step-to-eps ratio it ended at, with no partner of its own.
+    runs once per epsilon, with h snapped to divide T exactly.  The
+    reference starts at a step of at most h_ref_factor * eps (default
+    eps / (8 rho)) and is certified at the smallest epsilon as the module
+    docstring describes; every other epsilon whose run held gets one
+    reference run at the step-to-eps ratio it ended at.
     """
-    eps_values = [float(e) for e in eps_values]
-    if not eps_values or any(e <= 0 for e in eps_values):
-        raise ValueError("eps_values must be positive")
-    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("eps_values must be strictly decreasing")
+    eps_values = _decreasing("eps_values", eps_values)
     check_finite_positive("h", h)
     if h_ref_factor is not None:
         check_finite_positive("h_ref_factor", h_ref_factor)
-
-    base = system.with_epsilon(eps_values[0])
-    th = thresholds(base)
-    T = base.T
+    systems = [system.with_epsilon(eps) for eps in eps_values]
+    T = systems[0].T
+    if any(abs(s.T - T) > 1e-12 * T for s in systems):
+        raise ValueError("with_epsilon changed the horizon T between epsilons")
+    th = thresholds(systems[0])
     N = max(1, round(T / h))
     h_snap = T / N
-    eps0 = 2.0 * h_snap * th.rho / math.pi if th.rho > 0 else None
-    eps0_lower = h_snap * th.mu / (2.0 * math.pi) if th.mu else None
-    # a factor above 1 / (8 rho) starts at the resolution bound instead,
-    # and is scaled down from there if the reference has to be refined
-    resolved = 1.0 / (8.0 * th.rho) if th.rho > 0 else math.inf
-    h_ref_factor = resolved if h_ref_factor is None else min(h_ref_factor, resolved)
-
-    def classify(eps: float) -> str:
-        if eps0 is not None and eps > eps0:
-            return "small"
-        if eps0_lower is not None and eps < eps0_lower:
-            return "large"
-        return "intermediate"
-
-    points: list[SweepPoint] = []
-    runs = []  # (index into points, system, scheme trajectory) of the runs that held
-    for eps in eps_values:
-        sys_e = system.with_epsilon(eps)
-        if abs(sys_e.T - T) > 1e-12 * T:
-            raise ValueError("with_epsilon changed the horizon T between epsilons")
-        try:
-            runs.append((len(points), sys_e, integrate(sys_e, k, h_snap)))
-            points.append(None)  # measured against its reference below
-        except BlowUpError as exc:
-            points.append(SweepPoint(eps, None, None, None, classify(eps), failed=str(exc)))
-
-    def measure(i: int, traj: Trajectory, ref: Trajectory) -> float:
-        eps = eps_values[i]
-        points[i] = _point_from_errors(eps, global_max_error(traj, ref), classify(eps))
-        return points[i].error_u
-
-    est = margin = stop = None
-    ref_steps = 0
-    if runs:
-        i, sys_e, traj = runs[-1]
-        m0 = _first_refinement(sys_e, h_snap, h_ref_factor * eps_values[i])
-        m, est, margin, ref_steps, stop = _certified_reference(
-            sys_e, N, m0, partial(measure, i, traj)
-        )
-        h_ref_factor *= m0 / m
-        for i, sys_e, traj in runs[:-1]:
-            stride = _first_refinement(sys_e, h_snap, h_ref_factor * eps_values[i])
-            measure(i, traj, _rk4_nested(sys_e, N, stride))
-            ref_steps += N * stride
-
-    report = ErrorReport(
-        axis="epsilon",
-        k=k,
-        points=points,
-        slopes=_fit_regime_slopes(base, points),
-        thresholds={"eps0": eps0, "eps0_lower": eps0_lower, "rho": th.rho, "mu": th.mu},
-        ref_error_estimate=est,
-        ref_margin=margin,
-        ref_steps=ref_steps,
+    return _sweep(
+        "epsilon",
+        k,
+        [(eps, s, N) for eps, s in zip(eps_values, systems)],
+        h_ref_factor,
+        {
+            "eps0": 2.0 * h_snap * th.rho / math.pi if th.rho > 0 else None,
+            "eps0_lower": h_snap * th.mu / (2.0 * math.pi) if th.mu else None,
+            "rho": th.rho,
+            "mu": th.mu,
+        },
     )
-    _margin_note(report, stop)
-    _point_notes(report)
-    return report

@@ -3,8 +3,8 @@
 Integrates du/dt = L u + F(u, t), L = A / eps, with the classical
 four-stage Runge-Kutta rule on a uniform grid.  Meant to produce
 trustworthy reference trajectories for convergence studies, so the step
-must resolve the fast rotation: h_ref <= eps / (4 rho) with rho the
-spectral radius of A, unless the caller explicitly opts out.
+it takes must resolve the fast rotation: T / N_total <= eps / (4 rho),
+with rho the spectral radius of A and N_total the step count below.
 
 The linear part is applied in stage-increment form.  L and h are fixed
 for a whole run, so every stage state is u plus a fixed linear map of
@@ -27,8 +27,6 @@ lined up exactly with a scheme trajectory on that grid.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -73,29 +71,28 @@ def rk4_integrate(
     system: OscillatorySystem,
     h_ref: float,
     sample_stride: int = 1,
-    allow_unresolved: bool = False,
 ) -> Trajectory:
-    """Reference trajectory sampled every sample_stride RK4 steps."""
+    """Reference trajectory sampled every sample_stride RK4 steps.
+
+    h_ref is snapped so that a whole number of samples fits T; the step
+    taken, not h_ref, must resolve the oscillation.
+    """
     check_finite_positive("reference step", h_ref)
     if sample_stride < 1 or int(sample_stride) != sample_stride:
         raise ValueError("sample_stride must be a positive integer")
     sample_stride = int(sample_stride)
 
-    rho = float(np.max(np.abs(system._spectrum)))
-    if rho > 0:
-        h_max = system.epsilon / (4.0 * rho)
-        if h_ref > h_max * (1 + 1e-12):
-            msg = (
-                f"h_ref = {h_ref:.3e} does not resolve the oscillation: "
-                f"need h_ref <= eps / (4 rho) = {h_max:.3e}"
-            )
-            if not allow_unresolved:
-                raise ValueError(msg)
-            warnings.warn(msg, UserWarning, stacklevel=2)
-
     n_samples = max(1, round(system.T / (h_ref * sample_stride)))
     n_total = n_samples * sample_stride
     h = system.T / n_total
+    rho = float(np.max(np.abs(system._spectrum)))
+    if rho > 0:
+        h_max = system.epsilon / (4.0 * rho)
+        if h > h_max * (1 + 1e-12):
+            raise ValueError(
+                f"reference step T / {n_total} = {h:.3e} does not resolve the "
+                f"oscillation: need at most eps / (4 rho) = {h_max:.3e}"
+            )
 
     real_path = system.is_real
     L = np.asarray(system.A, dtype=complex) / system.epsilon

@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 
+import osc_llei.harness as harness_mod
 from osc_llei import (
     OscillatorySystem,
     PolynomialOracle,
@@ -37,7 +38,6 @@ from osc_llei import (
     integrate,
     lift,
     random_imaginary_system,
-    rk4_integrate,
     run_suite,
     sweep_eps,
     sweep_h,
@@ -255,28 +255,24 @@ def test_criterion_6_large_step_order() -> None:
     h_list = [system.T / n for n in n_values]
     assert all(th.h0_lower < h <= 0.5 for h in h_list)  # inside (2 pi eps, 1/2]
 
-    # one shared reference on the lcm grid, reused across k
+    # one shared reference on the lcm grid, reused across k, certified by
+    # the harness against the smallest error over all three
     L = n_values[-1]
-    m = 5462  # even substep count; h_ref = 6 / 1048704 ~ 5.7e-6
-    h_ref = system.T / (L * m)
-    ref = rk4_integrate(system, h_ref, sample_stride=m)
-    ref2 = rk4_integrate(system, 2.0 * h_ref, sample_stride=m // 2)
-    ref_est = global_max_error(ref, ref2).u / 15.0
+    trajs = {(k, n): integrate(system, k, system.T / n) for k in (1, 2, 3) for n in n_values}
+    errs = {}
 
-    slopes = {}
-    min_err = math.inf
-    for k in (1, 2, 3):
-        errs = []
-        for n in n_values:
-            traj = integrate(system, k, system.T / n)
+    def min_error(ref):
+        for (k, n), traj in trajs.items():
             stride = L // n
             sub = dataclasses.replace(
                 ref, times=ref.times[::stride], states=ref.states[::stride]
             )
-            errs.append(global_max_error(traj, sub).u)
-        min_err = min(min_err, min(errs))
-        slopes[k] = fit_order(h_list, errs)
-    margin = min_err / ref_est
+            errs[k, n] = global_max_error(traj, sub).u
+        return min(errs.values())
+
+    m0 = harness_mod._first_refinement(system, system.T / L, math.inf)
+    *_, margin, ref_steps, _ = harness_mod._certified_reference(system, L, m0, min_error)
+    slopes = {k: fit_order(h_list, [errs[k, n] for n in n_values]) for k in (1, 2, 3)}
     elapsed = time.perf_counter() - t0
     slopes_ok = all(
         slopes[k] is not None and abs(slopes[k] - k) <= 0.4 for k in slopes
@@ -287,7 +283,7 @@ def test_criterion_6_large_step_order() -> None:
         "large-step slopes "
         + ", ".join(f"k={k}: {slopes[k]:.3f}" for k in slopes)
         + f" (each k +- 0.4), eps=1/256, h in (2 pi eps, 1/2], "
-        f"ref margin {margin:.0f}x, {elapsed:.1f}s",
+        f"ref margin {margin:.0f}x over {ref_steps} RK4 steps, {elapsed:.1f}s",
     )
 
 

@@ -188,10 +188,11 @@ def test_reference_csv_and_resolution_guard(tmp_path, capsys) -> None:
 
     assert main(["reference", "--config", cfg_path, "--href", "0.1"]) == 2
     assert "error:" in capsys.readouterr().err
-    with pytest.warns(UserWarning):
-        rc = main(["reference", "--config", cfg_path, "--href", "0.1",
-                   "--allow-unresolved", "--out", str(tmp_path / "r.csv")])
-    assert rc == 0
+    # eps / (4 rho) = 0.0625 allows --href 0.0625, but T / 12 is the step
+    # the stride forces: one sample of 12 steps of 0.0833
+    assert main(["reference", "--config", cfg_path, "--href", "0.0625",
+                 "--stride", "12"]) == 2
+    assert "does not resolve" in capsys.readouterr().err
 
 
 def test_dyadic_grid_nests_step_counts() -> None:

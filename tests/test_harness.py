@@ -188,7 +188,7 @@ def recorded_rk4(monkeypatch) -> list:
 
     The stand-in accepts only rk4_integrate(system, h_ref, sample_stride=s),
     the one call the benchmark's tracer spans; every run a sweep makes must
-    resolve the oscillation without allow_unresolved.
+    pass its resolution guard.
     """
     runs = []
 
@@ -364,6 +364,37 @@ def test_sweep_eps_blown_up_point_runs_no_reference(monkeypatch) -> None:
     # the smallest eps that held is the one certified
     assert report.ref_margin == report.points[1].error_u / report.ref_error_estimate.u
     assert any("blow-up" in note for note in report.notes)
+
+
+def test_sweep_eps_certifies_the_smallest_eps_when_every_run_blew_up(monkeypatch) -> None:
+    # as sweep_h does, so a reference that blows up as well is reported
+    system = builtin("example1", 0.25)
+
+    def blow_up(sys_, k, h):
+        raise BlowUpError(3, 0.75, 2e12)
+
+    monkeypatch.setattr(harness_mod, "integrate", blow_up)
+    runs = recorded_rk4(monkeypatch)
+    report = sweep_eps(system, 1, 1 / 8, [1 / 4, 1 / 8, 1 / 16], h_ref_factor=1 / 64)
+    assert all(p.failed is not None and p.error_u is None for p in report.points)
+    # one certified pair at eps = 1/16 (stride 128 and its partner at 64)
+    N = round(system.T * 8)
+    assert [(ref.epsilon, s) for _, s, ref in runs] == [(1 / 16, 64), (1 / 16, 128)]
+    assert report.ref_steps == N * (64 + 128)
+    assert report.ref_margin is None and report.ref_error_estimate.u > 0
+    assert any("3 point(s) aborted" in note for note in report.notes)
+
+
+def test_sweep_h_and_sweep_eps_agree_on_a_shared_point() -> None:
+    system = builtin("example1", 0.25, T=1.5)
+    by_h = sweep_h(system, 2, [1 / 16])
+    by_eps = sweep_eps(system, 2, 1 / 16, [0.25])
+    (p_h,), (p_eps,) = by_h.points, by_eps.points
+    assert dataclasses.replace(p_h, param=0.25) == p_eps
+    assert p_eps.regime == "small"
+    assert by_h.ref_error_estimate == by_eps.ref_error_estimate
+    assert by_h.ref_margin == by_eps.ref_margin >= 100
+    assert by_h.ref_steps == by_eps.ref_steps > 0
 
 
 def test_sweep_eps_validation() -> None:

@@ -76,13 +76,15 @@ def test_harmonic_oscillator_closed_form() -> None:
     assert np.max(np.abs(traj.states[:, 1] - p)) <= 1e-11
 
 
-def test_resolution_guard_and_override() -> None:
+def test_resolution_guard_checks_the_step_taken() -> None:
     system = builtin("example1", 0.01, T=0.5)  # rho = 1, eps/(4 rho) = 0.0025
     with pytest.raises(ValueError):
         rk4_integrate(system, 0.01)
-    with pytest.warns(UserWarning):
-        traj = rk4_integrate(system, 0.01, allow_unresolved=True)
-    assert np.all(np.isfinite(traj.states.real))
+    # h_ref meets the bound, but 0.5 / (0.0025 * 150) rounds to one sample
+    # of 150 steps, each T / 150 = 0.00333 long
+    with pytest.raises(ValueError, match="does not resolve"):
+        rk4_integrate(system, 0.0025, sample_stride=150)
+    assert rk4_integrate(system, 0.0025, sample_stride=100).h == 0.25
 
 
 def test_sampling_aligns_with_scheme_grid() -> None:
