@@ -6,7 +6,8 @@ a header row naming the columns, numbers with 17 significant digits,
 and "# "-prefixed trailing summary lines where a sweep has slopes and
 thresholds to report.  Exit codes: 0 success, 1 failed checks, failed
 CI assertions or a numerical failure (state blow-up or time-row drift),
-2 usage or configuration errors.  Every error is reported as one
+2 usage or configuration errors, including a request too large for
+memory (a step count in the trillions).  Every error is reported as one
 "error: ..." line on stderr.
 """
 
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except (BlowUpError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

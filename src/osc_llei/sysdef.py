@@ -11,7 +11,9 @@ for every multi-index beta over the d+1 variables (u_1, ..., u_d, t) up
 to a degree k, in the order of a multi-index catalog.  JetOracle
 derives them from F(u, t) written as a plain function; PolynomialOracle
 is a JetOracle on its monomials, and the charged particle's force is
-one too.  The pendulum forcing alone uses a closed form.
+one too.  The pendulum forcing alone uses a closed form.  An oracle's
+forcing_parts describe F itself as E @ g(u[rows], t), which lets the
+RK4 reference evaluate only the forcing a second-order system has.
 """
 
 from __future__ import annotations
@@ -93,6 +95,17 @@ class DerivativeOracle:
     def value(self, u, t) -> np.ndarray:
         """F(u, t) itself; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
+
+    def forcing_parts(self, d: int) -> tuple[Callable, slice, np.ndarray]:
+        """F as (g, rows, E) with F(u, t) = E @ g(u[rows], t).
+
+        g is a value callable, rows a slice (so u[rows] is a view of u)
+        and E a d x m embedding matrix.  Generically F is its own g:
+        (value, all of u, I_d).  An oracle whose F depends on part of u
+        and lives in a few directions returns the smaller g, which the
+        RK4 reference then evaluates in place of F.
+        """
+        return self.value, slice(None), np.eye(d)
 
 
 class JetOracle(DerivativeOracle):
@@ -259,6 +272,9 @@ class _TransformedOracle(DerivativeOracle):
         self.dy = dy
         self.scale = scale
         self.real_valued = g_oracle.real_valued
+        self._embed = np.zeros((2 * dy, dy))
+        self._embed[dy:] = scale * np.eye(dy)
+        self._embed.flags.writeable = False
 
     def _taylor(self, catalog, u, t):
         # the rows without a p component are g's Taylor coefficients with
@@ -270,15 +286,19 @@ class _TransformedOracle(DerivativeOracle):
         out[sub.rows, dy:] = self.scale * g
         return out
 
+    def forcing_parts(self, d: int):
+        """(g, y rows, [0; scale I]): F(u, t) = [0; scale * g(y, t)], d = 2 dy."""
+        # g_oracle.value is looked up per call, not stored, so a wrapper
+        # installed on its class later is the g a run reads
+        return self.g_oracle.value, slice(0, self.dy), self._embed
+
     def value(self, u, t):
         u = np.asarray(u)
-        dy = self.dy
-        g = self.g_oracle.value(u[:dy], t)
-        if g.dtype.kind == "c" and self.real_valued and u.dtype.kind != "c":
-            g = g.real
-        out = np.zeros(2 * dy, dtype=np.promote_types(g.dtype, np.float64))
-        out[dy:] = self.scale * g
-        return out
+        g, rows, E = self.forcing_parts(2 * self.dy)
+        out = g(u[rows], t)
+        if out.dtype.kind == "c" and self.real_valued and u.dtype.kind != "c":
+            out = out.real
+        return E.dot(out)
 
 
 def second_order_to_first_order(

@@ -454,3 +454,27 @@ def test_reference_on_builtin_second_order(tmp_path) -> None:
     assert len(lines[0].split(",")) == 1 + 2 * 4
     system = builtin("example2-E6", 0.25)
     assert system.y_dim == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # 1.5e16 RK4 samples: a 426 PiB state array
+        ["reference", "--href", "1e-16"],
+        # 1.5e16 scheme steps: a 107 PiB time grid
+        ["integrate", "--k", "1", "--h", "1e-16"],
+        # a 2-step run, then 2^54 steps: a 128 PiB time grid
+        ["converge-h", "--k", "1", "--hmax", "0.75", "--hmin", "1e-16", "--points", "2"],
+    ],
+    ids=["reference", "integrate", "converge-h"],
+)
+def test_step_count_too_large_for_memory_is_a_usage_error(tmp_path, capsys, command) -> None:
+    # every request's first large array is >= 1 PiB, past any machine's
+    # address space, so the allocation fails at once whatever the
+    # overcommit policy; it is reported as one line, not a traceback
+    cfg_path = write_config(tmp_path, {"name": "example1", "epsilon": 0.25, "T": 1.5})
+    assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +47,10 @@ from osc_llei import (
     builtin,
     gamma,
     lift,
+    load_config,
     random_imaginary_system,
     remove_component,
+    second_order_to_first_order,
 )
 from osc_llei._jets import Jet
 from osc_llei.mindex import _catalog, _exponent_table, _sum_table, restrict
@@ -615,3 +620,41 @@ def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
     for jet, want in cases:
         want = np.array([want.get(e, 0.0) for e in exps])
         assert_close(jet.c, want, PLAN_RTOL)
+
+
+def readme_inline_system():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```$", text, flags=re.S | re.M)
+    return load_config(json.loads(next(b for b in blocks if "poly_F" in b)))
+
+
+@PROPERTY
+@given(st.data())
+def test_forcing_parts_reproduce_value(data) -> None:
+    # F(u, t) = E @ g(u[rows], t), the form the RK4 reference steps with,
+    # at real and complex points of every builtin, the README's inline
+    # config and a random second-order system with a polynomial g
+    dy = data.draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    B = rng.standard_normal((dy, dy))
+    second_order = second_order_to_first_order(
+        M=B @ B.T + dy * np.eye(dy),
+        g_oracle=data.draw(polynomials(dy, 3)),
+        y_in=rng.standard_normal(dy),
+        ydot_in=rng.standard_normal(dy),
+        epsilon=0.3,
+        nu=1.0,
+        T=1.0,
+    )
+    systems = [builtin(name, 0.3) for name in ("example1", "example2-E6", "example2-E3")]
+    for system in systems + [readme_inline_system(), second_order]:
+        d = system.d
+        x = data.draw(points(d))
+        if data.draw(st.booleans()):
+            x = x.real
+        u, t = x[:d], x[d].real
+        g, rows, E = system.oracle.forcing_parts(d)
+        assert E.shape[0] == d
+        want = system.oracle.value(u, t)
+        got = E @ g(u[rows], t)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), system.name

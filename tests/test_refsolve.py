@@ -12,6 +12,7 @@ import pytest
 
 from osc_llei import (
     BlowUpError,
+    DerivativeOracle,
     OscillatorySystem,
     PolynomialOracle,
     builtin,
@@ -164,19 +165,20 @@ def test_real_fast_path_matches_complex_path() -> None:
         y_dim=1,
     )
     traj_cplx = rk4_integrate(complex_sys, 1e-3)
+    # the real run reads g on y alone, the complex run all of F
+    assert real_sys.oracle.forcing_parts(2)[1] == slice(0, 1)
+    assert complex_sys.oracle.forcing_parts(2)[1] == slice(None)
     assert np.allclose(traj_real.states, traj_cplx.states, rtol=0, atol=1e-13)
 
 
-class _ComplexWrap:
-    """Force the complex path by reporting real_valued = False."""
-
-    real_valued = False
+class _ComplexWrap(DerivativeOracle):
+    """Force the generic complex path: not real-valued, F as its own forcing part."""
 
     def __init__(self, inner):
         self.inner = inner
 
-    def partial(self, alpha, u, t):
-        return self.inner.partial(alpha, u, t)
+    def _taylor(self, catalog, u, t):
+        return self.inner.taylor(catalog, u, t)
 
     def value(self, u, t):
         return self.inner.value(u, t).astype(complex)
@@ -221,31 +223,49 @@ def readme_inline_system() -> OscillatorySystem:
     return load_config(json.loads(next(b for b in blocks if "poly_F" in b)))
 
 
+def complex_phase_space_system() -> OscillatorySystem:
+    # complex y_in and a complex coefficient in g: the complex path, with
+    # F read through the [0; eps I] embedding of g
+    return second_order_to_first_order(
+        M=np.array([[2.0, 0.5], [0.5, 1.0]]),
+        g_oracle=PolynomialOracle(2, [(1, (1, 2), 0.3), (2, (1, 1, 3), -1.0 + 0.5j)]),
+        y_in=[1.0 + 0.5j, 0.2],
+        ydot_in=[0.1, -0.3j],
+        epsilon=1 / 16,
+        nu=1.0,
+        T=1.0,
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: builtin("example1", 1 / 16, T=1.0),
         lambda: builtin("example2-E3", 1 / 16, T=0.5),
         readme_inline_system,
+        complex_phase_space_system,
     ],
-    ids=["example1", "example2-E3", "readme-poly_F"],
+    ids=["example1", "example2-E3", "readme-poly_F", "complex-phase-space"],
 )
 def test_matches_textbook_rk4_with_four_value_calls_per_step(make, monkeypatch) -> None:
-    # the stage-increment kernel is the classical method up to rounding, and
-    # still asks the oracle for F exactly at t, t + h/2, t + h/2 and t + h
+    # the stage-increment kernel is the classical method on the full F up
+    # to rounding, and asks the value callable of F's forcing parts (g of
+    # a second-order system, F itself otherwise) exactly at t, t + h/2,
+    # t + h/2 and t + h
     system = make()
     n_steps = 300
     h = system.T / n_steps
     want = textbook_rk4(system, n_steps)
 
     called_at = []
-    value = system.oracle.value
+    g, _, _ = system.oracle.forcing_parts(system.d)
+    owner, value = g.__self__, g
 
     def counting(u, t):
         called_at.append(t)
         return value(u, t)
 
-    monkeypatch.setattr(system.oracle, "value", counting)
+    monkeypatch.setattr(owner, "value", counting)
     got = rk4_integrate(system, h).states
     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert err <= 1e-13, err
