@@ -64,9 +64,7 @@ class Thresholds:
 
 
 def thresholds(system: OscillatorySystem) -> Thresholds:
-    eigs = np.abs(system._spectrum)
-    rho = float(np.max(eigs))
-    mu = float(np.min(eigs))
+    rho, mu = system.rho, system.mu
     if mu <= 1e-12 * max(1.0, rho):
         mu = None
     return Thresholds(

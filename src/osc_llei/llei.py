@@ -67,19 +67,6 @@ def check_blow_up(u, step_index: int | None, t: float) -> None:
         raise BlowUpError(step_index, t, norm)
 
 
-def _working_state(system: OscillatorySystem, U) -> np.ndarray:
-    """U as float64 when the problem and U are real, else as complex128."""
-    U = np.asarray(U, dtype=complex)
-    if system.is_real and not U.imag.any():
-        return U.real.copy()
-    return U
-
-
-def _augmented_A(system: OscillatorySystem) -> np.ndarray:
-    A1 = augment(system.A)
-    return A1.real.copy() if system.is_real else A1
-
-
 def _step_matrices(system, catalog, A1, Un, tn, h):
     xhat = np.concatenate([Un, [tn]])
     A1k = build_A1(catalog, A1, xhat)
@@ -115,7 +102,7 @@ def step(
     check_finite_positive("step size", h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
-    out = _advance(system, catalog, _augmented_A(system), _working_state(system, Un), tn, h)
+    out = _advance(system, catalog, system.working(augment(system.A)), system.working(Un), tn, h)
     check_blow_up(out, None, tn)
     return out.astype(complex)
 
@@ -123,8 +110,8 @@ def step(
 def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """Run N = round(T/h) uniform steps over [0, T].
 
-    A real problem (system.is_real) steps in float64 arithmetic and any
-    other in complex128; the returned states are complex128 either way.
+    Steps in system.working's dtype (float64 for a real problem); the
+    returned states are complex128 either way.
 
     h is snapped so the uniform grid covers [0, T] exactly; the snap is
     recorded on the returned trajectory.  Aborts with BlowUpError when
@@ -132,11 +119,11 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """
     check_finite_positive("step size", h)
     catalog = build_catalog(system.d + 1, k)
-    A1 = _augmented_A(system)
+    A1 = system.working(augment(system.A))
     N = max(1, round(system.T / h))
     h_snap = system.T / N
     times = np.linspace(0.0, system.T, N + 1)
-    u0 = _working_state(system, system.initial_state)
+    u0 = system.working(system.initial_state)
     states = np.empty((N + 1, system.d), dtype=u0.dtype)
     states[0] = u0
     # a state that blows up overflows inside the exponential; check_blow_up

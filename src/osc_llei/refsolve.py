@@ -84,7 +84,9 @@ def rk4_integrate(
     """Reference trajectory sampled every sample_stride RK4 steps.
 
     h_ref is snapped so that a whole number of samples fits T; the step
-    taken, not h_ref, must resolve the oscillation.
+    taken, not h_ref, must resolve the oscillation.  A snap of the sample
+    spacing is recorded as h_requested = h_ref * sample_stride.  Steps in
+    system.working's dtype; the returned states are complex128 either way.
     """
     check_finite_positive("reference step", h_ref)
     if sample_stride < 1 or int(sample_stride) != sample_stride:
@@ -94,7 +96,7 @@ def rk4_integrate(
     n_samples = max(1, round(system.T / (h_ref * sample_stride)))
     n_total = n_samples * sample_stride
     h = system.T / n_total
-    rho = float(np.max(np.abs(system._spectrum)))
+    rho = system.rho
     if rho > 0:
         h_max = system.epsilon / (4.0 * rho)
         if h > h_max * (1 + 1e-12):
@@ -103,24 +105,15 @@ def rk4_integrate(
                 f"oscillation: need at most eps / (4 rho) = {h_max:.3e}"
             )
 
-    real_path = system.is_real
-    L = np.asarray(system.A, dtype=complex) / system.epsilon
-    if real_path:
-        L = L.real.astype(float)
+    L = system.working(system.A / system.epsilon)
     d = system.d
-    g_value, rows, E = system.oracle.forcing_parts(d)
+    g, rows, E = system.oracle.forcing_parts(d)
     m = E.shape[1]
     C2, C3, C4, C_step = _stage_increments(L, h, rows, E)
-    if real_path:
-        def g(y, t):
-            return g_value(y, t).real
-    else:
-        g = g_value
 
     # z = [u; g1; g2; g3; g4]: the state and the four stage values of g
     z = np.zeros(d + 4 * m, dtype=L.dtype)
-    u0 = np.asarray(system.initial_state)
-    z[:d] = u0.real if real_path else u0
+    z[:d] = system.working(system.initial_state)
     u = z[:d]
     y = u[rows]  # a view: follows u's in-place updates
     g1, g2, g3, g4 = (z[d + i * m : d + (i + 1) * m] for i in range(4))
@@ -148,11 +141,13 @@ def rk4_integrate(
             check_blow_up(u, last, last * h)
             t = float(times[s + 1])
 
+    h_sample, h_asked = system.T / n_samples, h_ref * sample_stride
     return Trajectory(
         times=times,
         states=states,
         epsilon=system.epsilon,
-        h=system.T / n_samples,
+        h=h_sample,
         k=None,
+        h_requested=h_asked if abs(h_sample - h_asked) > 1e-12 * h_asked else None,
         y_dim=system.y_dim,
     )

@@ -78,10 +78,7 @@ class DerivativeOracle:
         or where F itself is complex.
         """
         u = np.asarray(u)
-        out = np.asarray(self._taylor(catalog, u, t))
-        if out.dtype.kind == "c" and self.real_valued:
-            if not (np.iscomplexobj(u) or np.iscomplexobj(t)):
-                out = out.real
+        out = self._real_at(np.asarray(self._taylor(catalog, u, t)), u, t)
         d = catalog.d_plus_1 - 1
         if out.shape != (catalog.size, d):
             raise ValueError(
@@ -93,8 +90,15 @@ class DerivativeOracle:
         raise NotImplementedError
 
     def value(self, u, t) -> np.ndarray:
-        """F(u, t) itself; overridden where a direct formula is cheaper."""
+        """F(u, t), with taylor's dtype rule; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
+
+    def _real_at(self, out: np.ndarray, u, t) -> np.ndarray:
+        """The dtype rule of taylor and value: a real-valued F at a real point is float64."""
+        if out.dtype.kind == "c" and self.real_valued:
+            if not (np.iscomplexobj(u) or np.iscomplexobj(t)):
+                return out.real
+        return out
 
     def forcing_parts(self, d: int) -> tuple[Callable, slice, np.ndarray]:
         """F as (g, rows, E) with F(u, t) = E @ g(u[rows], t).
@@ -137,7 +141,8 @@ class JetOracle(DerivativeOracle):
         ]).T
 
     def value(self, u, t):
-        return np.asarray(self.F(np.asarray(u), t))
+        u = np.asarray(u)
+        return self._real_at(np.asarray(self.F(u, t)), u, t)
 
 
 class PolynomialOracle(JetOracle):
@@ -199,9 +204,9 @@ class OscillatorySystem:
     eps_factory: Callable[[float], "OscillatorySystem"] | None = field(
         default=None, repr=False, compare=False
     )
-    # eigenvalues of A, computed once here for the spectrum warning, the
-    # harness thresholds and the RK4 resolution guard
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    # largest and smallest |eigenvalue| of A (mu is 0 up to rounding for a singular A)
+    rho: float = field(init=False, repr=False, compare=False)
+    mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=complex)
@@ -212,10 +217,12 @@ class OscillatorySystem:
             raise ValueError(f"u_in has shape {self.u_in.shape}, expected ({self.d},)")
         check_finite_positive("epsilon", self.epsilon)
         check_finite_positive("T", self.T)
-        self._spectrum = linalg.eigvals(self.A)
+        spectrum = linalg.eigvals(self.A)
+        self.rho = float(np.max(np.abs(spectrum)))
+        self.mu = float(np.min(np.abs(spectrum)))
         norm_a = float(np.linalg.norm(self.A, 2))
         if norm_a > 0:
-            off_axis = float(np.max(np.abs(self._spectrum.real)))
+            off_axis = float(np.max(np.abs(spectrum.real)))
             if off_axis > 1e-9 * norm_a:
                 warnings.warn(
                     f"eigenvalues of A deviate from the imaginary axis by {off_axis:.3e}",
@@ -234,6 +241,16 @@ class OscillatorySystem:
             and bool(np.all(self.u_in.imag == 0))
             and self.oracle.real_valued
         )
+
+    def working(self, x) -> np.ndarray:
+        """x as float64 when the problem (is_real) and x are real, else as complex128.
+
+        The one place the scheme and the RK4 reference choose their arithmetic.
+        """
+        x = np.asarray(x, dtype=complex)
+        if self.is_real and not x.imag.any():
+            return x.real.copy()
+        return x
 
     def F(self, u, t) -> np.ndarray:
         return np.asarray(self.oracle.value(u, t))
@@ -293,12 +310,8 @@ class _TransformedOracle(DerivativeOracle):
         return self.g_oracle.value, slice(0, self.dy), self._embed
 
     def value(self, u, t):
-        u = np.asarray(u)
         g, rows, E = self.forcing_parts(2 * self.dy)
-        out = g(u[rows], t)
-        if out.dtype.kind == "c" and self.real_valued and u.dtype.kind != "c":
-            out = out.real
-        return E.dot(out)
+        return E.dot(g(np.asarray(u)[rows], t))
 
 
 def second_order_to_first_order(
@@ -319,7 +332,8 @@ def second_order_to_first_order(
         u(0) = eps^nu * [y_in; ydot_in].
 
     M must be symmetric positive definite; its square-rooted spectrum
-    becomes the oscillator frequencies of A.
+    becomes the oscillator frequencies of A.  g_oracle is read once, at the
+    initial point: one without dy = len(M) components raises ValueError.
     """
     M = np.asarray(M, dtype=float)
     dy = M.shape[0]
@@ -334,7 +348,7 @@ def second_order_to_first_order(
     factory = lambda eps: second_order_to_first_order(
         M, g_oracle, y_in, ydot_in, eps, nu, T, name
     )
-    return OscillatorySystem(
+    system = OscillatorySystem(
         d=2 * dy,
         A=A,
         epsilon=epsilon,
@@ -346,6 +360,11 @@ def second_order_to_first_order(
         name=name,
         eps_factory=factory,
     )
+    y0 = system.working(system.initial_state[:dy])
+    shape = np.shape(g_oracle._taylor(_catalog(dy + 1, 0), y0, 0.0))
+    if shape != (1, dy):
+        raise ValueError(f"g_oracle gave shape {shape} for a {dy} x {dy} M, expected (1, {dy})")
+    return system
 
 
 _OMEGA1 = 2.0 * math.sqrt(6.0)

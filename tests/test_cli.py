@@ -195,6 +195,15 @@ def test_reference_csv_and_resolution_guard(tmp_path, capsys) -> None:
     assert "does not resolve" in capsys.readouterr().err
 
 
+def test_reference_reports_snapped_sample_spacing(tmp_path, capsys) -> None:
+    cfg_path = write_config(tmp_path, {"name": "example1", "epsilon": 0.25, "T": 1.5})
+    rc = main(["reference", "--config", cfg_path, "--href", "0.003", "--stride", "7"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == f"# h snapped from {_fmt(0.003 * 7)} to {_fmt(1.5 / 71)}"
+    assert len(lines) == 1 + 72 + 1
+
+
 def test_dyadic_grid_nests_step_counts() -> None:
     hs = _dyadic_h_grid(1.0, 0.5, 0.125, 5)
     assert hs == [0.5, 0.25, 0.125]

@@ -33,6 +33,22 @@ def test_fit_order_exact_power_law() -> None:
     assert abs(slope - 2.0) <= 1e-12
 
 
+def test_sweep_references_record_no_snap(monkeypatch) -> None:
+    # the sweeps pass rk4_integrate exact divisors of T: no reference is snapped
+    seen = []
+
+    def spy(*args, **kwargs):
+        traj = rk4_integrate(*args, **kwargs)
+        seen.append(traj.h_requested)
+        return traj
+
+    monkeypatch.setattr(harness_mod, "rk4_integrate", spy)
+    system = builtin("example1", 0.25, T=0.75)
+    sweep_h(system, 1, [1 / 8, 1 / 16, 1 / 32])
+    sweep_eps(system, 1, 0.25, [0.25, 0.125])
+    assert seen and seen == [None] * len(seen)
+
+
 def test_fit_order_with_noise() -> None:
     rng = np.random.default_rng(3)
     hs = [0.5 * 2.0**-i for i in range(8)]

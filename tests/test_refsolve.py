@@ -88,6 +88,15 @@ def test_resolution_guard_checks_the_step_taken() -> None:
     assert rk4_integrate(system, 0.0025, sample_stride=100).h == 0.25
 
 
+def test_snapped_sample_spacing_is_recorded() -> None:
+    system = builtin("example1", 0.25, T=1.5)
+    snapped = rk4_integrate(system, 0.003, sample_stride=7)
+    assert snapped.n_steps == 71 and snapped.h == 1.5 / 71
+    assert snapped.h_requested == 0.003 * 7
+    # an exact divisor of T, as the harness passes, records no snap
+    assert rk4_integrate(system, 1.5 / (24 * 8), sample_stride=8).h_requested is None
+
+
 def test_sampling_aligns_with_scheme_grid() -> None:
     system = builtin("example1", 0.5)
     n = 24

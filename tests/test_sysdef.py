@@ -10,13 +10,16 @@ import pytest
 
 from osc_llei import (
     ConfigError,
+    JetOracle,
     OscillatorySystem,
     PolynomialOracle,
     SpectrumWarning,
     augment,
     builtin,
+    integrate,
     load_config,
     load_config_file,
+    rk4_integrate,
     second_order_to_first_order,
 )
 
@@ -226,6 +229,59 @@ def test_second_order_rejects_bad_mass_matrix() -> None:
         second_order_to_first_order(
             np.array([[-1.0]]), oracle, [0.0], [0.0], 1.0, 1.0, 1.0
         )
+
+
+def test_second_order_rejects_forcing_of_wrong_size() -> None:
+    # a 3-component g for a 2 x 2 M fails at construction, naming both sizes
+    g3 = PolynomialOracle(3, [(1, (1,), 0.1)])
+    with pytest.raises(ValueError, match=r"shape \(1, 3\) for a 2 x 2 M, expected \(1, 2\)"):
+        second_order_to_first_order(np.eye(2), g3, [1, 0], [0, 1], 0.25, 1.0, 1.0)
+    g2 = PolynomialOracle(2, [(1, (1,), 0.1)])
+    system = second_order_to_first_order(np.eye(2), g2, [1, 0], [0, 1], 0.25, 1.0, 1.0)
+    assert system.F(np.ones(4), 0.0).shape == (4,)
+
+
+def test_working_dtype_is_chosen_by_the_system() -> None:
+    real = builtin("example1", 0.25)
+    assert real.working([1.0, 2.0]).dtype == np.float64
+    assert real.working([1.0, 2.0j]).dtype == np.complex128
+    assert make_linear_system().working([1.0]).dtype == np.complex128  # complex A
+
+
+def test_spectral_radius_and_smallest_modulus() -> None:
+    s = builtin("example2-E6", 0.5)
+    assert math.isclose(s.rho, 3.0) and math.isclose(s.mu, 2.0)
+    assert s.with_epsilon(0.25).rho == s.rho
+
+
+def _cubic_g(y, t):
+    return [-y[0] ** 3 + 0.1 * np.sin(t) * y[1], 0.2 * y[0] * y[1] - y[1] ** 2]
+
+
+def _cubic_g_complex_typed(y, t):
+    # the same numbers, typed complex: every imaginary part is exactly 0
+    return [(1 + 0j) * f for f in _cubic_g(y, t)]
+
+
+def test_real_valued_oracle_gives_float64_at_real_points() -> None:
+    oracle = JetOracle(_cubic_g_complex_typed, real_valued=True)
+    y = np.array([0.3, -0.2])
+    assert oracle.value(y, 0.5).dtype == np.float64
+    assert oracle.value(y + 0.1j, 0.5).dtype == np.complex128
+    assert np.array_equal(oracle.value(y, 0.5), JetOracle(_cubic_g).value(y, 0.5))
+
+    def system(g):
+        M = np.diag([1.0, 4.0])
+        return second_order_to_first_order(M, g, [0.5, 0.2], [1.0, -1.0], 0.1, 1.0, 0.5)
+
+    typed = system(oracle)
+    real = system(JetOracle(_cubic_g, real_valued=True))
+    assert typed.is_real and real.is_real
+    for k in (1, 2, 3):
+        want = integrate(real, k, 1 / 32).states
+        assert np.array_equal(integrate(typed, k, 1 / 32).states, want)
+    want = rk4_integrate(real, 1 / 1024, sample_stride=32).states
+    assert np.array_equal(rk4_integrate(typed, 1 / 1024, sample_stride=32).states, want)
 
 
 def test_example2_spectra() -> None:
