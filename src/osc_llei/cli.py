@@ -187,7 +187,7 @@ def _cmd_converge_h(args) -> int:
     system = load_config_file(args.config)
     h_values = _dyadic_h_grid(system.T, args.hmax, args.hmin, args.points)
     h_values = sorted(h_values, reverse=True)
-    report = sweep_h(system, args.k, h_values, h_ref_target=args.href_target)
+    report = sweep_h(system, args.k, h_values)
     with _out_stream(args.out) as fh:
         _write_report(report, fh)
     if not args.ci:
@@ -209,7 +209,7 @@ def _cmd_converge_eps(args) -> int:
         set(np.geomspace(args.epsmax, args.epsmin, args.points).tolist()),
         reverse=True,
     )
-    report = sweep_eps(system, args.k, args.h, eps_values, h_ref_factor=args.href_factor)
+    report = sweep_eps(system, args.k, args.h, eps_values)
     with _out_stream(args.out) as fh:
         _write_report(report, fh)
     if not args.ci:
@@ -256,8 +256,15 @@ def _cmd_validate(args) -> int:
     return 0 if all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as one-line ConfigErrors; its subcommand parsers are _Parsers too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="osc-llei",
         description="Exponential integrators for highly oscillatory ODEs "
         "via local linear extension.",
@@ -296,14 +303,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--hmin", type=float, required=True)
     p.add_argument("--hmax", type=float, required=True)
     p.add_argument("--points", type=int, default=6)
-    p.add_argument(
-        "--href-target",
-        type=float,
-        default=None,
-        help="largest step of the first shared RK4 reference run (default: "
-        "eps / (8 rho)); the step is then halved until the reference is 100x "
-        "more accurate than the smallest error it measures or stops improving",
-    )
     p.add_argument("--out")
     p.add_argument("--ci", action="store_true", help="exit 1 on slope misses")
     p.set_defaults(func=_cmd_converge_h)
@@ -315,15 +314,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsmin", type=float, required=True)
     p.add_argument("--epsmax", type=float, required=True)
     p.add_argument("--points", type=int, default=5)
-    p.add_argument(
-        "--href-factor",
-        type=float,
-        default=None,
-        help="largest step of the first RK4 reference run, as a fraction of eps "
-        "(default: 1 / (8 rho)); at the smallest eps the step is then halved until "
-        "the reference is 100x more accurate than the error it measures or stops "
-        "improving, and every other eps runs at the ratio reached there",
-    )
     p.add_argument("--out")
     p.add_argument("--ci", action="store_true", help="exit 1 on slope misses")
     p.set_defaults(func=_cmd_converge_eps)
@@ -341,11 +331,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help: argparse prints it and exits 0
+        return exc.code
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

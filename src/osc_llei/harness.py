@@ -11,18 +11,18 @@ that share a system (all of sweep_h's, one per eps in sweep_eps) share
 one RK4 reference on the lcm L of their step counts, refined by an even
 m.  One reference per sweep is certified, by _certified_reference: that
 of the smallest eps with a run that held.  m starts at the smallest
-value whose step is at most the caller's step and at most
-eps / (8 rho), so even the partner below resolves the oscillation.  The
-reference's accuracy is estimated by Richardson extrapolation against a
-partner run at m / 2 (RK4 is fourth order, so their disagreement over
-15 estimates the finer run's error), and m doubles, the previous run
-becoming the partner, until the smallest error the reference measures
-is REF_MARGIN_TARGET times that estimate.  Refinement stops early when
-a doubling cuts the estimate less than 4x (round-off, not truncation,
-is left) or when the next run would pass REF_STEP_CAP steps; the
-report's margin note names the rule that stopped it.  Every other
-system runs its reference at the step-to-eps ratio that certification
-ended at.
+value whose step is at most eps / (8 rho), so even the partner below
+resolves the oscillation; sweep_eps's h_ref_factor can only start it
+finer.  The reference's accuracy is estimated by Richardson
+extrapolation against a partner run at m / 2 (RK4 is fourth order, so
+their disagreement over 15 estimates the finer run's error), and m
+doubles, the previous run becoming the partner, until the smallest
+error the reference measures is REF_MARGIN_TARGET times that estimate.
+Refinement stops early when a doubling cuts the estimate less than 4x
+(round-off, not truncation, is left) or when the next run would pass
+REF_STEP_CAP steps; the report's margin note names the rule that
+stopped it.  Every other system runs its reference at the step-to-eps
+ratio that certification ended at.
 
 Order fits are least-squares slopes on log-log data, done separately
 for the small-step regime (h below h0 = pi eps / (2 rho)) and the
@@ -216,11 +216,6 @@ def _certified_reference(system, n: int, m: int, min_error):
     estimate, margin, RK4 steps spent, "round-off", "step cap" or None);
     the last min_error call was against the run at the returned m.
     """
-    if n * m > REF_STEP_CAP:
-        raise ValueError(
-            f"reference would need {n * m} steps (cap {REF_STEP_CAP}); "
-            "use nested step sizes or a coarser reference step"
-        )
     partner, ref = _rk4_nested(system, n, m // 2), _rk4_nested(system, n, m)
     steps = n * (m // 2 + m)
     est = _richardson_estimate(ref, partner)
@@ -304,6 +299,9 @@ def _sweep(axis: str, k: int, runs, factor: float | None, bounds: dict) -> Error
     resolved = 1.0 / (8.0 * rho) if rho > 0 else math.inf
     factor = resolved if factor is None else min(factor, resolved)
     m0 = _first_refinement(system, system.T / L, factor * system.epsilon)
+    if L * m0 > REF_STEP_CAP:  # sweep_h's grids set L, sweep_eps's h_ref_factor can set m0
+        advice = "nested step sizes" if axis == "h" else "a larger h_ref_factor"
+        raise ValueError(f"reference would need {L * m0} steps (cap {REF_STEP_CAP}); use {advice}")
     m, est, margin, ref_steps, stop = _certified_reference(
         system, L, m0, partial(measure, members, L)
     )
@@ -326,7 +324,7 @@ def _sweep(axis: str, k: int, runs, factor: float | None, bounds: dict) -> Error
         ref_steps=ref_steps,
     )
     if margin is not None and margin < REF_MARGIN_TARGET:
-        advice = _STOP_ADVICE.get(stop, "decrease the reference step")
+        advice = _STOP_ADVICE[stop]
         report.notes.append(
             f"reference accuracy margin is {margin:.1f}x, below the "
             f"{REF_MARGIN_TARGET:g}x target; {advice}"
@@ -347,19 +345,17 @@ def sweep_h(
     system: OscillatorySystem,
     k: int,
     h_values,
-    h_ref_target: float | None = None,
 ) -> ErrorReport:
     """Error vs step size at fixed epsilon, against one shared reference.
 
     h_values must be positive and strictly decreasing.  Each h is snapped
     to divide T exactly, and the scheme runs once per h.  The reference
-    starts at a step of at most h_ref_target (default eps / (8 rho)) and
-    is certified as the module docstring describes; errors are taken
-    against its last run.  report.ref_steps counts every RK4 step spent.
+    starts at the coarsest step of at most eps / (8 rho) on the common
+    refinement grid and is certified as the module docstring describes;
+    errors are taken against its last run.  report.ref_steps counts every
+    RK4 step spent.
     """
     h_values = _decreasing("h_values", h_values)
-    if h_ref_target is not None:
-        check_finite_positive("h_ref_target", h_ref_target)
     th = thresholds(system)
     T = system.T
     n_values = dict.fromkeys(max(1, round(T / h)) for h in h_values)
@@ -367,7 +363,7 @@ def sweep_h(
         "h",
         k,
         [(T / n, system, n) for n in n_values],
-        None if h_ref_target is None else h_ref_target / system.epsilon,
+        None,
         {"h0": th.h0, "h0_lower": th.h0_lower, "rho": th.rho, "mu": th.mu},
     )
 

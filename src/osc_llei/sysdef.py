@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -461,6 +462,28 @@ def _complex_entry(v, what: str) -> complex:
     raise ConfigError(f"{what} must be a number or an [re, im] pair, got {v!r}")
 
 
+# the keys of each config form; only the last is optional
+_BUILTIN_KEYS = ("name", "epsilon", "T")
+_INLINE_KEYS = ("d", "A", "epsilon", "nu", "u_in", "T", "poly_F")
+
+
+def _check_keys(obj, allowed, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = [str(key) for key in obj if key not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"unknown {what} key(s): {', '.join(unknown)} (allowed: {', '.join(allowed)})"
+        )
+
+
+def _number(cfg: dict, key: str) -> float:
+    v = cfg[key]
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {json.dumps(v, default=repr)}")
+    return float(v)
+
+
 def load_config(cfg: dict) -> OscillatorySystem:
     """Build a system from a JSON-style dict.
 
@@ -468,23 +491,24 @@ def load_config(cfg: dict) -> OscillatorySystem:
     {"d", "A", "epsilon", "nu", "u_in", "T", "poly_F"?} where A is a
     row-major list of d*d [re, im] pairs, u_in a list of d entries, and
     poly_F a list of {"row": 1-based F row, "alpha": [components in
-    1..d+1], "coeff": [re, im]} monomial terms.
+    1..d+1], "coeff": [re, im]} monomial terms.  Any other key is a
+    ConfigError.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if "name" in cfg:
-        if "epsilon" not in cfg:
-            raise ConfigError("builtin config requires 'epsilon'")
-        T = cfg.get("T")
-        return builtin(cfg["name"], float(cfg["epsilon"]), None if T is None else float(T))
-    missing = [k for k in ("d", "A", "epsilon", "nu", "u_in", "T") if k not in cfg]
+    builtin_form = isinstance(cfg, dict) and "name" in cfg
+    keys = _BUILTIN_KEYS if builtin_form else _INLINE_KEYS
+    _check_keys(cfg, keys, "config")
+    missing = [k for k in keys[:-1] if k not in cfg]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
+    if builtin_form:
+        T = _number(cfg, "T") if "T" in cfg else None
+        return builtin(cfg["name"], _number(cfg, "epsilon"), T)
     d = cfg["d"]
     if isinstance(d, float) and d.is_integer():
         d = int(d)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ConfigError(f"d must be an integer >= 1, got {cfg['d']!r}")
+    epsilon, nu, T = (_number(cfg, key) for key in ("epsilon", "nu", "T"))
     try:
         flat = [_complex_entry(v, "A entry") for v in cfg["A"]]
         if len(flat) != d * d:
@@ -495,28 +519,15 @@ def load_config(cfg: dict) -> OscillatorySystem:
             raise ConfigError(f"u_in must have {d} entries")
         terms = []
         for item in cfg.get("poly_F", []):
-            terms.append(
-                (
-                    int(item["row"]),
-                    tuple(int(c) for c in item["alpha"]),
-                    _complex_entry(item["coeff"], "poly_F coeff"),
-                )
-            )
+            _check_keys(item, ("row", "alpha", "coeff"), "poly_F term")
+            coeff = _complex_entry(item["coeff"], "poly_F coeff")
+            terms.append((int(item["row"]), tuple(int(c) for c in item["alpha"]), coeff))
         oracle = PolynomialOracle(d, terms)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return OscillatorySystem(
-        d=d,
-        A=A,
-        epsilon=float(cfg["epsilon"]),
-        nu=float(cfg["nu"]),
-        u_in=u_in,
-        T=float(cfg["T"]),
-        oracle=oracle,
-        name=str(cfg.get("name", "")),
-    )
+    return OscillatorySystem(d=d, A=A, epsilon=epsilon, nu=nu, u_in=u_in, T=T, oracle=oracle)
 
 
 def load_config_file(path) -> OscillatorySystem:

@@ -295,28 +295,36 @@ def test_converge_eps_report_structure(tmp_path) -> None:
     assert any(ln.startswith("# threshold eps0 ") for ln in lines)
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["converge-h", "--k", "1", "--hmin", "0.125", "--hmax", "0.5", "--points", "3",
-         "--href-target"],
-        ["converge-eps", "--k", "1", "--h", "0.25", "--epsmin", "0.125", "--epsmax", "0.25",
-         "--points", "2", "--href-factor"],
-    ],
-    ids=["converge-h", "converge-eps"],
-)
-def test_reference_step_must_be_finite_and_positive(tmp_path, capsys, command, value) -> None:
-    cfg_path = write_config(tmp_path, QUADRATIC_CFG)
-    assert main(command[:1] + ["--config", cfg_path] + command[1:] + [value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and "must be finite and positive" in err[0], err
-
-
 EXAMPLE1_CFG = {"name": "example1", "epsilon": 0.25}
 INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "cfg, bands, ignored",
+    [
+        # a [y; p] system: y and ydot bands; an inline system: large_u alone
+        (EXAMPLE1_CFG, {"small_y": 1.0, "large_y": 2.0, "large_ydot": 1.0}, "large_u"),
+        (QUADRATIC_CFG, {"large_u": 1.0}, "small_y"),
+    ],
+    ids=["y-p", "u"],
+)
+def test_converge_eps_ci_exit_codes(tmp_path, monkeypatch, capsys, cfg, bands, ignored) -> None:
+    import osc_llei.cli as cli_mod
+
+    cfg_path = write_config(tmp_path, cfg)
+
+    def run(slopes):
+        report = ErrorReport(axis="epsilon", k=1, points=[], slopes=slopes, thresholds={})
+        monkeypatch.setattr(cli_mod, "sweep_eps", lambda *a, **kw: report)
+        rc = main(["converge-eps", "--config", cfg_path, "--k", "1", "--h", "0.25",
+                   "--epsmin", "0.125", "--epsmax", "0.25", "--ci"])
+        return rc, capsys.readouterr().err.splitlines()
+
+    assert run({**bands, ignored: 9.0}) == (0, [])
+    rc, err = run({key: target + 1.0 for key, target in bands.items()})
+    assert rc == 1 and len(err) == len(bands)
+    assert sorted(line.split(":")[1].strip() for line in err) == sorted(bands)
+    assert all(line.startswith("ci: ") for line in err)
 
 
 @pytest.mark.parametrize(
@@ -487,3 +495,75 @@ def test_step_count_too_large_for_memory_is_a_usage_error(tmp_path, capsys, comm
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog", "--d", "x", "--k", "1"],
+         "osc-llei catalog: argument --d: invalid int value: 'x'"),
+        (["catalog", "--d", "1"], "osc-llei catalog: the following arguments are required: --k"),
+    ],
+    ids=["bad-type", "missing-flag"],
+)
+def test_argument_errors_are_one_line(capsys, argv, message) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["converge-h", "converge-eps"])
+def test_help_exits_0_and_offers_no_reference_step(capsys, command) -> None:
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--ci" in out and "--href" not in out
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"name": "example1", "epsilon": None}, "epsilon must be a number, got null"),
+        ({"name": "example1", "epsilon": 0.25, "T": [1]}, "T must be a number, got [1]"),
+        ({"name": "example1", "epsilon": True}, "epsilon must be a number, got true"),
+        ({**QUADRATIC_CFG, "epsilon": None}, "epsilon must be a number, got null"),
+        ({**QUADRATIC_CFG, "nu": {}}, "nu must be a number, got {}"),
+        ({**QUADRATIC_CFG, "nu": False}, "nu must be a number, got false"),
+        ({**QUADRATIC_CFG, "T": "1"}, 'T must be a number, got "1"'),
+    ],
+    ids=["builtin-eps-null", "builtin-T-list", "builtin-eps-true", "inline-eps-null",
+         "inline-nu-object", "inline-nu-false", "inline-T-string"],
+)
+def test_config_scalars_must_be_numbers(tmp_path, capsys, cfg, message) -> None:
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["integrate", "--config", cfg_path, "--k", "1", "--h", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+INLINE_KEYS = "d, A, epsilon, nu, u_in, T, poly_F"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # a misspelt poly_F would integrate F = 0
+        ({**{k: v for k, v in QUADRATIC_CFG.items() if k != "poly_F"},
+          "poly_f": QUADRATIC_CFG["poly_F"]},
+         f"unknown config key(s): poly_f (allowed: {INLINE_KEYS})"),
+        # a name makes a config builtin, whose keys are name, epsilon and T
+        ({**QUADRATIC_CFG, "name": "mine"},
+         "unknown config key(s): d, A, nu, u_in, poly_F (allowed: name, epsilon, T)"),
+        ({**EXAMPLE1_CFG, "eps": 0.1}, "unknown config key(s): eps (allowed: name, epsilon, T)"),
+        ({**QUADRATIC_CFG, "poly_F": [{"row": 1, "alpha": [1, 1], "coef": [0.2, 0.0]}]},
+         "unknown poly_F term key(s): coef (allowed: row, alpha, coeff)"),
+    ],
+    ids=["poly_f", "inline-name", "builtin-eps", "term-coef"],
+)
+def test_config_rejects_unknown_keys(tmp_path, capsys, cfg, message) -> None:
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["integrate", "--config", cfg_path, "--k", "1", "--h", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

@@ -136,7 +136,7 @@ def test_global_max_error_split_components() -> None:
 def test_sweep_h_regime_assignment() -> None:
     system = builtin("example1", 0.25)  # h0 = 0.3927, h0_lower = 1.5708
     hs = [2.0, 1.0, 0.5, 0.25, 0.125]
-    report = sweep_h(system, 1, hs, h_ref_target=2e-3)
+    report = sweep_h(system, 1, hs)
     regimes = [p.regime for p in report.points]
     assert regimes == ["large", "intermediate", "intermediate", "small", "small"]
     for p in report.points:
@@ -151,7 +151,7 @@ def test_sweep_h_regime_assignment() -> None:
 def test_sweep_h_small_regime_slope_and_margin() -> None:
     system = builtin("example1", 0.25)
     hs = [6 / 24, 6 / 48, 6 / 96, 6 / 192]
-    report = sweep_h(system, 1, hs, h_ref_target=1e-3)
+    report = sweep_h(system, 1, hs)
     slope = report.slopes["small_u"]
     assert slope is not None and abs(slope - 2.0) <= 0.3
     assert report.ref_margin is not None and report.ref_margin >= 100
@@ -174,14 +174,19 @@ def test_sweep_h_linear_problem_sits_at_floor(monkeypatch) -> None:
         oracle=PolynomialOracle(1, []),
     )
     runs = recorded_rk4(monkeypatch)
-    report = sweep_h(system, 2, [1 / 4, 1 / 8, 1 / 16, 1 / 32], h_ref_target=1e-4)
+    report = sweep_h(system, 2, [1 / 4, 1 / 8, 1 / 16, 1 / 32])
     assert all(p.error_u <= ACCURACY_FLOOR for p in report.points)
     assert all(p.floored for p in report.points)
     assert report.slopes["small_u"] is None  # degenerate fit reported absent
     assert any("floor" in note for note in report.notes)
-    # the Richardson estimate is round-off here: one doubling shows it and
-    # the reference stops refining, and the margin note says so
-    assert len(runs) <= 3
+    # no margin is reached at the floor: the reference doubles while each
+    # doubling cuts the Richardson estimate 4x, stops at the first that
+    # does not (round-off), and the margin note says so
+    trajs = [traj for _, _, traj in runs]
+    ests = [global_max_error(b, a).u * (1.0 / 15.0) for a, b in zip(trajs, trajs[1:])]
+    assert len(ests) >= 2 and report.ref_error_estimate.u == ests[-1]
+    assert all(e <= prev / 4 for prev, e in zip(ests[:-2], ests[1:-1]))
+    assert ests[-1] > ests[-2] / 4
     (note,) = [note for note in report.notes if "margin" in note]
     assert "round-off" in note and "decrease the reference step" not in note
 
@@ -197,6 +202,17 @@ def test_sweep_h_margin_note_names_the_step_cap(monkeypatch) -> None:
     assert report.ref_margin < 100
     (note,) = [note for note in report.notes if "margin" in note]
     assert "step cap" in note and "decrease the reference step" not in note
+
+
+def test_reference_past_the_step_cap_advises_what_the_caller_can_change(monkeypatch) -> None:
+    # sweep_h's reference grid is the lcm of its step counts; sweep_eps
+    # can set a start finer than eps / (8 rho) only through h_ref_factor
+    system = builtin("example1", 0.25, T=1.5)
+    monkeypatch.setattr(harness_mod, "REF_STEP_CAP", 50)  # below L m = 36 * 2
+    with pytest.raises(ValueError, match=r"\(cap 50\); use nested step sizes$"):
+        sweep_h(system, 1, [1 / 8, 1 / 12])
+    with pytest.raises(ValueError, match=r"\(cap 50\); use a larger h_ref_factor$"):
+        sweep_eps(system, 1, 1 / 8, [0.25, 0.125], h_ref_factor=1 / 64)
 
 
 def recorded_rk4(monkeypatch) -> list:
@@ -242,12 +258,12 @@ def test_sweep_h_estimate_bounds_the_stopping_reference_error(monkeypatch, eps) 
 
 
 def test_sweep_h_explicit_target_that_meets_the_margin_runs_one_pair() -> None:
-    # one run at the target's refinement and a partner at half of it,
-    # written out here as the reference computation
+    # one run at the default start and a partner at half of it, written
+    # out here as the reference computation
     system = builtin("example1", 0.25)
     ns = [24, 48, 96, 192]
-    report = sweep_h(system, 1, [system.T / n for n in ns], h_ref_target=1e-3)
-    L, m = 192, 32  # smallest even m with T / (L m) <= 1e-3
+    report = sweep_h(system, 1, [system.T / n for n in ns])
+    L, m = 192, 2  # smallest even m with T / (L m) <= eps / (8 rho)
     ref = rk4_integrate(system, system.T / (L * m), sample_stride=m)
     partner = rk4_integrate(system, 2 * system.T / (L * m), sample_stride=m // 2)
     for p, n in zip(report.points, ns):
@@ -287,7 +303,7 @@ def test_sweep_h_records_blow_up_as_failed_point(monkeypatch) -> None:
         return real_integrate(sys_, k, h)
 
     monkeypatch.setattr(harness_mod, "integrate", flaky)
-    report = sweep_h(system, 1, [6 / 12, 6 / 48, 6 / 96], h_ref_target=2e-3)
+    report = sweep_h(system, 1, [6 / 12, 6 / 48, 6 / 96])
     assert report.points[0].failed is not None
     assert report.points[0].error_u is None
     assert all(p.failed is None for p in report.points[1:])
@@ -424,6 +440,9 @@ def test_sweep_eps_validation() -> None:
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             sweep_eps(system, 1, bad, [0.2, 0.1])
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sweep_eps(system, 1, 0.1, [0.2, 0.1], h_ref_factor=bad)
 
 
 def test_with_epsilon_matches_a_fresh_builtin() -> None:

@@ -255,6 +255,34 @@ def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
         assert traj.states.dtype == np.complex128
 
 
+def test_time_row_drift_past_tolerance_raises(monkeypatch) -> None:
+    system = builtin("example1", 0.25, T=0.5)
+    h, expm = 1 / 8, linalg.expm
+    clean = integrate(system, 2, h)
+
+    def shifted(shift):
+        """linalg.expm with shift added to the lifted step's time entry [d + 1, 0]."""
+        def expm_shifted(M):
+            E = expm(M).copy()
+            E[system.d + 1, 0] += shift
+            return E
+        return expm_shifted
+
+    monkeypatch.setattr(linalg, "expm", shifted(1e-13))  # inside the 1e-12 tolerance
+    assert np.array_equal(integrate(system, 2, h).states, clean.states)
+    monkeypatch.setattr(linalg, "expm", shifted(1e-9))
+    with pytest.raises(ArithmeticError, match=r"^time component .* expected h = 0\.125$"):
+        integrate(system, 2, h)
+
+
+def test_non_finite_lifted_step_is_a_blow_up_not_a_drift(monkeypatch) -> None:
+    system = builtin("example1", 0.25, T=0.5)
+    expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda M: np.full_like(expm(M), np.nan))
+    with pytest.raises(BlowUpError):
+        integrate(system, 2, 1 / 8)
+
+
 def test_real_and_complex_arithmetic_agree() -> None:
     cases = [
         builtin("example1", 0.25, T=1.0),

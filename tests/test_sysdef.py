@@ -10,6 +10,7 @@ import pytest
 
 from osc_llei import (
     ConfigError,
+    DerivativeOracle,
     JetOracle,
     OscillatorySystem,
     PolynomialOracle,
@@ -334,3 +335,36 @@ def test_load_config_builtin_and_inline(tmp_path) -> None:
         load_config(
             {"d": 2, "A": [0.0], "epsilon": 1, "nu": 0, "u_in": [0, 0], "T": 1}
         )
+
+
+class ExpInTime(DerivativeOracle):
+    """F(u, t) = [exp(t), 0] for d = 2, with _taylor as its only override.
+
+    Only pure t-derivatives (component 3) of F_1 are nonzero, so value is
+    the base class's: F read out of taylor's degree-0 row.
+    """
+
+    real_valued = True
+
+    def _taylor(self, catalog, u, t):
+        return np.array([[np.exp(t) / g if all(c == 3 for c in beta) else 0.0, 0.0]
+                         for beta, g in zip(catalog.representatives, catalog.gammas)])
+
+
+def test_taylor_only_oracle_reads_value_out_of_taylor() -> None:
+    twin = JetOracle(lambda u, t: [np.exp(t), 0.0], real_valued=True)
+    systems = [
+        OscillatorySystem(d=2, A=np.array([[0.0, 1.0], [-1.0, 0.0]]), epsilon=0.5, nu=0.0,
+                          u_in=np.array([0.5, 0.0]), T=1.0, oracle=oracle)
+        for oracle in (ExpInTime(), twin)
+    ]
+    assert all(s.is_real for s in systems)
+    real_u = np.array([0.3, -0.2])
+    assert systems[0].F(real_u, 0.7).dtype == np.float64
+    for u in (real_u, real_u + [0.1j, 0.0]):
+        got, want = (s.F(u, 0.7) for s in systems)
+        assert got.dtype == want.dtype
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+    # the RK4 reference evaluates F through forcing_parts, here value itself
+    got, want = (rk4_integrate(s, 1 / 64, sample_stride=4).states for s in systems)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
