@@ -297,10 +297,16 @@ def _sweep(axis: str, k: int, runs, factor: float | None, bounds: dict) -> Error
     # a factor above 1 / (8 rho) starts at the resolution bound instead,
     # and is scaled down from there if the reference has to be refined
     resolved = 1.0 / (8.0 * rho) if rho > 0 else math.inf
+    # sweep_h's grids set L; sweep_eps's h_ref_factor sets m0 only below the default start
+    if axis == "h":
+        advice = "nested step sizes"
+    elif factor is not None and factor < resolved:
+        advice = "a larger h_ref_factor"
+    else:
+        advice = "a larger eps or a shorter T"
     factor = resolved if factor is None else min(factor, resolved)
     m0 = _first_refinement(system, system.T / L, factor * system.epsilon)
-    if L * m0 > REF_STEP_CAP:  # sweep_h's grids set L, sweep_eps's h_ref_factor can set m0
-        advice = "nested step sizes" if axis == "h" else "a larger h_ref_factor"
+    if L * m0 > REF_STEP_CAP:
         raise ValueError(f"reference would need {L * m0} steps (cap {REF_STEP_CAP}); use {advice}")
     m, est, margin, ref_steps, stop = _certified_reference(
         system, L, m0, partial(measure, members, L)

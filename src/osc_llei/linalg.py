@@ -27,7 +27,7 @@ def _as_square(M, name: str = "M") -> np.ndarray:
     M = M.astype(np.result_type(M, np.float64), copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 

@@ -15,6 +15,8 @@ the extension order k of the catalog.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +64,17 @@ class Trajectory:
 
 def check_blow_up(u, step_index: int | None, t: float) -> None:
     """Raise BlowUpError when |u| is non-finite or exceeds BLOWUP_NORM."""
-    norm = float(np.linalg.norm(u))
-    if not np.isfinite(norm) or norm > BLOWUP_NORM:
+    norm = math.sqrt(np.vdot(u, u).real)
+    if not math.isfinite(norm) or norm > BLOWUP_NORM:
         raise BlowUpError(step_index, t, norm)
 
 
 def _step_matrices(system, catalog, A1, Un, tn, h):
-    xhat = np.concatenate([Un, [tn]])
+    # [Un; tn], filled in place: a third of concatenate's cost at d <= 4
+    d = len(Un)
+    xhat = np.empty(d + 1, dtype=Un.dtype)
+    xhat[:d] = Un
+    xhat[d] = tn
     A1k = build_A1(catalog, A1, xhat)
     A0k = build_A0(catalog, system.oracle, xhat)
     return (A1k / system.epsilon + A0k) * h
@@ -80,7 +86,7 @@ def _advance(system, catalog, A1, Un, tn, h):
     d = system.d
     t_comp = w[d + 1]
     # a non-finite w falls through to the caller's blow-up check
-    if np.isfinite(t_comp) and abs(t_comp - h) > 1e-12 * max(1.0, abs(h)):
+    if cmath.isfinite(t_comp) and abs(t_comp - h) > 1e-12 * max(1.0, abs(h)):
         raise ArithmeticError(
             f"time component of the lifted step is {t_comp!r}, expected h = {h!r}"
         )

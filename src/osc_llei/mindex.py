@@ -14,8 +14,9 @@ This module is the only one that knows the layout.  Besides the catalog
 it keeps one read-only table per (n, k), _sum_table: entry [i, j] is the
 row of the multiset sum reps[i] + reps[j], or -1 when its degree passes
 k.  Jet products land their coefficient pairs there; the extension
-plan, build_S and lift land each chi + beta there.  A second one,
-_exponent_table, holds each representative's exponent vector.
+plan, build_S and lift land each chi + beta there.  Two more,
+_exponent_table and _gamma_table, hold each representative's exponent
+vector and its gamma weight.
 """
 
 from __future__ import annotations
@@ -173,6 +174,14 @@ def _exponent_table(n: int, k: int) -> np.ndarray:
     exps = np.array([[alpha.count(q) for q in range(1, n + 1)] for alpha in reps], dtype=np.intp)
     exps.flags.writeable = False
     return exps
+
+
+@functools.lru_cache(maxsize=32)
+def _gamma_table(n: int, k: int) -> np.ndarray:
+    """The catalog's gammas as float64; read-only, as it is shared."""
+    gammas = np.array(_catalog(n, k).gammas, dtype=float)
+    gammas.flags.writeable = False
+    return gammas
 
 
 @dataclass(frozen=True, eq=False)

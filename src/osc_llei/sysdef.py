@@ -18,6 +18,7 @@ RK4 reference evaluate only the forcing a second-order system has.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import MultiIndexCatalog, _catalog, _exponent_table, gamma, representative, restrict
+from .mindex import (MultiIndexCatalog, _catalog, _exponent_table, _gamma_table, gamma,
+                     representative, restrict)
 
 
 class ConfigError(ValueError):
@@ -94,11 +96,19 @@ class DerivativeOracle:
         """F(u, t), with taylor's dtype rule; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
 
-    def _real_at(self, out: np.ndarray, u, t) -> np.ndarray:
-        """The dtype rule of taylor and value: a real-valued F at a real point is float64."""
+    def _real_at(self, out: np.ndarray, u: np.ndarray, t) -> np.ndarray:
+        """The dtype rule of taylor and value.
+
+        complex128 at a complex point (u or t complex), float64 for a
+        real-valued F at a real point, else out's own dtype.
+        """
+        # a float t (np.float64 included) skips iscomplexobj's asarray
+        if u.dtype.kind == "c" or isinstance(t, complex) or (
+            not isinstance(t, float) and np.iscomplexobj(t)
+        ):
+            return out.astype(complex, copy=False)
         if out.dtype.kind == "c" and self.real_valued:
-            if not (np.iscomplexobj(u) or np.iscomplexobj(t)):
-                return out.real
+            return out.real
         return out
 
     def forcing_parts(self, d: int) -> tuple[Callable, slice, np.ndarray]:
@@ -290,6 +300,8 @@ class _TransformedOracle(DerivativeOracle):
         self.dy = dy
         self.scale = scale
         self.real_valued = g_oracle.real_valued
+        # g's variables (y, t) among u's (y, p, t), 1-based
+        self._g_variables = tuple(range(1, dy + 1)) + (2 * dy + 1,)
         self._embed = np.zeros((2 * dy, dy))
         self._embed[dy:] = scale * np.eye(dy)
         self._embed.flags.writeable = False
@@ -298,7 +310,7 @@ class _TransformedOracle(DerivativeOracle):
         # the rows without a p component are g's Taylor coefficients with
         # the same multiplicities, so the gamma weights carry over
         dy = self.dy
-        sub = restrict(catalog, tuple(range(1, dy + 1)) + (2 * dy + 1,))
+        sub = restrict(catalog, self._g_variables)
         g = self.g_oracle.taylor(sub.catalog, u[:dy], t)
         out = np.zeros((catalog.size, 2 * dy), dtype=g.dtype)
         out[sub.rows, dy:] = self.scale * g
@@ -380,20 +392,35 @@ class _PendulumForcingOracle(DerivativeOracle):
 
     real_valued = True
 
-    # closed form, not a JetOracle: 15 vs 61 us at k = 3, of a 106 us example1 step
+    # closed form, not a JetOracle: 8 vs 52 us at k = 3 (one BLAS thread, 2-CPU x86-64 host)
     def _taylor(self, catalog, u, t):
         K = catalog.k
-        a = [t + np.cos(_OMEGA1 * t)] + [
-            (1.0 if n == 1 else 0.0) + _OMEGA1**n * np.cos(_OMEGA1 * t + n * np.pi / 2)
-            for n in range(1, K + 1)
-        ]
-        s = [np.sin(u[0] + m * np.pi / 2) for m in range(K + 1)]
+        shifts, scales, offsets = _pendulum_series(K)
+        # a_0 = cos(w t) + t; shifts[0], scales[0] and offsets[0] leave it as is
+        a = scales * np.cos(_OMEGA1 * t + shifts) + offsets
+        a[0] += t
+        s = np.sin(u[0] + shifts)
         # (m, n) of each row: its multiplicities of y and t
         m, n = _exponent_table(2, K).T
-        return (-np.array(a)[n] * np.array(s)[m] / np.array(catalog.gammas))[:, None]
+        return (-a[n] * s[m] / _gamma_table(2, K))[:, None]
 
     def value(self, u, t):
-        return np.array([-(t + np.cos(_OMEGA1 * t)) * np.sin(u[0])])
+        # the RK4 reference's hot path: four calls per step.  np.float64 is a
+        # float subclass, so a real state takes math's scalar cos and sin
+        y = u[0]
+        if isinstance(y, float) and isinstance(t, (float, int)):
+            return np.array([-(t + math.cos(_OMEGA1 * t)) * math.sin(y)])
+        return np.array([-(t + np.cos(_OMEGA1 * t)) * np.sin(y)])
+
+
+@functools.lru_cache(maxsize=16)
+def _pendulum_series(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n pi/2, w^n, [n == 1]) for n = 0..K: the terms of a_n; read-only, shared."""
+    n = np.arange(K + 1)
+    tables = (n * np.pi / 2, np.array([_OMEGA1**j for j in range(K + 1)]), (n == 1) * 1.0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _charged_particle_force(y, t):
@@ -484,6 +511,14 @@ def _number(cfg: dict, key: str) -> float:
     return float(v)
 
 
+def _integer(v, what: str) -> int:
+    """v as an int >= 1: an integral float is one, a bool or a fraction is a ConfigError."""
+    n = int(v) if isinstance(v, float) and v.is_integer() else v
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {v!r}")
+    return n
+
+
 def load_config(cfg: dict) -> OscillatorySystem:
     """Build a system from a JSON-style dict.
 
@@ -503,11 +538,7 @@ def load_config(cfg: dict) -> OscillatorySystem:
     if builtin_form:
         T = _number(cfg, "T") if "T" in cfg else None
         return builtin(cfg["name"], _number(cfg, "epsilon"), T)
-    d = cfg["d"]
-    if isinstance(d, float) and d.is_integer():
-        d = int(d)
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ConfigError(f"d must be an integer >= 1, got {cfg['d']!r}")
+    d = _integer(cfg["d"], "d")
     epsilon, nu, T = (_number(cfg, key) for key in ("epsilon", "nu", "T"))
     try:
         flat = [_complex_entry(v, "A entry") for v in cfg["A"]]
@@ -521,7 +552,9 @@ def load_config(cfg: dict) -> OscillatorySystem:
         for item in cfg.get("poly_F", []):
             _check_keys(item, ("row", "alpha", "coeff"), "poly_F term")
             coeff = _complex_entry(item["coeff"], "poly_F coeff")
-            terms.append((int(item["row"]), tuple(int(c) for c in item["alpha"]), coeff))
+            row = _integer(item["row"], "poly_F row")
+            alpha = tuple(_integer(c, "poly_F alpha entry") for c in item["alpha"])
+            terms.append((row, alpha, coeff))
         oracle = PolynomialOracle(d, terms)
     except ConfigError:
         raise

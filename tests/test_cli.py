@@ -530,9 +530,17 @@ def test_help_exits_0_and_offers_no_reference_step(capsys, command) -> None:
         ({**QUADRATIC_CFG, "nu": {}}, "nu must be a number, got {}"),
         ({**QUADRATIC_CFG, "nu": False}, "nu must be a number, got false"),
         ({**QUADRATIC_CFG, "T": "1"}, 'T must be a number, got "1"'),
+        # a poly_F row or multi-index entry is not truncated to an integer
+        ({**QUADRATIC_CFG, "poly_F": [{"row": 1.7, "alpha": [1, 1], "coeff": [0.2, 0.0]}]},
+         "poly_F row must be an integer >= 1, got 1.7"),
+        ({**QUADRATIC_CFG, "poly_F": [{"row": True, "alpha": [1, 1], "coeff": [0.2, 0.0]}]},
+         "poly_F row must be an integer >= 1, got True"),
+        ({**QUADRATIC_CFG, "poly_F": [{"row": 1, "alpha": [1.9, 1], "coeff": [0.2, 0.0]}]},
+         "poly_F alpha entry must be an integer >= 1, got 1.9"),
     ],
     ids=["builtin-eps-null", "builtin-T-list", "builtin-eps-true", "inline-eps-null",
-         "inline-nu-object", "inline-nu-false", "inline-T-string"],
+         "inline-nu-object", "inline-nu-false", "inline-T-string", "term-row-fraction",
+         "term-row-true", "term-alpha-fraction"],
 )
 def test_config_scalars_must_be_numbers(tmp_path, capsys, cfg, message) -> None:
     cfg_path = write_config(tmp_path, cfg)

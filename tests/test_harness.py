@@ -206,13 +206,16 @@ def test_sweep_h_margin_note_names_the_step_cap(monkeypatch) -> None:
 
 def test_reference_past_the_step_cap_advises_what_the_caller_can_change(monkeypatch) -> None:
     # sweep_h's reference grid is the lcm of its step counts; sweep_eps
-    # can set a start finer than eps / (8 rho) only through h_ref_factor
+    # can set a start finer than eps / (8 rho) only through h_ref_factor,
+    # and without one it already starts at eps / (8 rho)
     system = builtin("example1", 0.25, T=1.5)
     monkeypatch.setattr(harness_mod, "REF_STEP_CAP", 50)  # below L m = 36 * 2
     with pytest.raises(ValueError, match=r"\(cap 50\); use nested step sizes$"):
         sweep_h(system, 1, [1 / 8, 1 / 12])
     with pytest.raises(ValueError, match=r"\(cap 50\); use a larger h_ref_factor$"):
         sweep_eps(system, 1, 1 / 8, [0.25, 0.125], h_ref_factor=1 / 64)
+    with pytest.raises(ValueError, match=r"\(cap 50\); use a larger eps or a shorter T$"):
+        sweep_eps(system, 1, 1 / 8, [0.25, 0.125])
 
 
 def recorded_rk4(monkeypatch) -> list:

@@ -658,3 +658,9 @@ def test_forcing_parts_reproduce_value(data) -> None:
         want = system.oracle.value(u, t)
         got = E @ g(u[rows], t)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), system.name
+        if any(system is s for s in systems):
+            # a builtin's value (the pendulum's scalar math path among them)
+            # is F read out of taylor, dtype included
+            F = system.oracle.partial((), u, t)
+            assert want.dtype == F.dtype, system.name
+            assert np.abs(want - F).max() <= 1e-15 * np.abs(F).max(), system.name
