@@ -14,10 +14,11 @@ Derivatives, ch. 13).  Arithmetic propagates exact coefficients, so
 mixed partials recovered from a jet are accurate to machine precision.
 Analytic functions (cos, sin, exp, and powers other than non-negative
 integers, which multiply out) are applied by composing their scalar
-Taylor series with the zero-constant part of the jet, which terminates
-at degree K because that part is nilpotent under truncation.  With no
-__array_ufunc__, np.cos, np.sin and np.exp reach the methods of those
-names through numpy's object loop.  The coefficient dtype follows the
+Taylor series with the zero-constant part w of the jet, which terminates
+at degree K because w is nilpotent under truncation; the series runs by
+Horner on w's multiplication matrix, scattered through the same pairs.
+With no __array_ufunc__, np.cos, np.sin and np.exp reach the methods of
+those names through numpy's object loop.  The coefficient dtype follows the
 base point: float64 at real points, complex128 otherwise.
 
 The engine of sysdef.JetOracle; not part of the public API.
@@ -44,6 +45,18 @@ def _pairs(n: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (I, J, target):
         arr.flags.writeable = False
     return I, J, target
+
+
+@functools.lru_cache(maxsize=32)
+def _matrix_index(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I, flat) of the pairs with I >= 1: a[I] lands at flat = target * S + J
+    of the S x S multiplication matrix of a's zero-constant part."""
+    I, J, target = _pairs(n, K)
+    keep = I > 0
+    out = (I[keep], target[keep] * _sum_table(n, K).shape[0] + J[keep])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _product(n: int, K: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,17 +120,21 @@ class Jet:
         return self.power(p)
 
     def compose_series(self, series) -> "Jet":
-        """Evaluate sum_m series[m] * (self - const)^m, m = 0..K."""
+        """Evaluate sum_m series[m] * (self - const)^m, m = 0..K.
+
+        By Horner on W, the truncated multiplication matrix of
+        w = self - const (W @ x is the coefficient vector of w * x):
+        K matrix-vector products in place of K jet products.
+        """
         series = np.asarray(series)
-        w = self.c.copy()
-        w[0] = 0.0
-        out = np.zeros(w.size, dtype=np.result_type(w, series))
-        out[0] = series[0]
-        wp = w
-        for m in range(1, self.K + 1):
-            if m > 1:
-                wp = _product(self.n, self.K, wp, w)
-            out += series[m] * wp
+        S = self.c.size
+        I, flat = _matrix_index(self.n, self.K)
+        W = scatter_add(flat, self.c[I], S * S).reshape(S, S)
+        out = np.zeros(S, dtype=np.result_type(W, series))
+        out[0] = series[self.K]
+        for m in range(self.K - 1, -1, -1):
+            out = W @ out
+            out[0] += series[m]
         return Jet(self.n, self.K, out)
 
     def cos(self) -> "Jet":

@@ -105,6 +105,38 @@ def plan_for(catalog: MultiIndexCatalog) -> ExtensionPlan:
     return _compiled(catalog.d_plus_1, catalog.k)
 
 
+@functools.lru_cache(maxsize=16)
+def _lowering(d_plus_1: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(column, bins, inverse) of the plan's pairs that read G's row 0.
+
+    column[p] is the G column pair p reads, bins the distinct entries of
+    vec(M) they land on (no other pair lands there) and inverse[p] the
+    position of pair p's entry in bins.  Read-only, shared.
+    """
+    plan = _compiled(d_plus_1, k)
+    reads_row0 = plan.source < d_plus_1
+    bins, inverse = np.unique(plan.target[reads_row0], return_inverse=True)
+    out = (plan.source[reads_row0], bins, inverse)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _A1_preserving(d_plus_1: int, k: int, dtype: str, A1_bytes: bytes) -> np.ndarray:
+    """A1k with G's row 0 left at zero: the part that does not depend on xhat.
+
+    Read-only, shared by every build_A1 call on this (d+1, k, A1).
+    """
+    A1_aug = np.frombuffer(A1_bytes, dtype=dtype).reshape(d_plus_1, d_plus_1)
+    plan = _compiled(d_plus_1, k)
+    G = np.zeros((plan.size, d_plus_1), dtype=np.result_type(A1_aug, float))
+    G[1 : d_plus_1 + 1] = A1_aug.T
+    out = plan.assemble(G)
+    out.flags.writeable = False
+    return out
+
+
 def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     """The 1/eps part of the lifted dynamics at reference point xhat.
 
@@ -113,17 +145,21 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     Through the plan this puts, for row alpha and each position l, the
     degree-preserving coefficient (A1)_{alpha_l m} at chi(alpha; l) + {m}
     and the degree-lowering coefficient (A1 xhat)_{alpha_l} at
-    chi(alpha; l).
+    chi(alpha; l).  The two kinds land on disjoint entries, so the
+    degree-preserving part is assembled once per (d+1, k, A1) and each
+    call scatters only the degree-lowering pairs into a fresh copy; the
+    sums are those of the whole plan, bit for bit.
     """
     A1_aug = np.asarray(A1_aug)
     n = catalog.d_plus_1
     if A1_aug.shape != (n, n):
         raise ValueError(f"augmented matrix has shape {A1_aug.shape}, expected ({n}, {n})")
     xhat = _check_point(catalog, xhat)
-    G = np.zeros((catalog.size, n), dtype=np.result_type(A1_aug, xhat))
-    G[0] = A1_aug @ xhat
-    G[1 : n + 1] = A1_aug.T
-    return plan_for(catalog).assemble(G)
+    fixed = _A1_preserving(n, catalog.k, A1_aug.dtype.str, A1_aug.tobytes())
+    column, bins, inverse = _lowering(n, catalog.k)
+    out = fixed.astype(np.result_type(fixed, xhat))
+    out.reshape(-1)[bins] = scatter_add(inverse, (A1_aug @ xhat)[column], bins.size)
+    return out
 
 
 def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.ndarray:

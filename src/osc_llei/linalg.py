@@ -1,9 +1,18 @@
 """Dense linear algebra kernels that keep the dtype of their input.
 
-Thin validated wrappers over scipy/LAPACK:
+Thin validated wrappers over scipy/LAPACK, and one kernel of its own:
 
-- expm: scaling-and-squaring with a degree-13 diagonal Pade approximant
-  and 1-norm based scaling (Al-Mohy and Higham), via scipy.linalg.expm.
+- expm: scaling and squaring on one of two approximants, chosen by
+  size.  Below TAYLOR_MIN_DIM rows, scipy.linalg.expm: a degree-13
+  diagonal Pade approximant with 1-norm based scaling (Al-Mohy and
+  Higham 2009), whose dense solve costs about twelve matrix products at
+  D = 56.  From TAYLOR_MIN_DIM rows up, a degree-m Taylor polynomial
+  evaluated by Paterson-Stockmeyer, which needs matrix products only
+  (Bader, Blanes and Casas, Mathematics 7 (2019) 1174).  taylor_plan
+  picks m and the number of squarings s from the backward-error
+  thresholds theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2)
+  (2011), Table 3.1.  The crossover was measured on the scheme's step
+  matrices with one BLAS thread (CHANGES.md holds the table).
 - eigvals: Hessenberg reduction plus shifted QR iteration (LAPACK
   dgeev/zgeev), via scipy.linalg.eigvals.
 
@@ -18,8 +27,103 @@ the jet product use.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
+
+# expm's Taylor path runs from this many rows up.  On step matrices, one
+# BLAS thread: scipy is faster at D = 20, the two are even at D = 21, and
+# the Taylor path is faster by a fifth or more from D = 35 on.
+TAYLOR_MIN_DIM = 30
+
+# theta_m: the largest ||2^-s M||_1 for which the degree-m Taylor
+# polynomial of e^(2^-s M), squared s times, is the exact exponential of
+# a matrix within relative backward error 2^-53.  m <= 30 from Higham and
+# Al-Mohy, Acta Numerica 19 (2010), Table A.3; m >= 35 from Al-Mohy and
+# Higham (2011), Table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+# (m, q): the degrees that Paterson-Stockmeyer evaluates in the fewest
+# products for their degree, with their block size q.  Degree m costs
+# q - 1 products for the powers M^2..M^q and ceil(m/q) - 1 for Horner:
+# 0, 1, 2, ..., 9 products in this order.  The table's higher degrees
+# reach a smaller norm than m = 30 with squarings at the same cost.
+_PS_DEGREES = ((1, 1), (2, 2), (4, 2), (6, 3), (9, 3), (12, 4), (16, 4), (20, 5), (25, 5), (30, 6))
+
+
+def taylor_plan(norm1: float) -> tuple[int, int, int]:
+    """(m, q, s) for the Taylor path at ||M||_1 = norm1.
+
+    Degree m with Paterson-Stockmeyer block size q and s squarings:
+    the fewest matrix products for which ||2^-s M||_1 <= theta_m, and
+    among those the fewest squarings.
+    """
+    best = None
+    for products, (m, q) in enumerate(_PS_DEGREES):
+        theta = TAYLOR_THETA[m]
+        s = 0 if norm1 <= theta else math.ceil(math.log2(norm1 / theta))
+        if best is None or products + s <= best[0]:
+            best = (products + s, (m, q, s))
+        if s == 0:
+            # every later degree costs more products and cannot square less
+            break
+    return best[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _block_coefficients(m: int, q: int) -> np.ndarray:
+    """C[i, j] = 1/(iq + j)!, the coefficient of M^j in Horner block i.
+
+    Blocks i < r take M^0..M^(q-1) and the last, r = ceil(m/q) - 1, takes
+    M^0..M^(m - rq), which may include M^q.  Read-only, shared.
+    """
+    r = -(-m // q) - 1
+    C = np.zeros((r + 1, q + 1))
+    for i in range(r + 1):
+        for j in range(q if i < r else m - r * q + 1):
+            C[i, j] = 1.0 / math.factorial(i * q + j)
+    C.flags.writeable = False
+    return C
+
+
+def _taylor_expm(M: np.ndarray) -> np.ndarray:
+    """e^M by a Paterson-Stockmeyer Taylor polynomial, scaling and squaring."""
+    n = M.shape[0]
+    m, q, s = taylor_plan(float(np.abs(M).sum(axis=0).max()))
+    if s:
+        M = M * 2.0**-s
+    # powers[j] = M^j for j = 0..q, in one stack
+    powers = np.empty((q + 1, n, n), dtype=M.dtype)
+    powers[0] = _identity(n)
+    powers[1] = M
+    for j in range(2, q + 1):
+        np.matmul(powers[j - 1], M, out=powers[j])
+    C = _block_coefficients(m, q)
+    blocks = (C @ powers.reshape(q + 1, n * n)).reshape(-1, n, n)
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        block += powers[q] @ out
+        out = block
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _as_square(M, name: str = "M") -> np.ndarray:
@@ -34,7 +138,10 @@ def _as_square(M, name: str = "M") -> np.ndarray:
 
 def expm(M) -> np.ndarray:
     """Matrix exponential e^M, real for real M."""
-    return scipy.linalg.expm(_as_square(M))
+    M = _as_square(M)
+    if M.shape[0] >= TAYLOR_MIN_DIM:
+        return _taylor_expm(M)
+    return scipy.linalg.expm(M)
 
 
 def eigvals(M) -> np.ndarray:

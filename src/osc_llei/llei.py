@@ -75,9 +75,12 @@ def _step_matrices(system, catalog, A1, Un, tn, h):
     xhat = np.empty(d + 1, dtype=Un.dtype)
     xhat[:d] = Un
     xhat[d] = tn
-    A1k = build_A1(catalog, A1, xhat)
-    A0k = build_A0(catalog, system.oracle, xhat)
-    return (A1k / system.epsilon + A0k) * h
+    # (A1k / eps + A0k) * h, in place in build_A1's fresh matrix
+    M = build_A1(catalog, A1, xhat)
+    M /= system.epsilon
+    M += build_A0(catalog, system.oracle, xhat)
+    M *= h
+    return M
 
 
 def _advance(system, catalog, A1, Un, tn, h):

@@ -52,6 +52,9 @@ def test_A1_nonzero_xhat_adds_degree_lowering_entries() -> None:
         for j2 in range(j1 + 1, 3):
             block = A1k[edges[j1] : edges[j1 + 1], edges[j2] : edges[j2 + 1]]
             assert np.count_nonzero(block) == 0
+    # every call returns its own matrix, over a cached xhat-free part
+    build_A1(cat, A1_aug, xhat)[:] += 1.0
+    assert np.array_equal(build_A1(cat, A1_aug, xhat), A1k)
 
 
 def test_A1_dimension_mismatch() -> None:

@@ -1,11 +1,16 @@
-"""Dense linear algebra wrappers: expm, eigvals."""
+"""Dense linear algebra: expm on both of its paths, eigvals."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osc_llei.linalg import eigvals, expm
+from osc_llei.linalg import TAYLOR_MIN_DIM, eigvals, expm
 
 
 def taylor_expm(M: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -34,23 +39,65 @@ def test_expm_matches_taylor_oracle() -> None:
             want = taylor_expm(M)
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-12 * scale
+    # the Taylor path, real and complex; entries scaled by n^-1/2 keep the
+    # spectrum O(1), as it is for the small sizes
+    for n in (40, 64):
+        for real in (True, False):
+            M = rng.standard_normal((n, n))
+            if not real:
+                M = M + 1j * rng.standard_normal((n, n))
+            M /= math.sqrt(n)
+            got = expm(M)
+            want = taylor_expm(M)
+            assert got.dtype == M.dtype
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_expm_diagonal_and_zero() -> None:
-    D = np.diag([1j, -2j, 0.5j])
-    assert np.allclose(expm(D), np.diag(np.exp(np.diag(D))), atol=1e-14)
-    Z = np.zeros((4, 4))
-    assert np.array_equal(expm(Z), np.eye(4))
+    for D in (np.diag([1j, -2j, 0.5j]), np.diag(1j * np.linspace(-2.0, 1.0, 40))):
+        # rtol=0: the D = 40 case has ||D||_1 = |lambda|_max, where the
+        # Taylor path's truncation error meets its bound
+        assert np.allclose(expm(D), np.diag(np.exp(np.diag(D))), rtol=0, atol=1e-14)
+    for n in (4, 40):
+        Z = np.zeros((n, n))
+        assert np.array_equal(expm(Z), np.eye(n))
 
 
 def test_expm_large_imaginary_argument_stays_unitary() -> None:
     # exp of a skew-Hermitian matrix is unitary even at huge norms
     rng = np.random.default_rng(11)
-    H = rng.standard_normal((4, 4))
-    H = H + H.T
-    M = 1j * H * 1e4
-    U = expm(M)
-    assert np.linalg.norm(U @ U.conj().T - np.eye(4)) <= 1e-8
+    for n in (4, 40):
+        H = rng.standard_normal((n, n))
+        H = H + H.T
+        M = 1j * H * 1e4
+        U = expm(M)
+        assert np.linalg.norm(U @ U.conj().T - np.eye(n)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((8, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64)),
+    real=st.booleans(),
+    normal=st.booleans(),
+    log_norm=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -> None:
+    # a Gaussian matrix is non-normal; normal draws are (i times) symmetric.
+    # Two backward-stable exponentials may differ by about cond(exp, M) u,
+    # and cond(exp, M) >= ||M||, so the relative bound grows with ||M||_1.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    if not real:
+        M = M + 1j * rng.standard_normal((n, n))
+    if normal:
+        M = M + M.T if real else 1j * (M + M.conj().T)
+    norm = 10.0**log_norm
+    M *= norm / np.abs(M).sum(axis=0).max()
+    got = expm(M)
+    want = scipy.linalg.expm(M)
+    assert got.dtype == M.dtype
+    assert np.linalg.norm(got - want, 1) <= 1e-13 * max(1.0, norm) * np.linalg.norm(want, 1)
 
 
 def test_eigvals_recovers_constructed_spectrum() -> None:

@@ -23,8 +23,8 @@ from osc_llei import (
     rk4_integrate,
     step,
 )
-from osc_llei._jets import _pairs
-from osc_llei.extension import _compiled
+from osc_llei._jets import _matrix_index, _pairs
+from osc_llei.extension import _A1_preserving, _compiled, _lowering
 from osc_llei.mindex import _restriction, _sum_table
 
 
@@ -190,9 +190,12 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    # cold: the plan, the sum table, the jet pairs and the restrictions
-    # are all compiled inside the counted steps
-    for cache in (_compiled, _sum_table, _pairs, _restriction):
+    # cold: the plan, A1k's xhat-free part and lowering pairs, the sum
+    # table, the jet pairs and the restrictions are all compiled inside
+    # the counted steps
+    for cache in (
+        _compiled, _A1_preserving, _lowering, _sum_table, _pairs, _matrix_index, _restriction
+    ):
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")

@@ -22,6 +22,7 @@ before it became a JetOracle.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -589,13 +590,21 @@ def loop_compose(exps, a, series, K) -> dict:
 
 @st.composite
 def jets(draw):
-    """n, K and two random real polynomial jets; b has constant term >= 1."""
+    """n, K and two random real or complex polynomial jets; b has Re b_0 >= 1."""
     n = draw(st.integers(min_value=1, max_value=3))
     K = draw(st.integers(min_value=1, max_value=4))
     size = _catalog(n, K).size
-    a = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
-    b = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
-    b[0] = 1.0 + abs(b[0])
+    is_complex = draw(st.booleans())
+
+    def coefficients() -> np.ndarray:
+        c = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+        if is_complex:
+            c = c + 1j * np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+        return c
+
+    a, b = coefficients(), coefficients()
+    # Re b_0 becomes 1 + |Re b_0|, away from the power's branch cut
+    b[0] += 1.0 + abs(b[0].real) - b[0].real
     return n, K, a, b
 
 
@@ -611,7 +620,7 @@ def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
     # the scalar Taylor series of x^-1.5 at b_0 and of cos at a_0,
     # computed here independently of _jets
     power_series = [scipy.special.binom(-1.5, m) * b[0] ** (-1.5 - m) for m in range(K + 1)]
-    cos_series = [math.cos(a[0] + m * math.pi / 2) / math.factorial(m) for m in range(K + 1)]
+    cos_series = [cmath.cos(a[0] + m * math.pi / 2) / math.factorial(m) for m in range(K + 1)]
     cases = [
         (ja * jb, loop_product(exps, a, b, K)),
         (jb.power(-1.5), loop_compose(exps, b, power_series, K)),
