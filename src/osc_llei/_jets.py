@@ -2,16 +2,17 @@
 
 A Jet stores the Taylor coefficients of a scalar function of n
 variables around a base point, truncated at total degree K, as one 1-D
-array in the catalog order of mindex (degree blocks 0..K, lexicographic
-on the sorted components inside each block): row i holds the
-coefficient of the i-th representative, i.e. d^beta / gamma(beta).
+array in the order of its catalog, mindex's catalog over n symbols up
+to degree K (degree blocks 0..K, lexicographic on the sorted components
+inside each block): row i holds the coefficient of the i-th
+representative, i.e. d^beta / gamma(beta).
 
 The product of two jets is one gather and one scatter-add through the
-pairs of mindex's multiset-sum table for (n, K): every pair of rows
-whose degrees sum to at most K, with the row their sum lands on (the
-dense-coefficient Taylor arithmetic of Griewank and Walther, Evaluating
-Derivatives, ch. 13).  Arithmetic propagates exact coefficients, so
-mixed partials recovered from a jet are accurate to machine precision.
+catalog's pairs: every pair of rows whose degrees sum to at most K,
+with the row their sum lands on (the dense-coefficient Taylor
+arithmetic of Griewank and Walther, Evaluating Derivatives, ch. 13).
+Arithmetic propagates exact coefficients, so mixed partials recovered
+from a jet are accurate to machine precision.
 Analytic functions (cos, sin, exp, and powers other than non-negative
 integers, which multiply out) are applied by composing their scalar
 Taylor series with the zero-constant part w of the jet, which terminates
@@ -26,69 +27,44 @@ The engine of sysdef.JetOracle; not part of the public API.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .linalg import scatter_add
-from .mindex import _sum_table
-
-
-@functools.lru_cache(maxsize=32)
-def _pairs(n: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I, J, target): every pair of rows whose degrees sum to at most K."""
-    sums = _sum_table(n, K)
-    I, J = np.nonzero(sums >= 0)
-    target = sums[I, J]
-    # shared by every jet of this (n, K) through the cache
-    for arr in (I, J, target):
-        arr.flags.writeable = False
-    return I, J, target
-
-
-@functools.lru_cache(maxsize=32)
-def _matrix_index(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I, flat) of the pairs with I >= 1: a[I] lands at flat = target * S + J
-    of the S x S multiplication matrix of a's zero-constant part."""
-    I, J, target = _pairs(n, K)
-    keep = I > 0
-    out = (I[keep], target[keep] * _sum_table(n, K).shape[0] + J[keep])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-def _product(n: int, K: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    I, J, target = _pairs(n, K)
-    return scatter_add(target, a[I] * b[J], a.size)
+from .mindex import MultiIndexCatalog
 
 
 class Jet:
-    __slots__ = ("n", "K", "c")
+    """Coefficients c of a jet in the order of catalog, truncated at its degree K = catalog.k."""
 
-    def __init__(self, n: int, K: int, c: np.ndarray):
-        self.n = n
-        self.K = K
+    __slots__ = ("catalog", "c")
+
+    def __init__(self, catalog: MultiIndexCatalog, c: np.ndarray):
+        self.catalog = catalog
         self.c = c
 
     @classmethod
-    def constant(cls, value, n: int, K: int) -> "Jet":
-        c = np.zeros(_sum_table(n, K).shape[0], dtype=np.result_type(value, float))
+    def constant(cls, value, catalog: MultiIndexCatalog) -> "Jet":
+        c = np.zeros(catalog.size, dtype=np.result_type(value, float))
         c[0] = value
-        return cls(n, K, c)
+        return cls(catalog, c)
+
+    @property
+    def K(self) -> int:
+        return self.catalog.k
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            return Jet(self.n, self.K, self.c + other.c)
+            return Jet(self.catalog, self.c + other.c)
         c = self.c.astype(np.result_type(self.c, other))
         c[0] += other
-        return Jet(self.n, self.K, c)
+        return Jet(self.catalog, c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.n, self.K, -self.c)
+        return Jet(self.catalog, -self.c)
 
     def __sub__(self, other) -> "Jet":
         return self + (-other)
@@ -98,14 +74,15 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.n, self.K, self.c * other)
-        return Jet(self.n, self.K, _product(self.n, self.K, self.c, other.c))
+            return Jet(self.catalog, self.c * other)
+        I, J, target = self.catalog.pairs
+        return Jet(self.catalog, scatter_add(target, self.c[I] * other.c[J], self.c.size))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.n, self.K, self.c / other)
+            return Jet(self.catalog, self.c / other)
         return self * other.power(-1)
 
     def __rtruediv__(self, other) -> "Jet":
@@ -113,7 +90,7 @@ class Jet:
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, (int, np.integer)) and p >= 0:
-            out = Jet.constant(1.0, self.n, self.K) if p == 0 else self
+            out = Jet.constant(1.0, self.catalog) if p == 0 else self
             for _ in range(p - 1):
                 out = out * self
             return out
@@ -128,14 +105,14 @@ class Jet:
         """
         series = np.asarray(series)
         S = self.c.size
-        I, flat = _matrix_index(self.n, self.K)
+        I, flat = self.catalog.matrix_index
         W = scatter_add(flat, self.c[I], S * S).reshape(S, S)
         out = np.zeros(S, dtype=np.result_type(W, series))
         out[0] = series[self.K]
         for m in range(self.K - 1, -1, -1):
             out = W @ out
             out[0] += series[m]
-        return Jet(self.n, self.K, out)
+        return Jet(self.catalog, out)
 
     def cos(self) -> "Jet":
         a0 = self.c[0]

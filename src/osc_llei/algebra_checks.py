@@ -121,7 +121,7 @@ def check_block_structure(
     A1k: np.ndarray, catalog: MultiIndexCatalog, xhat_is_zero: bool
 ) -> CheckResult:
     """Exact zeros above the block diagonal; below it too when xhat = 0."""
-    edges = np.concatenate([[0], np.cumsum(catalog.block_dims)])
+    edges = np.concatenate([[0], catalog.n_upto])
     k = catalog.k
     bad = 0
     for j1 in range(k + 1):

@@ -5,15 +5,16 @@ The extension variable at reference point xhat collects all monomials
 dx/dt = (1/eps) A1 x + f(x) and Taylor-truncating f at xhat splits the
 lifted dynamics into (1/eps) * A1k + A0k plus a remainder the scheme
 never evaluates.  Every coefficient lands on the canonical
-representative of its target monomial chi + beta, read from mindex's
-multiset-sum table, so duplicate contributions accumulate by
-construction.  Where each coefficient lands depends only on (d+1, k);
-an ExtensionPlan holds that map, compiled once per pair, and both
-builders feed it the Taylor coefficients of their field.  build_S and
-lift use the same table: row alpha is the product of the degree-1 row
-of its first component and the row of the rest.  The
-matrices keep the dtype of their data: a real field at a real point
-gives float64 matrices, anything complex gives complex128 ones.
+representative of its target monomial chi + beta, read from the
+catalog's tables (drops for chi, sums for chi + beta), so duplicate
+contributions accumulate by construction.  Where each coefficient
+lands depends only on (d+1, k); an ExtensionPlan holds that map,
+compiled once per pair, and both builders feed it the Taylor
+coefficients of their field.  build_S and lift use the same tables: row
+alpha is the product of the degree-1 row of its first component and
+the row of the rest.  The matrices keep the dtype of their data: a real
+field at a real point gives float64 matrices, anything complex gives
+complex128 ones.
 
 Row conventions (catalog order): row 0 is the constant monomial and is
 identically zero in both matrices; rows 1..d+1 are the degree-1 block.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import scatter_add
-from .mindex import MultiIndexCatalog, _sum_table, build_catalog, remove_component
+from .mindex import MultiIndexCatalog, build_catalog
 from .sysdef import DerivativeOracle
 
 
@@ -59,32 +60,41 @@ class ExtensionPlan:
     The pairs depend only on (d+1, k); plan_for compiles them once.
     Duplicate targets are kept as separate pairs and summed in the
     order of the row-by-row derivation.
+
+    The pairs that read G's row 0 (beta = (), the only ones that depend
+    on xhat for a linear field) are split out for build_A1:
+    lower_column[p] is the G column pair p reads, lower_bins the distinct
+    entries of vec(M) they land on (no other pair lands there) and
+    lower_inverse[p] the position of pair p's entry in lower_bins.
+    Every array is read-only, shared by all steps on this (d+1, k).
     """
 
     size: int
     source: np.ndarray
     target: np.ndarray
+    lower_column: np.ndarray
+    lower_bins: np.ndarray
+    lower_inverse: np.ndarray
 
     @classmethod
     def compile(cls, catalog: MultiIndexCatalog) -> "ExtensionPlan":
         n, k, D = catalog.d_plus_1, catalog.k, catalog.size
-        sums = _sum_table(n, k)
-        # n_upto[m]: number of representatives of degree <= m
-        n_upto = np.cumsum(catalog.block_dims)
+        sums, n_upto = catalog.sums, catalog.n_upto
         source: list[np.ndarray] = []
         target: list[np.ndarray] = []
-        for row, alpha in enumerate(catalog.representatives):
-            j = len(alpha)
-            for l in range(1, j + 1):
-                chi = catalog._pos[remove_component(alpha, l)]
-                b = np.arange(n_upto[k - j + 1])
-                source.append(b * n + alpha[l - 1] - 1)
+        for row, (alpha, chis) in enumerate(zip(catalog.representatives, catalog.drops)):
+            for c, chi in zip(alpha, chis):
+                b = np.arange(n_upto[k - len(alpha) + 1])
+                source.append(b * n + c - 1)
                 target.append(row * D + sums[chi, : b.size])
         source_arr = np.concatenate(source)
         target_arr = np.concatenate(target)
-        source_arr.flags.writeable = False
-        target_arr.flags.writeable = False
-        return cls(D, source_arr, target_arr)
+        reads_row0 = source_arr < n
+        bins, inverse = np.unique(target_arr[reads_row0], return_inverse=True)
+        arrays = (source_arr, target_arr, source_arr[reads_row0], bins, inverse)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(D, *arrays)
 
     def assemble(self, G: np.ndarray) -> np.ndarray:
         """The (D x D) lifted matrix of the field whose coefficients are G.
@@ -103,23 +113,6 @@ def _compiled(d_plus_1: int, k: int) -> ExtensionPlan:
 def plan_for(catalog: MultiIndexCatalog) -> ExtensionPlan:
     """The extension plan of catalog's (d+1, k), compiled on first use."""
     return _compiled(catalog.d_plus_1, catalog.k)
-
-
-@functools.lru_cache(maxsize=16)
-def _lowering(d_plus_1: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(column, bins, inverse) of the plan's pairs that read G's row 0.
-
-    column[p] is the G column pair p reads, bins the distinct entries of
-    vec(M) they land on (no other pair lands there) and inverse[p] the
-    position of pair p's entry in bins.  Read-only, shared.
-    """
-    plan = _compiled(d_plus_1, k)
-    reads_row0 = plan.source < d_plus_1
-    bins, inverse = np.unique(plan.target[reads_row0], return_inverse=True)
-    out = (plan.source[reads_row0], bins, inverse)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -156,9 +149,11 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
         raise ValueError(f"augmented matrix has shape {A1_aug.shape}, expected ({n}, {n})")
     xhat = _check_point(catalog, xhat)
     fixed = _A1_preserving(n, catalog.k, A1_aug.dtype.str, A1_aug.tobytes())
-    column, bins, inverse = _lowering(n, catalog.k)
+    plan = plan_for(catalog)
     out = fixed.astype(np.result_type(fixed, xhat))
-    out.reshape(-1)[bins] = scatter_add(inverse, (A1_aug @ xhat)[column], bins.size)
+    out.reshape(-1)[plan.lower_bins] = scatter_add(
+        plan.lower_inverse, (A1_aug @ xhat)[plan.lower_column], plan.lower_bins.size
+    )
     return out
 
 
@@ -187,8 +182,8 @@ def _first_and_rest(catalog: MultiIndexCatalog):
     Rows come in catalog order, so the rest's row is always done first.
     """
     return [
-        (row, alpha[0], catalog._pos[alpha[1:]])
-        for row, alpha in enumerate(catalog.representatives)
+        (row, alpha[0], chis[0])
+        for row, (alpha, chis) in enumerate(zip(catalog.representatives, catalog.drops))
         if alpha
     ]
 
@@ -202,9 +197,7 @@ def build_S(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
     identity at xhat = 0.
     """
     xhat = _check_point(catalog, xhat)
-    sums = _sum_table(catalog.d_plus_1, catalog.k)
-    # n_upto[m]: number of representatives of degree <= m
-    n_upto = np.cumsum(catalog.block_dims)
+    sums, n_upto = catalog.sums, catalog.n_upto
     D = catalog.size
     out = np.zeros((D, D), dtype=complex)
     out[0, 0] = 1.0

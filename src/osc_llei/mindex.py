@@ -10,13 +10,13 @@ vector in this package relies on: degree blocks 0, 1, ..., k, with
 lexicographic order on the sorted components inside each block (so the
 degree-1 block is exactly u_1, ..., u_d, t).
 
-This module is the only one that knows the layout.  Besides the catalog
-it keeps one read-only table per (n, k), _sum_table: entry [i, j] is the
-row of the multiset sum reps[i] + reps[j], or -1 when its degree passes
-k.  Jet products land their coefficient pairs there; the extension
-plan, build_S and lift land each chi + beta there.  Two more,
-_exponent_table and _gamma_table, hold each representative's exponent
-vector and its gamma weight.
+This module is the only one that knows the layout.  The catalog owns
+every index table derived from it, each built on first read and kept on
+the catalog: the rows of all multiset sums reps[i] + reps[j] (sums, and
+its pairs within degree k for the jets), each representative with one
+component dropped (drops), the exponent vectors, the float gamma weights
+and the block offsets.  Jet products land their coefficient pairs on
+sums; the extension plan, build_S and lift land each chi + beta there.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 # the largest catalog enumerated, in rows D: it keeps the D x D
-# _sum_table of intp entries at or below 128 MiB, and still allows
+# table of sums of intp entries at or below 128 MiB, and still allows
 # k <= 27 at d = 2, k <= 15 at d = 3 and k <= 10 at d = 4
 MAX_CATALOG_SIZE = 4096
 
@@ -74,8 +74,12 @@ def remove_component(alpha, l: int) -> MultiIndex:
 class MultiIndexCatalog:
     """Ordered representatives of all multisets over {1..d+1} of size <= k.
 
-    gammas[i] is gamma(representatives[i]).  Immutable after
-    construction; safe to share across threads.
+    gammas[i] is gamma(representatives[i]).  The fields are immutable.
+    The index tables below are derived from them on first read and cached
+    on the instance; each is a read-only array or a tuple, and the frozen
+    instance refuses to rebind or delete them.  _catalog shares one
+    catalog per (d+1, k), so each table is built once per pair; two
+    threads racing on a first read at worst build it twice, alike.
     """
 
     d_plus_1: int
@@ -102,6 +106,61 @@ class MultiIndexCatalog:
             raise ValueError(
                 f"multi-index {tuple(alpha)} not in catalog (d+1={self.d_plus_1}, k={self.k})"
             ) from None
+
+    @functools.cached_property
+    def n_upto(self) -> np.ndarray:
+        """n_upto[m] = number of representatives of degree <= m, m = 0..k."""
+        return _read_only(np.cumsum(self.block_dims))
+
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        """sums[i, j] = row of reps[i] + reps[j], or -1 where the degrees add past k."""
+        reps = self.representatives
+        sums = np.full((self.size, self.size), -1, dtype=np.intp)
+        for i, a in enumerate(reps):
+            fits = reps[: self.n_upto[self.k - len(a)]]
+            sums[i, : len(fits)] = [self._pos[tuple(sorted(a + b))] for b in fits]
+        return _read_only(sums)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, J, target): every pair of rows whose degrees sum to at most k,
+        with target = sums[I, J]."""
+        I, J = np.nonzero(self.sums >= 0)
+        return _read_only(I), _read_only(J), _read_only(self.sums[I, J])
+
+    @functools.cached_property
+    def matrix_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(I, flat) of the pairs with I >= 1: a[I] lands at flat = target * D + J
+        of the D x D multiplication matrix of a's zero-constant part."""
+        I, J, target = self.pairs
+        keep = I > 0
+        return _read_only(I[keep]), _read_only(target[keep] * self.size + J[keep])
+
+    @functools.cached_property
+    def drops(self) -> tuple[tuple[int, ...], ...]:
+        """drops[row][l - 1] = row of reps[row] with its l-th component removed."""
+        return tuple(
+            tuple(self._pos[remove_component(alpha, l)] for l in range(1, len(alpha) + 1))
+            for alpha in self.representatives
+        )
+
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """exponents[i, q] = multiplicity of q + 1 in reps[i]."""
+        n = self.d_plus_1
+        exps = [[alpha.count(q) for q in range(1, n + 1)] for alpha in self.representatives]
+        return _read_only(np.array(exps, dtype=np.intp))
+
+    @functools.cached_property
+    def float_gammas(self) -> np.ndarray:
+        """gammas as float64."""
+        return _read_only(np.array(self.gammas, dtype=float))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def build_catalog(d_plus_1: int, k: int) -> MultiIndexCatalog:
@@ -149,41 +208,6 @@ def _catalog(n: int, k: int) -> MultiIndexCatalog:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _sum_table(n: int, k: int) -> np.ndarray:
-    """sums[i, j] = row of reps[i] + reps[j] in the (n, k) catalog, or -1.
-
-    -1 marks the pairs whose degrees add up to more than k.  Read-only,
-    since every caller shares it through the cache.
-    """
-    cat = _catalog(n, k)
-    reps = cat.representatives
-    n_upto = np.cumsum(cat.block_dims)
-    sums = np.full((cat.size, cat.size), -1, dtype=np.intp)
-    for i, a in enumerate(reps):
-        fits = reps[: n_upto[k - len(a)]]
-        sums[i, : len(fits)] = [cat._pos[tuple(sorted(a + b))] for b in fits]
-    sums.flags.writeable = False
-    return sums
-
-
-@functools.lru_cache(maxsize=32)
-def _exponent_table(n: int, k: int) -> np.ndarray:
-    """exps[i, q] = multiplicity of q + 1 in reps[i]; read-only, as it is shared."""
-    reps = _catalog(n, k).representatives
-    exps = np.array([[alpha.count(q) for q in range(1, n + 1)] for alpha in reps], dtype=np.intp)
-    exps.flags.writeable = False
-    return exps
-
-
-@functools.lru_cache(maxsize=32)
-def _gamma_table(n: int, k: int) -> np.ndarray:
-    """The catalog's gammas as float64; read-only, as it is shared."""
-    gammas = np.array(_catalog(n, k).gammas, dtype=float)
-    gammas.flags.writeable = False
-    return gammas
-
-
 @dataclass(frozen=True, eq=False)
 class Restriction:
     """The rows of a catalog whose multi-index uses only some variables.
@@ -207,7 +231,6 @@ def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restrict
 @functools.lru_cache(maxsize=32)
 def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restriction:
     dropped = [q for q in range(d_plus_1) if q + 1 not in variables]
-    rows = np.flatnonzero(~_exponent_table(d_plus_1, k)[:, dropped].any(axis=1))
+    rows = np.flatnonzero(~_catalog(d_plus_1, k).exponents[:, dropped].any(axis=1))
     # shared by every caller through the cache
-    rows.flags.writeable = False
-    return Restriction(_catalog(len(variables), k), rows)
+    return Restriction(_catalog(len(variables), k), _read_only(rows))

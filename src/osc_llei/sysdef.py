@@ -18,6 +18,7 @@ RK4 reference evaluate only the forcing a second-order system has.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import Jet
-from .mindex import (MultiIndexCatalog, _catalog, _exponent_table, _gamma_table, gamma,
-                     representative, restrict)
+from .mindex import MultiIndexCatalog, _catalog, gamma, representative, restrict
 
 
 class ConfigError(ValueError):
@@ -141,14 +141,13 @@ class JetOracle(DerivativeOracle):
 
     def _taylor(self, catalog, u, t):
         # variable q is x_q plus one unit coefficient on its degree-1 row q+1
-        n, K = catalog.d_plus_1, catalog.k
-        c = np.eye(n, catalog.size, 1, dtype=np.result_type(u, t, float))
+        c = np.eye(catalog.d_plus_1, catalog.size, 1, dtype=np.result_type(u, t, float))
         c[:-1, 0] = u
         c[-1, 0] = t
-        jets = [Jet(n, K, row) for row in c]
+        jets = [Jet(catalog, row) for row in c]
         outputs = self.F(np.array(jets[:-1], dtype=object), jets[-1])
         return np.array([
-            (f if isinstance(f, Jet) else Jet.constant(f, n, K)).c for f in outputs
+            (f if isinstance(f, Jet) else Jet.constant(f, catalog)).c for f in outputs
         ]).T
 
     def value(self, u, t):
@@ -177,7 +176,10 @@ class PolynomialOracle(JetOracle):
                 if c > d + 1:
                     raise ValueError(f"monomial component {c} outside 1..{d + 1}")
                 exps[c - 1] += 1
-            self.terms.append((row - 1, tuple(exps), complex(coeff)))
+            coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"term coeff must be finite, got {coeff}")
+            self.terms.append((row - 1, tuple(exps), coeff))
         real_valued = all(c.imag == 0 for _, _, c in self.terms)
         if real_valued:
             self.terms = [(row, exps, c.real) for row, exps, c in self.terms]
@@ -228,6 +230,11 @@ class OscillatorySystem:
             raise ValueError(f"u_in has shape {self.u_in.shape}, expected ({self.d},)")
         check_finite_positive("epsilon", self.epsilon)
         check_finite_positive("T", self.T)
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu:g}")
+        for name, value in (("A", self.A), ("u_in", self.u_in)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must have finite entries")
         spectrum = linalg.eigvals(self.A)
         self.rho = float(np.max(np.abs(spectrum)))
         self.mu = float(np.min(np.abs(spectrum)))
@@ -394,15 +401,14 @@ class _PendulumForcingOracle(DerivativeOracle):
 
     # closed form, not a JetOracle: 8 vs 52 us at k = 3 (one BLAS thread, 2-CPU x86-64 host)
     def _taylor(self, catalog, u, t):
-        K = catalog.k
-        shifts, scales, offsets = _pendulum_series(K)
+        shifts, scales, offsets = _pendulum_series(catalog.k)
         # a_0 = cos(w t) + t; shifts[0], scales[0] and offsets[0] leave it as is
         a = scales * np.cos(_OMEGA1 * t + shifts) + offsets
         a[0] += t
         s = np.sin(u[0] + shifts)
         # (m, n) of each row: its multiplicities of y and t
-        m, n = _exponent_table(2, K).T
-        return (-a[n] * s[m] / _gamma_table(2, K))[:, None]
+        m, n = catalog.exponents.T
+        return (-a[n] * s[m] / catalog.float_gammas)[:, None]
 
     def value(self, u, t):
         # the RK4 reference's hot path: four calls per step.  np.float64 is a

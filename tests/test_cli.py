@@ -327,29 +327,52 @@ def test_converge_eps_ci_exit_codes(tmp_path, monkeypatch, capsys, cfg, bands, i
     assert all(line.startswith("ci: ") for line in err)
 
 
+NAN = float("nan")
+POSITIVE = "must be finite and positive"
+INTEGRATE = ["integrate", "--k", "1", "--h", "0.25"]
+REFERENCE = ["reference", "--href", "0.25"]
+NON_FINITE_FIELDS = [
+    ("inline-nu-nan", {**QUADRATIC_CFG, "nu": NAN}, "nu must be finite, got nan"),
+    ("inline-nu-inf", {**QUADRATIC_CFG, "nu": INF}, "nu must be finite, got inf"),
+    ("inline-u_in-nan", {**QUADRATIC_CFG, "u_in": [NAN]}, "u_in must have finite entries"),
+    ("inline-A-nan", {**QUADRATIC_CFG, "A": [[NAN, 1]]}, "A must have finite entries"),
+    ("inline-coeff-inf", {**QUADRATIC_CFG, "poly_F": [{"row": 1, "alpha": [1], "coeff": INF}]},
+     "term coeff must be finite, got (inf+0j)"),
+]
+
+
 @pytest.mark.parametrize(
-    "cfg, command",
+    "cfg, command, message",
     [
-        (QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "inf"]),
-        (QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "nan"]),
-        (QUADRATIC_CFG, ["reference", "--href", "inf"]),
-        (QUADRATIC_CFG, ["reference", "--href", "nan"]),
-        (EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "inf", "--epsmin", "0.125",
-                        "--epsmax", "0.25", "--points", "2"]),
-        (EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "nan", "--epsmin", "0.125",
-                        "--epsmax", "0.25", "--points", "2"]),
-        (EXAMPLE1_CFG, ["converge-h", "--k", "1", "--hmin", "0.125", "--hmax", "inf"]),
-        ({**EXAMPLE1_CFG, "T": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
-        ({**EXAMPLE1_CFG, "epsilon": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
-        ({**QUADRATIC_CFG, "epsilon": INF}, ["integrate", "--k", "1", "--h", "0.25"]),
+        pytest.param(QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "inf"], POSITIVE,
+                     id="integrate-h-inf"),
+        pytest.param(QUADRATIC_CFG, ["integrate", "--k", "1", "--h", "nan"], POSITIVE,
+                     id="integrate-h-nan"),
+        pytest.param(QUADRATIC_CFG, ["reference", "--href", "inf"], POSITIVE,
+                     id="reference-href-inf"),
+        pytest.param(QUADRATIC_CFG, ["reference", "--href", "nan"], POSITIVE,
+                     id="reference-href-nan"),
+        pytest.param(EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "inf", "--epsmin", "0.125",
+                                    "--epsmax", "0.25", "--points", "2"], POSITIVE,
+                     id="converge-eps-h-inf"),
+        pytest.param(EXAMPLE1_CFG, ["converge-eps", "--k", "1", "--h", "nan", "--epsmin", "0.125",
+                                    "--epsmax", "0.25", "--points", "2"], POSITIVE,
+                     id="converge-eps-h-nan"),
+        pytest.param(EXAMPLE1_CFG, ["converge-h", "--k", "1", "--hmin", "0.125", "--hmax", "inf"],
+                     POSITIVE, id="converge-h-hmax-inf"),
+        pytest.param({**EXAMPLE1_CFG, "T": INF}, INTEGRATE, POSITIVE, id="builtin-T-inf"),
+        pytest.param({**EXAMPLE1_CFG, "epsilon": INF}, INTEGRATE, POSITIVE, id="builtin-eps-inf"),
+        pytest.param({**QUADRATIC_CFG, "epsilon": INF}, INTEGRATE, POSITIVE, id="inline-eps-inf"),
+    ] + [
+        pytest.param(cfg, command, message, id=f"{case}-{command[0]}")
+        for case, cfg, message in NON_FINITE_FIELDS
+        for command in (INTEGRATE, REFERENCE)
     ],
-    ids=["integrate-h-inf", "integrate-h-nan", "reference-href-inf", "reference-href-nan",
-         "converge-eps-h-inf", "converge-eps-h-nan", "converge-h-hmax-inf", "builtin-T-inf", "builtin-eps-inf",
-         "inline-eps-inf"],
 )
-def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, cfg, command) -> None:
-    # a config with Infinity (json.dumps writes it so) or a step of inf or
-    # nan is rejected up front: exit 2, one stderr line, no numpy warnings
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, cfg, command, message) -> None:
+    # a config with NaN or Infinity (json.dumps writes both so) or a step of
+    # inf or nan is rejected up front: exit 2, one stderr line that names
+    # the field, no numpy warnings
     cfg_path = write_config(tmp_path, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -359,7 +382,7 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, cfg, command) -> N
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and "must be finite and positive" in err[0], err
+    assert len(err) == 1 and message in err[0], err
 
 
 def test_validate_random_systems(capsys) -> None:

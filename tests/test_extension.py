@@ -17,6 +17,7 @@ from osc_llei import (
     lift,
 )
 from osc_llei.algebra_checks import random_imaginary_system
+from osc_llei.extension import plan_for
 
 
 def test_A1_worked_example_scalar_rotation() -> None:
@@ -55,6 +56,30 @@ def test_A1_nonzero_xhat_adds_degree_lowering_entries() -> None:
     # every call returns its own matrix, over a cached xhat-free part
     build_A1(cat, A1_aug, xhat)[:] += 1.0
     assert np.array_equal(build_A1(cat, A1_aug, xhat), A1k)
+
+
+def test_A1_split_matches_the_whole_plan() -> None:
+    # build_A1 assembles the pairs that read G's row 0 apart from the rest;
+    # the lowering bins take no other pair, so the sums are the whole
+    # plan's, bit for bit, in every real/complex mix of A1 and xhat
+    rng = np.random.default_rng(19)
+    for n in range(2, 6):
+        for k in range(1, 5):
+            cat = build_catalog(n, k)
+            plan = plan_for(cat)
+            reads_row0 = plan.source < n
+            assert np.array_equal(plan.lower_column, plan.source[reads_row0])
+            assert np.array_equal(plan.lower_bins[plan.lower_inverse], plan.target[reads_row0])
+            assert not np.isin(plan.lower_bins, plan.target[~reads_row0]).any(), (n, k)
+            A_re, A_im, x_re, x_im = rng.standard_normal((4, n, n))
+            for A1 in (A_re, A_re + 1j * A_im):
+                for xhat in (x_re[0], x_re[0] + 1j * x_im[0]):
+                    G = np.zeros((cat.size, n), dtype=np.result_type(A1, xhat))
+                    G[0] = A1 @ xhat
+                    G[1 : n + 1] = A1.T
+                    got = build_A1(cat, A1, xhat)
+                    assert got.dtype == G.dtype
+                    assert np.array_equal(got, plan.assemble(G)), (n, k, A1.dtype, xhat.dtype)
 
 
 def test_A1_dimension_mismatch() -> None:

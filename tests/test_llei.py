@@ -23,9 +23,8 @@ from osc_llei import (
     rk4_integrate,
     step,
 )
-from osc_llei._jets import _matrix_index, _pairs
-from osc_llei.extension import _A1_preserving, _compiled, _lowering
-from osc_llei.mindex import _restriction, _sum_table
+from osc_llei.extension import _A1_preserving, _compiled
+from osc_llei.mindex import _catalog, _restriction
 
 
 def linear_system(eps: float) -> OscillatorySystem:
@@ -177,7 +176,7 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
     # on the jet oracle of the force g; no per-beta partials, no value
     # calls (the RK4 reference alone evaluates F), and no catalog lookups,
     # even while compiling (the extension plan reads its targets from the
-    # sum table); one example1 step: one taylor call on the pendulum
+    # catalog's tables); one example1 step: one taylor call on the pendulum
     # forcing g as well
     calls: Counter = Counter()
 
@@ -190,12 +189,9 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    # cold: the plan, A1k's xhat-free part and lowering pairs, the sum
-    # table, the jet pairs and the restrictions are all compiled inside
-    # the counted steps
-    for cache in (
-        _compiled, _A1_preserving, _lowering, _sum_table, _pairs, _matrix_index, _restriction
-    ):
+    # cold: the catalogs and their tables, the plan, A1k's xhat-free part
+    # and the restrictions are all built inside the counted steps
+    for cache in (_catalog, _compiled, _A1_preserving, _restriction):
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")

@@ -23,6 +23,7 @@ before it became a JetOracle.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import json
@@ -54,7 +55,7 @@ from osc_llei import (
     second_order_to_first_order,
 )
 from osc_llei._jets import Jet
-from osc_llei.mindex import _catalog, _exponent_table, _sum_table, restrict
+from osc_llei.mindex import _catalog, restrict
 from osc_llei.sysdef import _PendulumForcingOracle
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -232,18 +233,61 @@ def test_sum_table_is_multiset_addition() -> None:
                 [reps.index(tuple(sorted(a + b))) if len(a) + len(b) <= k else -1 for b in reps]
                 for a in reps
             ]
-            sums = _sum_table(n, k)
-            assert sums.tolist() == want, (n, k)
-            assert not sums.flags.writeable
+            assert _catalog(n, k).sums.tolist() == want, (n, k)
 
 
 def test_exponent_table_rebuilds_the_representatives() -> None:
     for n in range(1, 5):
         for k in range(5):
-            exps = _exponent_table(n, k)
+            exps = _catalog(n, k).exponents
             got = [tuple(np.repeat(np.arange(1, n + 1), row).tolist()) for row in exps]
             assert got == list(_catalog(n, k).representatives), (n, k)
-            assert not exps.flags.writeable
+
+
+def test_catalog_tables_match_brute_force() -> None:
+    for n in range(1, 5):
+        for k in range(5):
+            cat = _catalog(n, k)
+            reps = cat.representatives
+            assert [len(chis) for chis in cat.drops] == [len(a) for a in reps], (n, k)
+            for row, alpha in enumerate(reps):
+                for l, chi in enumerate(cat.drops[row], start=1):
+                    assert chi == cat.position(remove_component(alpha, l)), (n, k, alpha, l)
+            assert cat.n_upto.tolist() == np.cumsum(cat.block_dims).tolist(), (n, k)
+            assert cat.float_gammas.dtype == np.float64
+            assert cat.float_gammas.tolist() == [float(gamma(a)) for a in reps], (n, k)
+            I, J, target = cat.pairs
+            assert sorted(zip(I.tolist(), J.tolist(), target.tolist())) == [
+                (i, j, t) for (i, j), t in np.ndenumerate(cat.sums) if t >= 0
+            ], (n, k)
+            # matrix_index scatters a into W with W @ b = (a - a[0]) * b
+            rng = np.random.default_rng(n * 10 + k)
+            a, b = rng.standard_normal((2, cat.size))
+            want = np.zeros(cat.size)
+            for (i, j), t in np.ndenumerate(cat.sums):
+                if i > 0 and t >= 0:
+                    want[t] += a[i] * b[j]
+            I1, flat = cat.matrix_index
+            W = np.zeros(cat.size**2)
+            np.add.at(W, flat, a[I1])
+            assert_close(W.reshape(cat.size, cat.size) @ b, want, PLAN_RTOL)
+
+
+def test_catalog_tables_are_read_only_and_shared() -> None:
+    cat = _catalog(3, 3)
+    for name in ("sums", "pairs", "matrix_index", "drops", "exponents", "float_gammas", "n_upto"):
+        table = getattr(cat, name)
+        for arr in table if isinstance(table, tuple) else (table,):
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, name
+            else:
+                assert isinstance(arr, tuple), name
+        # built once per catalog, and the catalog once per (n, k)
+        assert getattr(_catalog(3, 3), name) is table, name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cat, name, table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(cat, name)
 
 
 def test_restriction_rows_follow_the_sub_catalog() -> None:
@@ -489,7 +533,8 @@ def test_jet_functions_match_univariate_series(K, a, b) -> None:
     # the coefficient of x^m in the Taylor series of f at the jet's base point
     m = np.arange(K + 1)
     fact = np.array([math.factorial(j) for j in m], dtype=float)
-    x, y, zero = (Jet(1, K, np.array([base, 1.0] + [0.0] * (K - 1))) for base in (a, b, 0.0))
+    cat = _catalog(1, K)
+    x, y, zero = (Jet(cat, np.array([base, 1.0] + [0.0] * (K - 1))) for base in (a, b, 0.0))
     # x / y multiplies x by 1 / y, whose coefficients reach |b|^-(K+1), so
     # its rounding scales with them even where the quotient is small
     quotient_scale = abs(b) ** -(K + 1) * (1 + abs(a))
@@ -616,7 +661,7 @@ def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
         tuple(alpha.count(q) for q in range(1, n + 1))
         for alpha in _catalog(n, K).representatives
     ]
-    ja, jb = Jet(n, K, a), Jet(n, K, b)
+    ja, jb = Jet(_catalog(n, K), a), Jet(_catalog(n, K), b)
     # the scalar Taylor series of x^-1.5 at b_0 and of cos at a_0,
     # computed here independently of _jets
     power_series = [scipy.special.binom(-1.5, m) * b[0] ** (-1.5 - m) for m in range(K + 1)]
