@@ -53,7 +53,11 @@ def _parse_state(raw: str, d: int) -> np.ndarray:
         raise ConfigError(f"--at must be a JSON array: {exc}") from exc
     if not isinstance(entries, list) or len(entries) != d + 1:
         raise ConfigError(f"--at must list {d + 1} entries [u_1, ..., u_{d}, t]")
-    return np.array([_complex_entry(v, "--at entry") for v in entries])
+    xhat = np.array([_complex_entry(v, "--at entry") for v in entries])
+    # json reads NaN and Infinity
+    if not np.isfinite(xhat).all():
+        raise ConfigError(f"--at entries must be finite, got {raw}")
+    return xhat
 
 
 def _write_trajectory(traj: Trajectory, fh) -> None:

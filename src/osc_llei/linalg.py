@@ -2,7 +2,7 @@
 
 Thin validated wrappers over scipy/LAPACK, and one kernel of its own:
 
-- expm: scaling and squaring on one of two approximants, chosen by
+- expm(M): scaling and squaring on one of two approximants, chosen by
   size.  Below TAYLOR_MIN_DIM rows, scipy.linalg.expm: a degree-13
   diagonal Pade approximant with 1-norm based scaling (Al-Mohy and
   Higham 2009), whose dense solve costs about twelve matrix products at
@@ -13,6 +13,13 @@ Thin validated wrappers over scipy/LAPACK, and one kernel of its own:
   thresholds theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2)
   (2011), Table 3.1.  The crossover was measured on the scheme's step
   matrices with one BLAS thread (CHANGES.md holds the table).
+- expm(M, v): the action e^M v, on one of three paths.  Below
+  TAYLOR_MIN_DIM rows, scipy's e^M times v.  From there up, when
+  ||M||_1 <= theta_30 (no squarings), the degree-m Taylor polynomial
+  applied to v by Horner, m the smallest degree with theta_m >=
+  ||M||_1: m matrix-vector products and no matrix product (the same
+  backward-error bound, after Al-Mohy and Higham 2011).  Otherwise the
+  dense Taylor e^M times v.
 - eigvals: Hessenberg reduction plus shifted QR iteration (LAPACK
   dgeev/zgeev), via scipy.linalg.eigvals.
 
@@ -27,6 +34,7 @@ the jet product use.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -103,10 +111,13 @@ def _block_coefficients(m: int, q: int) -> np.ndarray:
     return C
 
 
-def _taylor_expm(M: np.ndarray) -> np.ndarray:
-    """e^M by a Paterson-Stockmeyer Taylor polynomial, scaling and squaring."""
+def _taylor_expm(M: np.ndarray, norm1: float) -> np.ndarray:
+    """e^M by a Paterson-Stockmeyer Taylor polynomial, scaling and squaring.
+
+    norm1 is ||M||_1.
+    """
     n = M.shape[0]
-    m, q, s = taylor_plan(float(np.abs(M).sum(axis=0).max()))
+    m, q, s = taylor_plan(norm1)
     if s:
         M = M * 2.0**-s
     # powers[j] = M^j for j = 0..q, in one stack
@@ -126,22 +137,80 @@ def _taylor_expm(M: np.ndarray) -> np.ndarray:
     return out
 
 
+# The action e^M v runs without squarings up to this degree's threshold,
+# where taylor_plan's s turns positive; beyond it, the dense path.
+_ACTION_MAX_DEGREE = 30
+_ACTION_DEGREES = tuple(m for m in sorted(TAYLOR_THETA) if m <= _ACTION_MAX_DEGREE)
+_ACTION_THETAS = tuple(TAYLOR_THETA[m] for m in _ACTION_DEGREES)
+# 1/j! as float64: an array of Python factorials past 20! is an object
+# array, and numpy's arithmetic on it is many times slower
+_INVERSE_FACTORIALS = np.array([1.0 / math.factorial(j) for j in range(_ACTION_MAX_DEGREE + 1)])
+_INVERSE_FACTORIALS.flags.writeable = False
+
+
+def _action_degree(norm1: float) -> int:
+    """The smallest m <= _ACTION_MAX_DEGREE with theta_m >= norm1."""
+    return _ACTION_DEGREES[bisect.bisect_left(_ACTION_THETAS, norm1)]
+
+
+def _taylor_action(M: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """T_m(M) v = sum_{j<=m} M^j v / j! by Horner: m matrix-vector products.
+
+    w <- M w + v / j! for j = m - 1, ..., 0, from w = v / m!.
+    """
+    V = np.multiply.outer(_INVERSE_FACTORIALS[: m + 1], v)
+    w = V[m]
+    for j in range(m - 1, -1, -1):
+        w = np.dot(M, w)
+        w += V[j]
+    return w
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite.
+
+    sum |x_i|^2 is finite exactly when every entry is, unless it
+    overflows: one dot product, about 1 us less per call than the
+    entrywise check, which runs only after an overflow.
+    """
+    return math.isfinite(np.vdot(x, x).real) or bool(np.isfinite(x).all())
+
+
 def _as_square(M, name: str = "M") -> np.ndarray:
     M = np.asarray(M)
-    M = M.astype(np.result_type(M, np.float64), copy=False)
+    M = M.astype(np.promote_types(M.dtype, np.float64), copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if not _all_finite(M):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
-def expm(M) -> np.ndarray:
-    """Matrix exponential e^M, real for real M."""
+def _as_vector(v, n: int) -> np.ndarray:
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"v must be a vector of length {n}, got shape {v.shape}")
+    v = v.astype(np.promote_types(v.dtype, np.float64), copy=False)
+    if not _all_finite(v):
+        raise ValueError("v contains non-finite entries")
+    return v
+
+
+def expm(M, v=None) -> np.ndarray:
+    """Matrix exponential e^M, real for real M; e^M v when v is given."""
     M = _as_square(M)
-    if M.shape[0] >= TAYLOR_MIN_DIM:
-        return _taylor_expm(M)
-    return scipy.linalg.expm(M)
+    n = M.shape[0]
+    if v is not None:
+        v = _as_vector(v, n)
+    if n < TAYLOR_MIN_DIM:
+        E = scipy.linalg.expm(M)
+    else:
+        norm1 = float(np.abs(M).sum(axis=0).max())
+        if v is not None and norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE]:
+            dtype = np.promote_types(M.dtype, v.dtype)
+            return _taylor_action(M.astype(dtype, copy=False), v.astype(dtype, copy=False), _action_degree(norm1))
+        E = _taylor_expm(M, norm1)
+    return E if v is None else np.dot(E, v)
 
 
 def eigvals(M) -> np.ndarray:

@@ -16,6 +16,7 @@ the extension order k of the catalog.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,18 @@ def _step_matrices(system, catalog, A1, Un, tn, h):
     return M
 
 
+@functools.lru_cache(maxsize=16)
+def _e1(n: int) -> np.ndarray:
+    """The first basis vector of length n: the lifted expansion point."""
+    out = np.zeros(n)
+    out[0] = 1.0
+    out.flags.writeable = False
+    return out
+
+
 def _advance(system, catalog, A1, Un, tn, h):
     M = _step_matrices(system, catalog, A1, Un, tn, h)
-    w = linalg.expm(M)[:, 0]
+    w = linalg.expm(M, _e1(M.shape[0]))
     d = system.d
     t_comp = w[d + 1]
     # a non-finite w falls through to the caller's blow-up check

@@ -87,6 +87,19 @@ def test_build_rejects_malformed_expansion_state(tmp_path, capsys) -> None:
     assert main(["build", "--config", cfg_path, "--k", "1", "--at", "nope"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "[0.5, NaN]"])
+def test_build_rejects_non_finite_expansion_state(tmp_path, capsys, entry) -> None:
+    # Python's json reads NaN and Infinity; --at takes finite numbers only
+    cfg_path = write_config(tmp_path, QUADRATIC_CFG)
+    out = tmp_path / "mats.csv"
+    rc = main(["build", "--config", cfg_path, "--k", "1", "--at", f"[{entry}, 0.25]", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --at entries must be finite")
+    assert not out.exists()
+
+
 def test_integrate_csv_shape_and_determinism(tmp_path) -> None:
     cfg_path = write_config(tmp_path, {"name": "example1", "epsilon": 0.25, "T": 1.0})
     out_a = tmp_path / "a.csv"

@@ -1,4 +1,4 @@
-"""Dense linear algebra: expm on both of its paths, eigvals."""
+"""Dense linear algebra: expm on both of its paths and its action on a vector, eigvals."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osc_llei.linalg import TAYLOR_MIN_DIM, eigvals, expm
+from osc_llei.linalg import TAYLOR_MIN_DIM, TAYLOR_THETA, eigvals, expm
 
 
 def taylor_expm(M: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -98,6 +98,64 @@ def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -
     want = scipy.linalg.expm(M)
     assert got.dtype == M.dtype
     assert np.linalg.norm(got - want, 1) <= 1e-13 * max(1.0, norm) * np.linalg.norm(want, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from((8, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64, 126)),
+    real=st.booleans(),
+    normal=st.booleans(),
+    log_norm=st.floats(min_value=-3.0, max_value=3.0),
+    unit=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_expm_action_agrees_with_the_dense_product(n, real, normal, log_norm, unit, seed) -> None:
+    # ||M||_1 from 1e-3 to 1e3 runs the Taylor action (||M||_1 <= theta_30)
+    # and the dense fallback from TAYLOR_MIN_DIM rows up, and scipy below
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    if not real:
+        M = M + 1j * rng.standard_normal((n, n))
+    if normal:
+        M = M + M.T if real else 1j * (M + M.conj().T)
+    norm = 10.0**log_norm
+    M *= norm / np.abs(M).sum(axis=0).max()
+    v = np.eye(n)[0] if unit else rng.standard_normal(n)
+    got = expm(M, v)
+    want = expm(M) @ v
+    assert got.shape == (n,) and got.dtype == M.dtype
+    assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, norm) * np.linalg.norm(want)
+
+
+def test_expm_action_takes_the_smallest_sufficient_degree() -> None:
+    # on c times the upper shift J, e^(cJ) e_n has entries c^j / j! and a
+    # degree-m polynomial stops at j = m: the output's nonzeros count its
+    # degree, the smallest m in TAYLOR_THETA with theta_m >= ||cJ||_1 = c
+    n = 40
+    J = np.eye(n, k=1)
+    e_n = np.eye(n)[-1]
+    degrees = sorted(m for m in TAYLOR_THETA if m <= 30)
+    for lower, m in zip([0] + degrees, degrees):
+        for c in (TAYLOR_THETA[m], (TAYLOR_THETA.get(lower, 0.0) + TAYLOR_THETA[m]) / 2):
+            w = expm(c * J, e_n)[::-1]
+            want = np.array([c**j / math.factorial(j) for j in range(m + 1)])
+            assert np.count_nonzero(w) == m + 1, (c, m)
+            assert np.allclose(w[: m + 1], want, rtol=1e-15, atol=0), (c, m)
+
+
+def test_expm_action_rejects_a_wrong_vector() -> None:
+    for n in (4, TAYLOR_MIN_DIM + 6):
+        M = np.eye(n)
+        for v in (np.ones(n + 1), np.ones((n, 1)), np.ones((1, n))):
+            with pytest.raises(ValueError, match="vector of length"):
+                expm(M, v)
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            v = np.full(n, 1e200, dtype=type(bad))
+            v[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                expm(M, v)
+        # finite entries whose squares overflow are accepted
+        assert np.allclose(expm(M, np.full(n, 1e200)), math.e * 1e200, rtol=1e-14)
 
 
 def test_eigvals_recovers_constructed_spectrum() -> None:

@@ -236,9 +236,9 @@ def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
     seen = []
     expm = linalg.expm
 
-    def spy(M):
+    def spy(M, v=None):
         seen.append(M.dtype)
-        return expm(M)
+        return expm(M, v)
 
     monkeypatch.setattr(linalg, "expm", spy)
     cases = [
@@ -254,17 +254,37 @@ def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
         assert traj.states.dtype == np.complex128
 
 
+def test_step_takes_one_exponential_action(monkeypatch) -> None:
+    # at D = 56 (the Taylor action's side of TAYLOR_MIN_DIM) each step
+    # makes one linalg.expm call, on e_1, and never forms all of exp(M)
+    calls = []
+    expm = linalg.expm
+
+    def spy(M, v=None):
+        calls.append(None if v is None else np.asarray(v).copy())
+        return expm(M, v)
+
+    monkeypatch.setattr(linalg, "expm", spy)
+    system = builtin("example2-E6", 1 / 16, T=1 / 16)
+    catalog = build_catalog(system.d + 1, 3)
+    assert catalog.size == 56 >= linalg.TAYLOR_MIN_DIM
+    traj = integrate(system, 3, 1 / 128)
+    assert len(calls) == traj.n_steps == 8
+    e1 = np.eye(catalog.size)[0]
+    assert all(v is not None and np.array_equal(v, e1) for v in calls)
+
+
 def test_time_row_drift_past_tolerance_raises(monkeypatch) -> None:
     system = builtin("example1", 0.25, T=0.5)
     h, expm = 1 / 8, linalg.expm
     clean = integrate(system, 2, h)
 
     def shifted(shift):
-        """linalg.expm with shift added to the lifted step's time entry [d + 1, 0]."""
-        def expm_shifted(M):
-            E = expm(M).copy()
-            E[system.d + 1, 0] += shift
-            return E
+        """linalg.expm with shift added to the lifted step's time entry d + 1."""
+        def expm_shifted(M, v=None):
+            w = expm(M, v).copy()
+            w[system.d + 1] += shift
+            return w
         return expm_shifted
 
     monkeypatch.setattr(linalg, "expm", shifted(1e-13))  # inside the 1e-12 tolerance
@@ -277,7 +297,7 @@ def test_time_row_drift_past_tolerance_raises(monkeypatch) -> None:
 def test_non_finite_lifted_step_is_a_blow_up_not_a_drift(monkeypatch) -> None:
     system = builtin("example1", 0.25, T=0.5)
     expm = linalg.expm
-    monkeypatch.setattr(linalg, "expm", lambda M: np.full_like(expm(M), np.nan))
+    monkeypatch.setattr(linalg, "expm", lambda M, v=None: np.full_like(expm(M, v), np.nan))
     with pytest.raises(BlowUpError):
         integrate(system, 2, 1 / 8)
 

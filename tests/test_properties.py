@@ -709,8 +709,15 @@ def test_forcing_parts_reproduce_value(data) -> None:
         u, t = x[:d], x[d].real
         g, rows, E = system.oracle.forcing_parts(d)
         assert E.shape[0] == d
-        want = system.oracle.value(u, t)
-        got = E @ g(u[rows], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = system.oracle.value(u, t)
+            got = E @ g(u[rows], t)
+        if not np.isfinite(want).all():
+            # a pole of F: the charged particle's |r|^-3 at a complex point
+            # with r . r = 0, such as y = (0, i) at t = 0; both forms must
+            # find it, and there is no value to compare
+            assert not np.isfinite(got).all(), system.name
+            continue
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), system.name
         if any(system is s for s in systems):
             # a builtin's value (the pendulum's scalar math path among them)
