@@ -139,7 +139,7 @@ def _taylor_expm(M: np.ndarray, norm1: float) -> np.ndarray:
 
 # The action e^M v runs without squarings up to this degree's threshold,
 # where taylor_plan's s turns positive; beyond it, the dense path.
-_ACTION_MAX_DEGREE = 30
+_ACTION_MAX_DEGREE = _PS_DEGREES[-1][0]
 _ACTION_DEGREES = tuple(m for m in sorted(TAYLOR_THETA) if m <= _ACTION_MAX_DEGREE)
 _ACTION_THETAS = tuple(TAYLOR_THETA[m] for m in _ACTION_DEGREES)
 # 1/j! as float64: an array of Python factorials past 20! is an object
@@ -166,6 +166,10 @@ def _taylor_action(M: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
+# the dtypes the kernels compute in: float64 for real input, complex128 otherwise
+_WORKING_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of x is finite.
 
@@ -178,7 +182,8 @@ def _all_finite(x: np.ndarray) -> bool:
 
 def _as_square(M, name: str = "M") -> np.ndarray:
     M = np.asarray(M)
-    M = M.astype(np.promote_types(M.dtype, np.float64), copy=False)
+    if M.dtype not in _WORKING_DTYPES:
+        M = M.astype(np.promote_types(M.dtype, np.float64))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
     if not _all_finite(M):
@@ -190,7 +195,8 @@ def _as_vector(v, n: int) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (n,):
         raise ValueError(f"v must be a vector of length {n}, got shape {v.shape}")
-    v = v.astype(np.promote_types(v.dtype, np.float64), copy=False)
+    if v.dtype not in _WORKING_DTYPES:
+        v = v.astype(np.promote_types(v.dtype, np.float64))
     if not _all_finite(v):
         raise ValueError("v contains non-finite entries")
     return v
@@ -210,7 +216,7 @@ def expm(M, v=None) -> np.ndarray:
             dtype = np.promote_types(M.dtype, v.dtype)
             return _taylor_action(M.astype(dtype, copy=False), v.astype(dtype, copy=False), _action_degree(norm1))
         E = _taylor_expm(M, norm1)
-    return E if v is None else np.dot(E, v)
+    return E if v is None else E.dot(v)
 
 
 def eigvals(M) -> np.ndarray:

@@ -16,7 +16,6 @@ the extension order k of the catalog.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,18 +83,16 @@ def _step_matrices(system, catalog, A1, Un, tn, h):
     return M
 
 
-@functools.lru_cache(maxsize=16)
-def _e1(n: int) -> np.ndarray:
-    """The first basis vector of length n: the lifted expansion point."""
+def _first_basis_vector(n: int) -> np.ndarray:
+    """e_1 of length n: the lifted expansion point, the vector a step exponentiates."""
     out = np.zeros(n)
     out[0] = 1.0
-    out.flags.writeable = False
     return out
 
 
-def _advance(system, catalog, A1, Un, tn, h):
+def _advance(system, catalog, A1, e1, Un, tn, h):
     M = _step_matrices(system, catalog, A1, Un, tn, h)
-    w = linalg.expm(M, _e1(M.shape[0]))
+    w = linalg.expm(M, e1)
     d = system.d
     t_comp = w[d + 1]
     # a non-finite w falls through to the caller's blow-up check
@@ -121,7 +118,8 @@ def step(
     check_finite_positive("step size", h)
     if catalog.d_plus_1 != system.d + 1:
         raise ValueError("catalog dimension does not match the system")
-    out = _advance(system, catalog, system.working(augment(system.A)), system.working(Un), tn, h)
+    A1 = system.working(augment(system.A))
+    out = _advance(system, catalog, A1, _first_basis_vector(catalog.size), system.working(Un), tn, h)
     check_blow_up(out, None, tn)
     return out.astype(complex)
 
@@ -139,6 +137,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     check_finite_positive("step size", h)
     catalog = build_catalog(system.d + 1, k)
     A1 = system.working(augment(system.A))
+    e1 = _first_basis_vector(catalog.size)
     N = max(1, round(system.T / h))
     h_snap = system.T / N
     times = np.linspace(0.0, system.T, N + 1)
@@ -149,7 +148,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     # reports it as one error rather than a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            states[n + 1] = _advance(system, catalog, A1, states[n], times[n], h_snap)
+            states[n + 1] = _advance(system, catalog, A1, e1, states[n], times[n], h_snap)
             check_blow_up(states[n + 1], n, float(times[n]))
     return Trajectory(
         times=times,

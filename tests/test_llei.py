@@ -257,14 +257,19 @@ def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
 def test_step_takes_one_exponential_action(monkeypatch) -> None:
     # at D = 56 (the Taylor action's side of TAYLOR_MIN_DIM) each step
     # makes one linalg.expm call, on e_1, and never forms all of exp(M)
-    calls = []
-    expm = linalg.expm
+    calls, dense = [], []
+    expm, taylor_expm = linalg.expm, linalg._taylor_expm
 
     def spy(M, v=None):
         calls.append(None if v is None else np.asarray(v).copy())
         return expm(M, v)
 
+    def dense_spy(M, norm1):
+        dense.append(M.shape)
+        return taylor_expm(M, norm1)
+
     monkeypatch.setattr(linalg, "expm", spy)
+    monkeypatch.setattr(linalg, "_taylor_expm", dense_spy)
     system = builtin("example2-E6", 1 / 16, T=1 / 16)
     catalog = build_catalog(system.d + 1, 3)
     assert catalog.size == 56 >= linalg.TAYLOR_MIN_DIM
@@ -272,6 +277,7 @@ def test_step_takes_one_exponential_action(monkeypatch) -> None:
     assert len(calls) == traj.n_steps == 8
     e1 = np.eye(catalog.size)[0]
     assert all(v is not None and np.array_equal(v, e1) for v in calls)
+    assert dense == []
 
 
 def test_time_row_drift_past_tolerance_raises(monkeypatch) -> None:
