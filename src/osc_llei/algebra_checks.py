@@ -160,8 +160,8 @@ def check_bounded_exponential(
                 worst = max(worst, float(np.linalg.norm(E, 2)))
         return worst
 
-    m_ref = growth(eps_list[0])
     m_all = [growth(eps) for eps in eps_list]
+    m_ref = m_all[0]
     worst = max(m_all)
     return CheckResult(
         name="bounded_exponential",

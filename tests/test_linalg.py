@@ -143,6 +143,19 @@ def test_expm_action_takes_the_smallest_sufficient_degree() -> None:
             assert np.allclose(w[: m + 1], want, rtol=1e-15, atol=0), (c, m)
 
 
+def test_expm_action_does_not_overflow_where_the_result_is_finite() -> None:
+    # ||M||_1 = 3.5 (degree 30): the powers M^j v reach 3.5^30 * 1e300 and
+    # overflow unless v is scaled first, while e^M v is about 3.3e301
+    n = 40
+    M = np.full((n, n), 3.5 / n)
+    v = np.full(n, 1e300)
+    got = expm(M, v)
+    want = expm(M) @ v
+    # max norms: the 2-norm of a vector of 1e301s overflows
+    assert np.isfinite(got).all() and np.isfinite(want).all()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_expm_action_rejects_a_wrong_vector() -> None:
     for n in (4, TAYLOR_MIN_DIM + 6):
         M = np.eye(n)
@@ -172,5 +185,14 @@ def test_eigvals_recovers_constructed_spectrum() -> None:
 def test_shape_and_finiteness_validation() -> None:
     with pytest.raises(ValueError):
         expm(np.ones((2, 3)))
+    # on both sides of TAYLOR_MIN_DIM, with and without a vector: from there
+    # up the check is read off the 1-norm
+    for n in (4, TAYLOR_MIN_DIM + 10):
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            M = np.eye(n, dtype=type(bad))
+            M[-1, 0] = bad
+            for v in (None, np.eye(n)[0]):
+                with pytest.raises(ValueError, match="^M contains non-finite entries$"):
+                    expm(M, v)
     with pytest.raises(ValueError):
         eigvals(np.array([[np.nan, 0], [0, 1]]))

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osc_llei import (
     BlowUpError,
@@ -14,6 +16,9 @@ from osc_llei import (
     MultiIndexCatalog,
     OscillatorySystem,
     PolynomialOracle,
+    augment,
+    build_A0,
+    build_A1,
     build_catalog,
     builtin,
     fit_order,
@@ -24,6 +29,7 @@ from osc_llei import (
     step,
 )
 from osc_llei.extension import _A1_preserving, _compiled
+from osc_llei.llei import _StepKernel
 from osc_llei.mindex import _catalog, _restriction
 
 
@@ -320,3 +326,72 @@ def test_real_and_complex_arithmetic_agree() -> None:
         real = integrate(system, 3, 1 / 64).states
         cplx = integrate(forced, 3, 1 / 64).states
         assert np.abs(real - cplx).max() <= 1e-13 * np.abs(cplx).max(), system.name
+
+
+# (system, k, h, the exponential's path): D = 21 and 20 run scipy; at
+# D = 56, ||M||_1 lies below theta_30 (the Taylor action) or above it
+# (the dense Taylor exponential) at every point the tests draw
+KERNEL_CASES = [
+    ("example2-E6", 2, 1 / 64, "scipy"),
+    ("example2-E6", 3, 1 / 256, "action"),
+    ("example2-E6", 3, 1 / 64, "dense"),
+    ("complex poly", 3, 1 / 40, "scipy"),
+    ("complex poly", 5, 1 / 160, "action"),
+    ("complex poly", 5, 1 / 16, "dense"),
+]
+
+
+def kernel_system(name: str) -> OscillatorySystem:
+    if name == "complex poly":
+        return load_config(poly_config([0.5, 0.25]))
+    return builtin(name, 1 / 16)
+
+
+@pytest.mark.parametrize("name, k, h, path", KERNEL_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_steps_match_a_fresh_exponential(name, k, h, path, data) -> None:
+    # consecutive steps of one kernel from unrelated points: each applies
+    # the exponential of a step matrix built from scratch to e_1, so
+    # nothing of an earlier step carries over
+    system = kernel_system(name)
+    d = system.d
+    catalog = build_catalog(d + 1, k)
+    kernel = _StepKernel(system, catalog)
+    A1 = system.working(augment(system.A))
+    e1 = np.eye(catalog.size)[0]
+    expm, seen = linalg.expm, []
+
+    def spy(M, v=None):
+        seen.append(expm(M, v))
+        return seen[-1]
+
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "expm", spy)
+        for _ in range(3):
+            u = np.array(data.draw(coords))
+            if not system.is_real:
+                u = u + 1j * np.array(data.draw(coords))
+            u = system.working(u)
+            t = data.draw(st.floats(0.0, 1.0))
+            out = kernel(u, t, h)
+            xhat = np.append(u, t)
+            M = h * (build_A1(catalog, A1, xhat) / system.epsilon + build_A0(catalog, system.oracle, xhat))
+            norm1 = np.abs(M).sum(axis=0).max()
+            if catalog.size < linalg.TAYLOR_MIN_DIM:
+                assert path == "scipy"
+            else:
+                assert path == ("action" if norm1 <= linalg.TAYLOR_THETA[30] else "dense"), norm1
+            want = expm(M, e1)
+            assert np.linalg.norm(seen[-1] - want) <= 1e-14 * np.linalg.norm(want)
+            assert np.array_equal(out, u + seen[-1][1 : d + 1])
+
+
+@pytest.mark.parametrize("name, k, h, path", KERNEL_CASES)
+def test_step_is_the_first_step_of_integrate(name, k, h, path) -> None:
+    system = replace(kernel_system(name), T=2 * h)
+    traj = integrate(system, k, h)
+    assert traj.h == h
+    one = step(system, build_catalog(system.d + 1, k), system.initial_state, 0.0, h)
+    assert np.array_equal(one, traj.states[1])
