@@ -13,23 +13,35 @@ Thin validated wrappers over scipy/LAPACK, and one kernel of its own:
   thresholds theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2)
   (2011), Table 3.1.  The crossover was measured on the scheme's step
   matrices with one BLAS thread (CHANGES.md holds the table).
-- expm(M, v): the action e^M v, on one of three paths.  Below
-  TAYLOR_MIN_DIM rows, scipy's e^M times v.  From there up, when
-  ||M||_1 <= theta_30 (no squarings), the degree-m Taylor polynomial
-  applied to v, m the smallest degree with theta_m >= ||M||_1, summed
-  forward as in Al-Mohy and Higham (2011), Section 3: the m products
-  M^j v go into one stack, one matrix-vector product each, and one
-  product with the 1/j! sums them (the same backward-error bound; v is
-  scaled by a power of two first, so the powers cannot overflow where
-  the sum does not).  Otherwise the dense Taylor e^M times v.
+- expm(M, v): the action e^M v.  One rule at every size: when ||M||_1
+  is at most a cutoff, the degree-m Taylor polynomial applied to v, m
+  the smallest degree with theta_m >= ||M||_1, summed forward as in
+  Al-Mohy and Higham (2011), Section 3: the m products M^j v go into
+  one stack, one matrix-vector product each, and one product with the
+  1/j! sums them (the same backward-error bound; v is scaled by a power
+  of two first, so the powers cannot overflow where the sum does not).
+  Above the cutoff, e^M by the size's dense path, times v.  The cutoff
+  is theta_30 (no squarings) from TAYLOR_MIN_DIM rows up, and
+  theta_13 = 0.4 below, where scipy's exponential costs a fixed 10-15
+  us and the action's m products are cheaper only up to m = 13 at
+  D = 4 (about m = 18 at D = 10, past m = 30 at D = 20; CHANGES.md
+  holds the table).  So below TAYLOR_MIN_DIM rows scipy serves e^M
+  and only the actions with ||M||_1 > 0.4.  On the largest inputs it
+  serves, algebra_checks' bounded-exponential A1k t / eps at D < 30
+  (||M||_1 up to 1.5e8), its relative 1-norm error was at most
+  34 ||M||_1 u (u = 2^-53; 1.8e-8 at the largest norm) against a
+  50-digit mpmath exponential, where _taylor_expm reached 16 ||M||_1 u.
+  Both are of the size cond(exp, M) >= ||M|| allows.
 - eigvals: Hessenberg reduction plus shifted QR iteration (LAPACK
   dgeev/zgeev), via scipy.linalg.eigvals.
 
 Real input stays float64 and complex input complex128, so a real
 problem runs in real arithmetic (dgemm, about a quarter of zgemm's
 flops).  All operations are pure functions over immutable inputs and
-reject non-finite entries up front; from TAYLOR_MIN_DIM rows up, expm
-reads the finiteness of M off the 1-norm it takes anyway.
+reject non-finite entries up front; wherever expm takes the 1-norm (every
+action, and e^M from TAYLOR_MIN_DIM rows up), it reads the finiteness of M
+off it, and from TAYLOR_MIN_DIM rows up it refuses a finite M whose 1-norm
+overflows.
 
 scatter_add is the sum-into-bins kernel both the extension plan and
 the jet product use.
@@ -48,6 +60,12 @@ import scipy.linalg
 # BLAS thread: scipy is faster at D = 20, the two are even at D = 21, and
 # the Taylor path is faster by a fifth or more from D = 35 on.
 TAYLOR_MIN_DIM = 30
+
+# Below TAYLOR_MIN_DIM rows, expm(M, v) runs the Taylor action up to this
+# degree's theta_m (0.4), and scipy beyond it.  On step matrices, one BLAS
+# thread: at D = 4 the action's m products beat scipy's fixed cost up to
+# m = 13 and lose from m = 14; at D = 10 and 20 they win further.
+_SMALL_ACTION_MAX_DEGREE = 13
 
 # theta_m: the largest ||2^-s M||_1 for which the degree-m Taylor
 # polynomial of e^(2^-s M), squared s times, is the exact exponential of
@@ -156,26 +174,37 @@ def _action_degree(norm1: float) -> int:
     return _ACTION_DEGREES[bisect.bisect_left(_ACTION_THETAS, norm1)]
 
 
-def _taylor_action(M: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+def _taylor_action(M: np.ndarray, v: np.ndarray, m: int, sq: float) -> np.ndarray:
     """T_m(M) v = sum_{j<=m} M^j v / j!, summed forward: m matrix-vector products.
 
     The powers P[j] = M^j v go into one (m+1) x n stack, one
     matrix-vector product each, and the sum is one product of 1/j! with
-    the stack.  Unlike Horner,
-    the powers can grow past the sum, up to ||M||_1^m ||v||_1, so v is
-    first scaled by a power of two (exact) to entries below 2 in modulus,
-    and the coefficients undo the scaling.
+    the stack.  Unlike Horner, the powers can grow past the sum, up to
+    ||M||_1^m ||v||_1, so v is first scaled by a power of two (exact) to
+    entries below 2 in modulus, and the coefficients undo the scaling.
+    sq = ||v||_2^2, which bounds every |v_i|^2; where it overflows, the
+    largest |v_i| sets the power instead.  e_1 needs no scaling.
     """
-    e = max(0, math.frexp(float(np.abs(v).max()))[1] - 1)
+    big = math.sqrt(sq) if math.isfinite(sq) else float(np.abs(v).max())
+    e = max(0, math.frexp(big)[1] - 1)
+    if M.dtype != v.dtype:
+        dtype = np.promote_types(M.dtype, v.dtype)
+        M, v = M.astype(dtype, copy=False), v.astype(dtype, copy=False)
     P = np.empty((m + 1, v.size), dtype=v.dtype)
-    prev = np.multiply(v, 2.0**-e, out=P[0])
+    coefficients = _INVERSE_FACTORIALS[: m + 1]
+    if e:
+        np.multiply(v, 2.0**-e, out=P[0])
+        coefficients = coefficients * 2.0**e
+    else:
+        P[0] = v
+    prev = P[0]
     # the bound method and the row iterator: about a third less per
     # product than np.dot on indexed rows at D = 56 (one BLAS thread)
     dot = M.dot
     for row in P[1:]:
         dot(prev, out=row)
         prev = row
-    return (_INVERSE_FACTORIALS[: m + 1] * 2.0**e) @ P
+    return coefficients.dot(P)
 
 
 # the dtypes the kernels compute in: float64 for real input, complex128 otherwise
@@ -192,6 +221,31 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x).real) or bool(np.isfinite(x).all())
 
 
+@functools.lru_cache(maxsize=16)
+def _column_weights(n: int) -> np.ndarray:
+    """n entries 2^-b, with 2^b > n.  Read-only, shared."""
+    out = np.full(n, 2.0 ** -n.bit_length())
+    out.flags.writeable = False
+    return out
+
+
+def _norm1(M: np.ndarray) -> float:
+    """||M||_1; inf when it overflows, non-finite when an entry is.
+
+    The column sums are one matrix-vector product with 2^-b, under half
+    of np.sum's cost from 4 to 126 rows (one BLAS thread), and no scaled
+    sum can overflow, so none sets off a floating-point warning.  The
+    scaling is exact (short of subnormals), so the norm is the unscaled
+    sum's.
+    """
+    n = M.shape[0]
+    if not n:
+        return 0.0
+    sums = _column_weights(n).dot(np.abs(M))
+    # argmax finds the first nan, as max() does, at a fifth of its cost
+    return sums.item(sums.argmax()) * 2.0 ** n.bit_length()
+
+
 def _as_square(M, name: str = "M", check_finite: bool = True) -> np.ndarray:
     M = np.asarray(M)
     if M.dtype not in _WORKING_DTYPES:
@@ -203,39 +257,46 @@ def _as_square(M, name: str = "M", check_finite: bool = True) -> np.ndarray:
     return M
 
 
-def _as_vector(v, n: int) -> np.ndarray:
+def _as_vector(v, n: int) -> tuple[np.ndarray, float]:
+    """v as a validated working-dtype vector of length n, and ||v||_2^2."""
     v = np.asarray(v)
     if v.shape != (n,):
         raise ValueError(f"v must be a vector of length {n}, got shape {v.shape}")
     if v.dtype not in _WORKING_DTYPES:
         v = v.astype(np.promote_types(v.dtype, np.float64))
-    if not _all_finite(v):
+    # as _all_finite: the sum of squares is finite exactly when every entry
+    # is, unless it overflows
+    sq = np.vdot(v, v).real
+    if not (math.isfinite(sq) or np.isfinite(v).all()):
         raise ValueError("v contains non-finite entries")
-    return v
+    return v, sq
 
 
 def expm(M, v=None) -> np.ndarray:
-    """Matrix exponential e^M, real for real M; e^M v when v is given."""
+    """Matrix exponential e^M, real for real M; e^M v when v is given.
+
+    Raises ValueError when M or v has a non-finite entry, and, from
+    TAYLOR_MIN_DIM rows up, when M is finite but its 1-norm overflows.
+    """
     M = _as_square(M, check_finite=False)
     n = M.shape[0]
-    if n < TAYLOR_MIN_DIM:
-        finite = _all_finite(M)
-    else:
-        # the 1-norm that picks the degree also checks finiteness: it is
-        # finite exactly when every entry is, unless a column sum overflows
-        norm1 = float(np.abs(M).sum(axis=0).max())
-        finite = math.isfinite(norm1) or bool(np.isfinite(M).all())
-    if not finite:
-        raise ValueError("M contains non-finite entries")
+    if v is None and n < TAYLOR_MIN_DIM:
+        if not _all_finite(M):
+            raise ValueError("M contains non-finite entries")
+        return scipy.linalg.expm(M)
+    # the 1-norm that picks the path and the degree also checks finiteness:
+    # it is finite exactly when every entry is, unless a column sum overflows
+    norm1 = _norm1(M)
+    if not math.isfinite(norm1):
+        if not np.isfinite(M).all():
+            raise ValueError("M contains non-finite entries")
+        if n >= TAYLOR_MIN_DIM:
+            raise ValueError("the 1-norm of M overflows")
     if v is not None:
-        v = _as_vector(v, n)
-    if n < TAYLOR_MIN_DIM:
-        E = scipy.linalg.expm(M)
-    else:
-        if v is not None and norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE]:
-            dtype = np.promote_types(M.dtype, v.dtype)
-            return _taylor_action(M.astype(dtype, copy=False), v.astype(dtype, copy=False), _action_degree(norm1))
-        E = _taylor_expm(M, norm1)
+        v, sq = _as_vector(v, n)
+        if norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE if n >= TAYLOR_MIN_DIM else _SMALL_ACTION_MAX_DEGREE]:
+            return _taylor_action(M, v, _action_degree(norm1), sq)
+    E = scipy.linalg.expm(M) if n < TAYLOR_MIN_DIM else _taylor_expm(M, norm1)
     return E if v is None else E.dot(v)
 
 

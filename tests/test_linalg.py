@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osc_llei import linalg
 from osc_llei.linalg import TAYLOR_MIN_DIM, TAYLOR_THETA, eigvals, expm
 
 
@@ -102,7 +104,7 @@ def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.sampled_from((8, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64, 126)),
+    n=st.sampled_from((4, 10, 20, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64, 126)),
     real=st.booleans(),
     normal=st.booleans(),
     log_norm=st.floats(min_value=-3.0, max_value=3.0),
@@ -110,8 +112,9 @@ def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_expm_action_agrees_with_the_dense_product(n, real, normal, log_norm, unit, seed) -> None:
-    # ||M||_1 from 1e-3 to 1e3 runs the Taylor action (||M||_1 <= theta_30)
-    # and the dense fallback from TAYLOR_MIN_DIM rows up, and scipy below
+    # ||M||_1 from 1e-3 to 1e3 runs the Taylor action and, above its
+    # cutoff, the dense fallback: theta_30 and the dense Taylor exponential
+    # from TAYLOR_MIN_DIM rows up, theta_13 and scipy below
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     if not real:
@@ -130,17 +133,23 @@ def test_expm_action_agrees_with_the_dense_product(n, real, normal, log_norm, un
 def test_expm_action_takes_the_smallest_sufficient_degree() -> None:
     # on c times the upper shift J, e^(cJ) e_n has entries c^j / j! and a
     # degree-m polynomial stops at j = m: the output's nonzeros count its
-    # degree, the smallest m in TAYLOR_THETA with theta_m >= ||cJ||_1 = c
-    n = 40
-    J = np.eye(n, k=1)
-    e_n = np.eye(n)[-1]
-    degrees = sorted(m for m in TAYLOR_THETA if m <= 30)
-    for lower, m in zip([0] + degrees, degrees):
-        for c in (TAYLOR_THETA[m], (TAYLOR_THETA.get(lower, 0.0) + TAYLOR_THETA[m]) / 2):
-            w = expm(c * J, e_n)[::-1]
-            want = np.array([c**j / math.factorial(j) for j in range(m + 1)])
-            assert np.count_nonzero(w) == m + 1, (c, m)
-            assert np.allclose(w[: m + 1], want, rtol=1e-15, atol=0), (c, m)
+    # degree, the smallest m in TAYLOR_THETA with theta_m >= ||cJ||_1 = c.
+    # Below TAYLOR_MIN_DIM rows the action stops at its cutoff's degree,
+    # and just past it scipy's exponential gives all n entries.
+    for n in (20, 40):
+        top = 30 if n >= TAYLOR_MIN_DIM else linalg._SMALL_ACTION_MAX_DEGREE
+        J = np.eye(n, k=1)
+        e_n = np.eye(n)[-1]
+        degrees = sorted(m for m in TAYLOR_THETA if m <= top)
+        for lower, m in zip([0] + degrees, degrees):
+            for c in (TAYLOR_THETA[m], (TAYLOR_THETA.get(lower, 0.0) + TAYLOR_THETA[m]) / 2):
+                w = expm(c * J, e_n)[::-1]
+                want = np.array([c**j / math.factorial(j) for j in range(m + 1)])
+                assert np.count_nonzero(w) == m + 1, (n, c, m)
+                assert np.allclose(w[: m + 1], want, rtol=1e-15, atol=0), (n, c, m)
+        if n < TAYLOR_MIN_DIM:
+            c = math.nextafter(TAYLOR_THETA[top], math.inf)
+            assert np.count_nonzero(expm(c * J, e_n)) == n
 
 
 def test_expm_action_does_not_overflow_where_the_result_is_finite() -> None:
@@ -169,6 +178,26 @@ def test_expm_action_rejects_a_wrong_vector() -> None:
                 expm(M, v)
         # finite entries whose squares overflow are accepted
         assert np.allclose(expm(M, np.full(n, 1e200)), math.e * 1e200, rtol=1e-14)
+
+
+def test_expm_rejects_a_finite_matrix_whose_norm_overflows(monkeypatch) -> None:
+    # 1e307 entries are finite, but every column sums past the largest
+    # double from 18 rows up.  From TAYLOR_MIN_DIM rows up that norm picks
+    # the degree, so M is refused; below, M goes to scipy as any other
+    # matrix above the action's cutoff does.  No floating-point warning
+    # escapes either way.
+    scipy_expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M) or scipy_expm(M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (None, np.eye(TAYLOR_MIN_DIM)[0]):
+            with pytest.raises(ValueError, match="^the 1-norm of M overflows$"):
+                expm(np.full((TAYLOR_MIN_DIM, TAYLOR_MIN_DIM), 1e307), v)
+        n = TAYLOR_MIN_DIM - 1
+        M = np.full((n, n), 1e307)
+        got = expm(M, np.eye(n)[0])
+    assert len(calls) == 1 and calls[0] is M
+    np.testing.assert_array_equal(got, scipy_expm(M)[:, 0])
 
 
 def test_eigvals_recovers_constructed_spectrum() -> None:

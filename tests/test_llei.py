@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,17 +329,37 @@ def test_real_and_complex_arithmetic_agree() -> None:
         assert np.abs(real - cplx).max() <= 1e-13 * np.abs(cplx).max(), system.name
 
 
-# (system, k, h, the exponential's path): D = 21 and 20 run scipy; at
-# D = 56, ||M||_1 lies below theta_30 (the Taylor action) or above it
-# (the dense Taylor exponential) at every point the tests draw
+# (system, k, h, the exponential's path), the path the same at every point
+# the tests draw: at D = 21 (example2-E6, k = 2) and D = 20 (complex poly,
+# k = 3), ||M||_1 lies below theta_13 (the Taylor action) or above it
+# (scipy); at D = 56, below theta_30 (the action) or above it (the dense
+# Taylor exponential)
 KERNEL_CASES = [
+    ("example2-E6", 2, 1 / 2048, "action"),
     ("example2-E6", 2, 1 / 64, "scipy"),
     ("example2-E6", 3, 1 / 256, "action"),
     ("example2-E6", 3, 1 / 64, "dense"),
+    ("complex poly", 3, 1 / 640, "action"),
     ("complex poly", 3, 1 / 40, "scipy"),
     ("complex poly", 5, 1 / 160, "action"),
     ("complex poly", 5, 1 / 16, "dense"),
 ]
+
+
+def spy_paths(mp: pytest.MonkeyPatch) -> list:
+    """Record the path of every linalg.expm call: "action", "dense" or "scipy"."""
+    taken = []
+
+    def spy(path, f):
+        def wrapped(*args):
+            taken.append(path)
+            return f(*args)
+        return wrapped
+
+    mp.setattr(linalg, "_taylor_action", spy("action", linalg._taylor_action))
+    mp.setattr(linalg, "_taylor_expm", spy("dense", linalg._taylor_expm))
+    mp.setattr(scipy.linalg, "expm", spy("scipy", scipy.linalg.expm))
+    return taken
 
 
 def kernel_system(name: str) -> OscillatorySystem:
@@ -369,23 +390,32 @@ def test_kernel_steps_match_a_fresh_exponential(name, k, h, path, data) -> None:
     coords = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "expm", spy)
+        taken = spy_paths(mp)
         for _ in range(3):
             u = np.array(data.draw(coords))
             if not system.is_real:
                 u = u + 1j * np.array(data.draw(coords))
             u = system.working(u)
             t = data.draw(st.floats(0.0, 1.0))
+            taken.clear()
             out = kernel(u, t, h)
+            assert taken == [path]
             xhat = np.append(u, t)
             M = h * (build_A1(catalog, A1, xhat) / system.epsilon + build_A0(catalog, system.oracle, xhat))
-            norm1 = np.abs(M).sum(axis=0).max()
-            if catalog.size < linalg.TAYLOR_MIN_DIM:
-                assert path == "scipy"
-            else:
-                assert path == ("action" if norm1 <= linalg.TAYLOR_THETA[30] else "dense"), norm1
             want = expm(M, e1)
             assert np.linalg.norm(seen[-1] - want) <= 1e-14 * np.linalg.norm(want)
             assert np.array_equal(out, u + seen[-1][1 : d + 1])
+
+
+@pytest.mark.parametrize("eps", [1 / 24, 1 / 256])
+def test_large_steps_below_30_rows_stay_on_scipy(eps, monkeypatch) -> None:
+    # the converge-eps benchmark's step matrices: example1 at k = 1 (D = 4),
+    # h = 1/2, ||M||_1 = h / eps = 12 and 128.  A sub-stepped Taylor action
+    # costs many times scipy's exponential there
+    system = builtin("example1", eps, T=3.0)
+    taken = spy_paths(monkeypatch)
+    integrate(system, 1, 0.5)
+    assert taken == ["scipy"] * 6
 
 
 @pytest.mark.parametrize("name, k, h, path", KERNEL_CASES)
