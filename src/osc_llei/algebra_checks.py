@@ -29,6 +29,16 @@ from .mindex import MultiIndexCatalog, build_catalog
 from .sysdef import augment
 
 DEFAULT_EPS_LIST = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# relative tolerances of the spectrum and similarity checks
+_SPECTRUM_TOL = 1e-8
+_SIMILARITY_TOL = 1e-12
+# check_bounded_exponential samples t here and allows this much growth
+# over its value at the largest eps
+_T_GRID = np.linspace(0.0, 6.0, 25)[1:]
+_T_GRID.flags.writeable = False
+_GROWTH_FACTOR = 10.0
+# random_imaginary_system resamples Q until cond(Q) is below this
+_COND_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -41,13 +51,13 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def check_spectrum_imaginary(A1k: np.ndarray, tol: float = 1e-8) -> CheckResult:
-    """All eigenvalues of A1k within tol * |A1k| of the imaginary axis."""
+def check_spectrum_imaginary(A1k: np.ndarray) -> CheckResult:
+    """All eigenvalues of A1k within 1e-8 |A1k| of the imaginary axis."""
     scale = max(float(np.linalg.norm(A1k, 2)), np.finfo(float).tiny)
     worst = float(np.max(np.abs(linalg.eigvals(A1k).real)))
     return CheckResult(
         name="spectrum_imaginary",
-        passed=worst <= tol * scale,
+        passed=worst <= _SPECTRUM_TOL * scale,
         detail=f"max |Re lambda| = {worst:.3e} (scale {scale:.3e})",
     )
 
@@ -68,7 +78,6 @@ def check_spectrum_sums(
     A1k_zero: np.ndarray,
     eigs_aug: np.ndarray,
     catalog: MultiIndexCatalog,
-    tol: float = 1e-8,
 ) -> CheckResult:
     """Degree-j diagonal block spectrum = j-fold sums of A1's eigenvalues.
 
@@ -92,7 +101,7 @@ def check_spectrum_sums(
         start += dim
     return CheckResult(
         name="spectrum_sums",
-        passed=worst <= tol,
+        passed=worst <= _SPECTRUM_TOL,
         detail="relative match distances " + ", ".join(detail_parts),
     )
 
@@ -101,9 +110,8 @@ def check_similarity(
     A1k_xhat: np.ndarray,
     A1k_zero: np.ndarray,
     S: np.ndarray,
-    tol: float = 1e-12,
 ) -> CheckResult:
-    """A1k(xhat) S = S A1k(0) up to tol in the scaled Frobenius norm."""
+    """A1k(xhat) S = S A1k(0) up to 1e-12 in the scaled Frobenius norm."""
     res = float(np.linalg.norm(A1k_xhat @ S - S @ A1k_zero))
     scale = max(
         float(np.linalg.norm(A1k_xhat)) * float(np.linalg.norm(S)),
@@ -112,7 +120,7 @@ def check_similarity(
     rel = res / scale
     return CheckResult(
         name="similarity",
-        passed=rel <= tol,
+        passed=rel <= _SIMILARITY_TOL,
         detail=f"relative residual {rel:.3e}",
     )
 
@@ -138,22 +146,15 @@ def check_block_structure(
     )
 
 
-def check_bounded_exponential(
-    A1k: np.ndarray,
-    eps_list=DEFAULT_EPS_LIST,
-    t_grid=None,
-    factor: float = 10.0,
-) -> CheckResult:
-    """max_t |exp(A1k t / eps)| stays within factor of its value at eps_max."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 6.0, 25)[1:]
+def check_bounded_exponential(A1k: np.ndarray, eps_list=DEFAULT_EPS_LIST) -> CheckResult:
+    """max_t |exp(A1k t / eps)| over t in (0, 6] stays within 10x of its value at eps_max."""
     eps_list = sorted(eps_list, reverse=True)
 
     def growth(eps: float) -> float:
         # Overflow to inf/nan counts as unbounded growth, not a crash.
         worst = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in t_grid:
+            for t in _T_GRID:
                 E = linalg.expm(A1k * (t / eps))
                 if not np.all(np.isfinite(E)):
                     return math.inf
@@ -165,7 +166,7 @@ def check_bounded_exponential(
     worst = max(m_all)
     return CheckResult(
         name="bounded_exponential",
-        passed=math.isfinite(m_ref) and worst <= factor * m_ref,
+        passed=math.isfinite(m_ref) and worst <= _GROWTH_FACTOR * m_ref,
         detail=(
             f"max norm {worst:.3e} over eps in [{eps_list[-1]:g}, {eps_list[0]:g}] "
             f"vs {m_ref:.3e} at the largest eps"
@@ -173,13 +174,11 @@ def check_bounded_exponential(
     )
 
 
-def random_imaginary_system(
-    d: int, rng: np.random.Generator, cond_max: float = 10.0
-) -> np.ndarray:
+def random_imaginary_system(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random diagonalizable A = Q diag(i lambda) Q^-1 with real lambda.
 
     Frequencies are drawn from +-[0.3, 3]; Q is resampled until its
-    condition number is below cond_max.  The bound matters: the lifted
+    condition number is below 10.  The bound matters: the lifted
     eigenbasis conditioning compounds like cond(Q)^k, and a loose Q
     makes the exponential's norm swing far beyond the 10x growth
     allowance that check_bounded_exponential enforces.
@@ -187,18 +186,12 @@ def random_imaginary_system(
     lam = rng.uniform(0.3, 3.0, size=d) * rng.choice([-1.0, 1.0], size=d)
     while True:
         Q = rng.standard_normal((d, d))
-        if np.linalg.cond(Q) < cond_max:
+        if np.linalg.cond(Q) < _COND_MAX:
             break
     return Q @ np.diag(1j * lam) @ np.linalg.inv(Q)
 
 
-def run_suite(
-    A,
-    k: int,
-    xhat,
-    eps_list=DEFAULT_EPS_LIST,
-    t_grid=None,
-) -> list[CheckResult]:
+def run_suite(A, k: int, xhat, eps_list=DEFAULT_EPS_LIST) -> list[CheckResult]:
     """All structural checks for one (A, k, xhat) triple."""
     A = np.asarray(A, dtype=complex)
     d = A.shape[0]
@@ -217,5 +210,5 @@ def run_suite(
         check_block_structure(A1k_zero, catalog, xhat_is_zero=True),
         check_similarity(A1k_xhat, A1k_zero, S),
         check_spectrum_sums(A1k_zero, linalg.eigvals(A1_aug), catalog),
-        check_bounded_exponential(A1k_xhat, eps_list=eps_list, t_grid=t_grid),
+        check_bounded_exponential(A1k_xhat, eps_list=eps_list),
     ]

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra_checks import random_imaginary_system, run_suite
 from .extension import build_A0, build_A1, build_S
 from .harness import ErrorReport, sweep_eps, sweep_h
-from .llei import BlowUpError, Trajectory, integrate
+from .llei import BlowUpError, Trajectory, _uniform_grid, integrate
 from .mindex import build_catalog
 from .refsolve import rk4_integrate
 from .sysdef import ConfigError, _complex_entry, augment, load_config_file
@@ -141,10 +141,10 @@ def _dyadic_h_grid(T: float, hmax: float, hmin: float, points: int) -> list[floa
         raise ConfigError("hmin and hmax must be finite and positive, with hmin <= hmax")
     if points < 1:
         raise ConfigError("need at least one grid point")
-    n0 = max(1, round(T / hmax))
+    n0 = _uniform_grid(T, hmax)[0]
     ns = set()
     for h in np.geomspace(hmax, hmin, points):
-        j = max(0, round(math.log2(max(1.0, round(T / h) / n0))))
+        j = max(0, round(math.log2(_uniform_grid(T, h)[0] / n0)))
         ns.add(n0 * 2**j)
     return [T / n for n in sorted(ns)]
 

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .llei import BlowUpError, Trajectory, integrate
+from .llei import BlowUpError, Trajectory, _uniform_grid, integrate
 from .refsolve import rk4_integrate
 from .sysdef import OscillatorySystem, check_finite_positive
 
@@ -103,16 +103,16 @@ def global_max_error(traj: Trajectory, ref: Trajectory) -> ErrorValues:
     return ErrorValues(u=err_u, y=err_y, ydot=err_p / traj.epsilon)
 
 
-def fit_order(params, errors, floor: float = ACCURACY_FLOOR) -> float | None:
+def fit_order(params, errors) -> float | None:
     """Log-log least-squares slope, or None with fewer than 3 usable points.
 
-    Points with errors at or below the accuracy floor (or non-finite, or
+    Points with errors at or below ACCURACY_FLOOR (or non-finite, or
     None) are excluded: they measure the exponential's tolerance, not
     the scheme's order.
     """
     xs, ys = [], []
     for p, e in zip(params, errors):
-        if e is None or not np.isfinite(e) or e <= floor:
+        if e is None or not np.isfinite(e) or e <= ACCURACY_FLOOR:
             continue
         xs.append(math.log(p))
         ys.append(math.log(e))
@@ -363,12 +363,11 @@ def sweep_h(
     """
     h_values = _decreasing("h_values", h_values)
     th = thresholds(system)
-    T = system.T
-    n_values = dict.fromkeys(max(1, round(T / h)) for h in h_values)
+    grids = dict(_uniform_grid(system.T, h)[:2] for h in h_values)
     return _sweep(
         "h",
         k,
-        [(T / n, system, n) for n in n_values],
+        [(h_snap, system, n) for n, h_snap in grids.items()],
         None,
         {"h0": th.h0, "h0_lower": th.h0_lower, "rho": th.rho, "mu": th.mu},
     )
@@ -395,12 +394,8 @@ def sweep_eps(
     if h_ref_factor is not None:
         check_finite_positive("h_ref_factor", h_ref_factor)
     systems = [system.with_epsilon(eps) for eps in eps_values]
-    T = systems[0].T
-    if any(abs(s.T - T) > 1e-12 * T for s in systems):
-        raise ValueError("with_epsilon changed the horizon T between epsilons")
     th = thresholds(systems[0])
-    N = max(1, round(T / h))
-    h_snap = T / N
+    N, h_snap, _ = _uniform_grid(system.T, h)
     return _sweep(
         "epsilon",
         k,

@@ -1,47 +1,36 @@
 """Dense linear algebra kernels that keep the dtype of their input.
 
-Thin validated wrappers over scipy/LAPACK, and one kernel of its own:
+Thin validated wrappers over scipy/LAPACK, and one kernel of its own.
+expm follows three rules:
 
-- expm(M): scaling and squaring on one of two approximants, chosen by
-  size.  Below TAYLOR_MIN_DIM rows, scipy.linalg.expm: a degree-13
-  diagonal Pade approximant with 1-norm based scaling (Al-Mohy and
-  Higham 2009), whose dense solve costs about twelve matrix products at
-  D = 56.  From TAYLOR_MIN_DIM rows up, a degree-m Taylor polynomial
-  evaluated by Paterson-Stockmeyer, which needs matrix products only
-  (Bader, Blanes and Casas, Mathematics 7 (2019) 1174).  taylor_plan
-  picks m and the number of squarings s from the backward-error
-  thresholds theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2)
-  (2011), Table 3.1.  The crossover was measured on the scheme's step
-  matrices with one BLAS thread (CHANGES.md holds the table).
-- expm(M, v): the action e^M v.  One rule at every size: when ||M||_1
-  is at most a cutoff, the degree-m Taylor polynomial applied to v, m
-  the smallest degree with theta_m >= ||M||_1, summed forward as in
-  Al-Mohy and Higham (2011), Section 3: the m products M^j v go into
-  one stack, one matrix-vector product each, and one product with the
-  1/j! sums them (the same backward-error bound; v is scaled by a power
-  of two first, so the powers cannot overflow where the sum does not).
-  Above the cutoff, e^M by the size's dense path, times v.  The cutoff
-  is theta_30 (no squarings) from TAYLOR_MIN_DIM rows up, and
-  theta_13 = 0.4 below, where scipy's exponential costs a fixed 10-15
-  us and the action's m products are cheaper only up to m = 13 at
-  D = 4 (about m = 18 at D = 10, past m = 30 at D = 20; CHANGES.md
-  holds the table).  So below TAYLOR_MIN_DIM rows scipy serves e^M
-  and only the actions with ||M||_1 > 0.4.  On the largest inputs it
-  serves, algebra_checks' bounded-exponential A1k t / eps at D < 30
-  (||M||_1 up to 1.5e8), its relative 1-norm error was at most
-  34 ||M||_1 u (u = 2^-53; 1.8e-8 at the largest norm) against a
-  50-digit mpmath exponential, where _taylor_expm reached 16 ||M||_1 u.
-  Both are of the size cond(exp, M) >= ||M|| allows.
-- eigvals: Hessenberg reduction plus shifted QR iteration (LAPACK
-  dgeev/zgeev), via scipy.linalg.eigvals.
+- The path, by size.  Below TAYLOR_MIN_DIM rows, e^M is
+  scipy.linalg.expm: a degree-13 diagonal Pade approximant with 1-norm
+  based scaling (Al-Mohy and Higham 2009).  From TAYLOR_MIN_DIM rows
+  up, e^M is a degree-m Taylor polynomial evaluated by
+  Paterson-Stockmeyer, matrix products only (Bader, Blanes and Casas,
+  Mathematics 7 (2019) 1174), with s squarings; taylor_plan picks m and
+  s from the backward-error thresholds theta_m of Al-Mohy and Higham,
+  SIAM J. Sci. Comput. 33(2) (2011), Table 3.1.
+- The cutoff of the action e^M v.  When ||M||_1 is at most the cutoff,
+  expm(M, v) applies the degree-m Taylor polynomial to v, m the smallest
+  degree with theta_m >= ||M||_1, summed forward as in Al-Mohy and Higham
+  (2011), Section 3: the m products M^j v go into one stack, one
+  matrix-vector product each, and one product with the 1/j! sums them
+  (v is scaled by a power of two first, so the powers cannot overflow
+  where the sum does not).  Above the cutoff, e^M by the size's path,
+  times v.  The cutoff is theta_30 (no squarings) from TAYLOR_MIN_DIM
+  rows up and theta_13 = 0.4 below (_SMALL_ACTION_MAX_DEGREE).
+- One input contract at every size, with and without v.  The 1-norm
+  that picks the path also checks M: a non-finite entry raises
+  ValueError, and so does a finite M whose 1-norm overflows.  A
+  non-finite entry of v raises ValueError too.
 
 Real input stays float64 and complex input complex128, so a real
 problem runs in real arithmetic (dgemm, about a quarter of zgemm's
-flops).  All operations are pure functions over immutable inputs and
-reject non-finite entries up front; wherever expm takes the 1-norm (every
-action, and e^M from TAYLOR_MIN_DIM rows up), it reads the finiteness of M
-off it, and from TAYLOR_MIN_DIM rows up it refuses a finite M whose 1-norm
-overflows.
+flops).  All operations are pure functions over immutable inputs.
+eigvals (Hessenberg reduction plus shifted QR iteration, LAPACK
+dgeev/zgeev, via scipy.linalg.eigvals) rejects non-finite entries as
+expm does.
 
 scatter_add is the sum-into-bins kernel both the extension plan and
 the jet product use.
@@ -109,13 +98,6 @@ def taylor_plan(norm1: float) -> tuple[int, int, int]:
     return best[1]
 
 
-@functools.lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    out = np.eye(n)
-    out.flags.writeable = False
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _block_coefficients(m: int, q: int) -> np.ndarray:
     """C[i, j] = 1/(iq + j)!, the coefficient of M^j in Horner block i.
@@ -143,7 +125,8 @@ def _taylor_expm(M: np.ndarray, norm1: float) -> np.ndarray:
         M = M * 2.0**-s
     # powers[j] = M^j for j = 0..q, in one stack
     powers = np.empty((q + 1, n, n), dtype=M.dtype)
-    powers[0] = _identity(n)
+    powers[0] = 0.0
+    np.fill_diagonal(powers[0], 1.0)
     powers[1] = M
     for j in range(2, q + 1):
         np.matmul(powers[j - 1], M, out=powers[j])
@@ -211,16 +194,6 @@ def _taylor_action(M: np.ndarray, v: np.ndarray, m: int, sq: float) -> np.ndarra
 _WORKING_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of x is finite.
-
-    sum |x_i|^2 is finite exactly when every entry is, unless it
-    overflows: one dot product, about 1 us less per call than the
-    entrywise check, which runs only after an overflow.
-    """
-    return math.isfinite(np.vdot(x, x).real) or bool(np.isfinite(x).all())
-
-
 @functools.lru_cache(maxsize=16)
 def _column_weights(n: int) -> np.ndarray:
     """n entries 2^-b, with 2^b > n.  Read-only, shared."""
@@ -246,14 +219,13 @@ def _norm1(M: np.ndarray) -> float:
     return sums.item(sums.argmax()) * 2.0 ** n.bit_length()
 
 
-def _as_square(M, name: str = "M", check_finite: bool = True) -> np.ndarray:
+def _as_square(M) -> np.ndarray:
+    """M as a working-dtype square matrix; its finiteness is the caller's to check."""
     M = np.asarray(M)
     if M.dtype not in _WORKING_DTYPES:
         M = M.astype(np.promote_types(M.dtype, np.float64))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    if check_finite and not _all_finite(M):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"M must be a square matrix, got shape {M.shape}")
     return M
 
 
@@ -264,8 +236,8 @@ def _as_vector(v, n: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"v must be a vector of length {n}, got shape {v.shape}")
     if v.dtype not in _WORKING_DTYPES:
         v = v.astype(np.promote_types(v.dtype, np.float64))
-    # as _all_finite: the sum of squares is finite exactly when every entry
-    # is, unless it overflows
+    # the sum of squares is finite exactly when every entry is, unless it
+    # overflows; only then does the entrywise check run
     sq = np.vdot(v, v).real
     if not (math.isfinite(sq) or np.isfinite(v).all()):
         raise ValueError("v contains non-finite entries")
@@ -275,23 +247,18 @@ def _as_vector(v, n: int) -> tuple[np.ndarray, float]:
 def expm(M, v=None) -> np.ndarray:
     """Matrix exponential e^M, real for real M; e^M v when v is given.
 
-    Raises ValueError when M or v has a non-finite entry, and, from
-    TAYLOR_MIN_DIM rows up, when M is finite but its 1-norm overflows.
+    Raises ValueError when M or v has a non-finite entry, or when M is
+    finite but its 1-norm overflows.
     """
-    M = _as_square(M, check_finite=False)
+    M = _as_square(M)
     n = M.shape[0]
-    if v is None and n < TAYLOR_MIN_DIM:
-        if not _all_finite(M):
-            raise ValueError("M contains non-finite entries")
-        return scipy.linalg.expm(M)
     # the 1-norm that picks the path and the degree also checks finiteness:
     # it is finite exactly when every entry is, unless a column sum overflows
     norm1 = _norm1(M)
     if not math.isfinite(norm1):
         if not np.isfinite(M).all():
             raise ValueError("M contains non-finite entries")
-        if n >= TAYLOR_MIN_DIM:
-            raise ValueError("the 1-norm of M overflows")
+        raise ValueError("the 1-norm of M overflows")
     if v is not None:
         v, sq = _as_vector(v, n)
         if norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE if n >= TAYLOR_MIN_DIM else _SMALL_ACTION_MAX_DEGREE]:
@@ -301,8 +268,14 @@ def expm(M, v=None) -> np.ndarray:
 
 
 def eigvals(M) -> np.ndarray:
-    """All eigenvalues of M (unordered, complex)."""
-    return scipy.linalg.eigvals(_as_square(M))
+    """All eigenvalues of M (unordered, complex).
+
+    Raises ValueError when M has a non-finite entry.
+    """
+    M = _as_square(M)
+    if not np.isfinite(M).all():
+        raise ValueError("M contains non-finite entries")
+    return scipy.linalg.eigvals(M, check_finite=False)
 
 
 def scatter_add(target: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

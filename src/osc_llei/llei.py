@@ -67,6 +67,17 @@ class Trajectory:
         return len(self.times) - 1
 
 
+def _uniform_grid(T: float, h: float) -> tuple[int, float, float | None]:
+    """(N, T / N, h_requested): N = max(1, round(T / h)) uniform steps over [0, T].
+
+    h_requested is h when the snapped step T / N differs from it, else
+    None.  A step T / n gives back exactly n steps.
+    """
+    N = max(1, round(T / h))
+    h_snap = T / N
+    return N, h_snap, h if abs(h_snap - h) > 1e-12 * h else None
+
+
 def check_blow_up(u, step_index: int | None, t: float) -> None:
     """Raise BlowUpError when |u| is non-finite or exceeds BLOWUP_NORM."""
     norm = math.sqrt(np.vdot(u, u).real)
@@ -142,8 +153,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """
     check_finite_positive("step size", h)
     kernel = _StepKernel(system, build_catalog(system.d + 1, k))
-    N = max(1, round(system.T / h))
-    h_snap = system.T / N
+    N, h_snap, h_requested = _uniform_grid(system.T, h)
     times = np.linspace(0.0, system.T, N + 1)
     u0 = system.working(system.initial_state)
     states = np.empty((N + 1, system.d), dtype=u0.dtype)
@@ -160,6 +170,6 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
         epsilon=system.epsilon,
         h=h_snap,
         k=k,
-        h_requested=h if abs(h_snap - h) > 1e-12 * h else None,
+        h_requested=h_requested,
         y_dim=system.y_dim,
     )

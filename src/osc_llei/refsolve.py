@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .llei import Trajectory, check_blow_up
+from .llei import Trajectory, _uniform_grid, check_blow_up
 from .sysdef import OscillatorySystem, check_finite_positive
 
 
@@ -93,7 +93,7 @@ def rk4_integrate(
         raise ValueError("sample_stride must be a positive integer")
     sample_stride = int(sample_stride)
 
-    n_samples = max(1, round(system.T / (h_ref * sample_stride)))
+    n_samples, h_sample, h_requested = _uniform_grid(system.T, h_ref * sample_stride)
     n_total = n_samples * sample_stride
     h = system.T / n_total
     rho = system.rho
@@ -141,13 +141,12 @@ def rk4_integrate(
             check_blow_up(u, last, last * h)
             t = float(times[s + 1])
 
-    h_sample, h_asked = system.T / n_samples, h_ref * sample_stride
     return Trajectory(
         times=times,
         states=states,
         epsilon=system.epsilon,
         h=h_sample,
         k=None,
-        h_requested=h_asked if abs(h_sample - h_asked) > 1e-12 * h_asked else None,
+        h_requested=h_requested,
         y_dim=system.y_dim,
     )

@@ -214,9 +214,6 @@ class OscillatorySystem:
     oracle: DerivativeOracle
     y_dim: int | None = None
     name: str = ""
-    eps_factory: Callable[[float], "OscillatorySystem"] | None = field(
-        default=None, repr=False, compare=False
-    )
     # largest and smallest |eigenvalue| of A (mu is 0 up to rounding for a singular A)
     rho: float = field(init=False, repr=False, compare=False)
     mu: float = field(init=False, repr=False, compare=False)
@@ -274,10 +271,15 @@ class OscillatorySystem:
         return np.asarray(self.oracle.value(u, t))
 
     def with_epsilon(self, epsilon: float) -> "OscillatorySystem":
-        """The same problem family at a different epsilon."""
-        if self.eps_factory is not None:
-            return self.eps_factory(epsilon)
-        return replace(self, epsilon=epsilon)
+        """The same problem at a different epsilon.
+
+        Every field but epsilon is kept, except that a second-order
+        system's forcing [0; eps g] is rebuilt at the new eps.
+        """
+        oracle = self.oracle
+        if isinstance(oracle, _TransformedOracle) and oracle.eps_scaled:
+            oracle = _TransformedOracle(oracle.g_oracle, oracle.dy, epsilon, eps_scaled=True)
+        return replace(self, epsilon=epsilon, oracle=oracle)
 
 
 def augment(A) -> np.ndarray:
@@ -299,13 +301,18 @@ class _TransformedOracle(DerivativeOracle):
     """Oracle for F(u, t) = [0; scale * g(y, t)] with u = [y; p].
 
     Remaps multi-indices over (y_1..y_dy, p_1..p_dy, t) to g's variables
-    (y_1..y_dy, t); any p-derivative is identically zero.
+    (y_1..y_dy, t); any p-derivative is identically zero.  eps_scaled
+    marks a scale that is the system's epsilon, which with_epsilon
+    follows.
     """
 
-    def __init__(self, g_oracle: DerivativeOracle, dy: int, scale: float):
+    def __init__(
+        self, g_oracle: DerivativeOracle, dy: int, scale: float, eps_scaled: bool = False
+    ):
         self.g_oracle = g_oracle
         self.dy = dy
         self.scale = scale
+        self.eps_scaled = eps_scaled
         self.real_valued = g_oracle.real_valued
         # g's variables (y, t) among u's (y, p, t), 1-based
         self._g_variables = tuple(range(1, dy + 1)) + (2 * dy + 1,)
@@ -365,9 +372,6 @@ def second_order_to_first_order(
     A[:dy, dy:] = np.eye(dy)
     A[dy:, :dy] = -M
     u_in = np.concatenate([np.asarray(y_in, dtype=complex), np.asarray(ydot_in, dtype=complex)])
-    factory = lambda eps: second_order_to_first_order(
-        M, g_oracle, y_in, ydot_in, eps, nu, T, name
-    )
     system = OscillatorySystem(
         d=2 * dy,
         A=A,
@@ -375,10 +379,9 @@ def second_order_to_first_order(
         nu=nu,
         u_in=u_in,
         T=T,
-        oracle=_TransformedOracle(g_oracle, dy, scale=epsilon),
+        oracle=_TransformedOracle(g_oracle, dy, epsilon, eps_scaled=True),
         y_dim=dy,
         name=name,
-        eps_factory=factory,
     )
     y0 = system.working(system.initial_state[:dy])
     shape = np.shape(g_oracle._taylor(_catalog(dy + 1, 0), y0, 0.0))

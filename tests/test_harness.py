@@ -448,6 +448,22 @@ def test_sweep_eps_validation() -> None:
             sweep_eps(system, 1, 0.1, [0.2, 0.1], h_ref_factor=bad)
 
 
+def test_sweep_eps_integrates_over_the_system_s_own_horizon(monkeypatch) -> None:
+    # every eps runs over the T of the system passed in, also after a replace
+    system = dataclasses.replace(builtin("example1", 0.25), T=1.5)
+    real_integrate, runs = harness_mod.integrate, []
+
+    def spy(sys_, k, h):
+        traj = real_integrate(sys_, k, h)
+        runs.append((sys_.epsilon, sys_.T, traj.times[-1]))
+        return traj
+
+    monkeypatch.setattr(harness_mod, "integrate", spy)
+    eps_values = [1 / 16, 1 / 32]
+    sweep_eps(system, 1, 1 / 4, eps_values)
+    assert runs == [(eps, 1.5, 1.5) for eps in eps_values]
+
+
 def test_with_epsilon_matches_a_fresh_builtin() -> None:
     # sweep_eps rebuilds its system only through with_epsilon; example2's
     # oracle does not depend on epsilon, so replace gives the same system

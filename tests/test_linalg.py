@@ -182,22 +182,21 @@ def test_expm_action_rejects_a_wrong_vector() -> None:
 
 def test_expm_rejects_a_finite_matrix_whose_norm_overflows(monkeypatch) -> None:
     # 1e307 entries are finite, but every column sums past the largest
-    # double from 18 rows up.  From TAYLOR_MIN_DIM rows up that norm picks
-    # the degree, so M is refused; below, M goes to scipy as any other
-    # matrix above the action's cutoff does.  No floating-point warning
-    # escapes either way.
-    scipy_expm, calls = scipy.linalg.expm, []
-    monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M) or scipy_expm(M))
+    # double from 18 rows up; the nilpotent M (M^2 = 0) has e^M = I + M
+    # exactly, yet its last column sums to 2e308.  One rule at every size,
+    # with and without a vector: the 1-norm picks the path, so M is
+    # refused before any path runs, and no floating-point warning escapes.
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: pytest.fail("scipy was called"))
+    nilpotent = np.zeros((3, 3))
+    nilpotent[0, 2] = nilpotent[1, 2] = 1e308
+    cases = [np.full((n, n), 1e307) for n in (18, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM)]
+    cases += [np.full((4, 4), 1e308), nilpotent]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v in (None, np.eye(TAYLOR_MIN_DIM)[0]):
-            with pytest.raises(ValueError, match="^the 1-norm of M overflows$"):
-                expm(np.full((TAYLOR_MIN_DIM, TAYLOR_MIN_DIM), 1e307), v)
-        n = TAYLOR_MIN_DIM - 1
-        M = np.full((n, n), 1e307)
-        got = expm(M, np.eye(n)[0])
-    assert len(calls) == 1 and calls[0] is M
-    np.testing.assert_array_equal(got, scipy_expm(M)[:, 0])
+        for M in cases:
+            for v in (None, np.eye(len(M))[0]):
+                with pytest.raises(ValueError, match="^the 1-norm of M overflows$"):
+                    expm(M, v)
 
 
 def test_eigvals_recovers_constructed_spectrum() -> None:
@@ -214,8 +213,8 @@ def test_eigvals_recovers_constructed_spectrum() -> None:
 def test_shape_and_finiteness_validation() -> None:
     with pytest.raises(ValueError):
         expm(np.ones((2, 3)))
-    # on both sides of TAYLOR_MIN_DIM, with and without a vector: from there
-    # up the check is read off the 1-norm
+    # on both sides of TAYLOR_MIN_DIM, with and without a vector: the check
+    # is read off the 1-norm at every size
     for n in (4, TAYLOR_MIN_DIM + 10):
         for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
             M = np.eye(n, dtype=type(bad))
@@ -223,5 +222,5 @@ def test_shape_and_finiteness_validation() -> None:
             for v in (None, np.eye(n)[0]):
                 with pytest.raises(ValueError, match="^M contains non-finite entries$"):
                     expm(M, v)
-    with pytest.raises(ValueError):
-        eigvals(np.array([[np.nan, 0], [0, 1]]))
+            with pytest.raises(ValueError, match="^M contains non-finite entries$"):
+                eigvals(M)

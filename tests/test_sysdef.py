@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from osc_llei import (
     PolynomialOracle,
     SpectrumWarning,
     augment,
+    build_catalog,
     builtin,
     integrate,
     load_config,
@@ -218,6 +220,25 @@ def test_second_order_transform_structure() -> None:
     u = np.array([0.2, 0.1])
     f_ratio = s.F(u, 0.3)[1] / s8.F(u, 0.3)[1]
     assert np.isclose(f_ratio.real, 0.25 * 2**8)
+
+
+def test_with_epsilon_keeps_every_field_of_a_replaced_system() -> None:
+    # with_epsilon works from the system's current fields: after a
+    # dataclasses.replace only eps and the forcing's eps scale move
+    u_in = np.array([0.5, -2.0])
+    s = dataclasses.replace(builtin("example1", 0.25), T=1.5, u_in=u_in, nu=0.5, name="mine")
+    moved = s.with_epsilon(0.125)
+    assert moved.epsilon == 0.125
+    assert (moved.T, moved.nu, moved.name, moved.y_dim) == (1.5, 0.5, "mine", 1)
+    assert np.array_equal(moved.u_in, u_in) and np.array_equal(moved.A, s.A)
+    # its oracle is the fresh builtin's, bit for bit
+    fresh = builtin("example1", 0.125, T=1.5).oracle
+    catalog = build_catalog(3, 3)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        u, t = rng.standard_normal(2), float(rng.uniform(0.0, 1.5))
+        assert np.array_equal(moved.oracle.taylor(catalog, u, t), fresh.taylor(catalog, u, t))
+        assert np.array_equal(moved.oracle.value(u, t), fresh.value(u, t))
 
 
 def test_second_order_rejects_bad_mass_matrix() -> None:
