@@ -34,10 +34,15 @@ from .mindex import MultiIndexCatalog, build_catalog
 from .sysdef import DerivativeOracle
 
 
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
 def _check_point(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
     """xhat as a float64 or complex128 vector of length d+1."""
-    xhat = np.asarray(xhat)
-    xhat = xhat.astype(np.result_type(xhat, float), copy=False)
+    # a float64 or complex128 array, as every scheme step passes, is used as is
+    if not (isinstance(xhat, np.ndarray) and (xhat.dtype == _FLOAT or xhat.dtype == _COMPLEX)):
+        xhat = np.asarray(xhat)
+        xhat = xhat.astype(np.result_type(xhat, float), copy=False)
     if xhat.shape != (catalog.d_plus_1,):
         raise ValueError(
             f"reference point has shape {xhat.shape}, expected ({catalog.d_plus_1},)"
@@ -116,18 +121,32 @@ def plan_for(catalog: MultiIndexCatalog) -> ExtensionPlan:
 
 
 @functools.lru_cache(maxsize=16)
-def _A1_preserving(d_plus_1: int, k: int, dtype: str, A1_bytes: bytes) -> np.ndarray:
-    """A1k with G's row 0 left at zero: the part that does not depend on xhat.
+def _A1_parts(
+    d_plus_1: int, k: int, dtype: str, A1_bytes: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(preserving, lowering, multiplicity): A1k's parts, read-only, shared
+    by every build_A1 call on this (d+1, k, A1).
 
-    Read-only, shared by every build_A1 call on this (d+1, k, A1).
+    preserving is A1k with G's row 0 left at zero, the part that does not
+    depend on xhat.  The pairs landing on one degree-lowering bin all read
+    the same row of A1 (the bin's chi drops one value of alpha, repeated
+    as often as alpha holds it), so bin b takes multiplicity[b] times row
+    b of lowering, a (len(lower_bins), d+1) matrix, dotted with xhat.
     """
     A1_aug = np.frombuffer(A1_bytes, dtype=dtype).reshape(d_plus_1, d_plus_1)
     plan = _compiled(d_plus_1, k)
     G = np.zeros((plan.size, d_plus_1), dtype=np.result_type(A1_aug, float))
     G[1 : d_plus_1 + 1] = A1_aug.T
-    out = plan.assemble(G)
-    out.flags.writeable = False
-    return out
+    row = np.empty(plan.lower_bins.size, dtype=np.intp)
+    row[plan.lower_inverse] = plan.lower_column
+    parts = (
+        plan.assemble(G),
+        A1_aug[row].astype(G.dtype),
+        np.bincount(plan.lower_inverse).astype(float),
+    )
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
@@ -138,22 +157,25 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     Through the plan this puts, for row alpha and each position l, the
     degree-preserving coefficient (A1)_{alpha_l m} at chi(alpha; l) + {m}
     and the degree-lowering coefficient (A1 xhat)_{alpha_l} at
-    chi(alpha; l).  The two kinds land on disjoint entries, so the
-    degree-preserving part is assembled once per (d+1, k, A1) and each
-    call scatters only the degree-lowering pairs into a fresh copy; the
-    sums are those of the whole plan, bit for bit.
+    chi(alpha; l).  The two kinds land on disjoint entries, so both
+    parts are cached per (d+1, k, A1): each call copies the
+    degree-preserving part and writes the degree-lowering entries, one
+    product of the cached lowering matrix with xhat scaled by the bins'
+    multiplicities.  The whole plan adds (A1 xhat)_c once per pair
+    instead; adding y m times rounds as m * y does for m <= 5, so up to
+    k = 5 the entries are the plan's bit for bit, and above it m * y is
+    the correctly rounded one of the two.
     """
     A1_aug = np.asarray(A1_aug)
     n = catalog.d_plus_1
     if A1_aug.shape != (n, n):
         raise ValueError(f"augmented matrix has shape {A1_aug.shape}, expected ({n}, {n})")
     xhat = _check_point(catalog, xhat)
-    fixed = _A1_preserving(n, catalog.k, A1_aug.dtype.str, A1_aug.tobytes())
-    plan = plan_for(catalog)
-    out = fixed.astype(np.result_type(fixed, xhat))
-    out.reshape(-1)[plan.lower_bins] = scatter_add(
-        plan.lower_inverse, (A1_aug @ xhat)[plan.lower_column], plan.lower_bins.size
+    preserving, lowering, multiplicity = _A1_parts(
+        n, catalog.k, A1_aug.dtype.str, A1_aug.tobytes()
     )
+    out = preserving.astype(np.result_type(preserving, xhat))
+    out.reshape(-1)[plan_for(catalog).lower_bins] = lowering.dot(xhat) * multiplicity
     return out
 
 

@@ -14,9 +14,11 @@ This module is the only one that knows the layout.  The catalog owns
 every index table derived from it, each built on first read and kept on
 the catalog: the rows of all multiset sums reps[i] + reps[j] (sums, and
 its pairs within degree k for the jets), each representative with one
-component dropped (drops), the exponent vectors, the float gamma weights
-and the block offsets.  Jet products land their coefficient pairs on
-sums; the extension plan, build_S and lift land each chi + beta there.
+component dropped (drops), the exponent vectors, the float gamma weights,
+the block offsets, the rows of each variable's pure powers (power_rows)
+and the coefficients of the variables themselves (seeds).  Jet products
+land their coefficient pairs on sums; the extension plan, build_S and
+lift land each chi + beta there.
 """
 
 from __future__ import annotations
@@ -151,6 +153,18 @@ class MultiIndexCatalog:
         n = self.d_plus_1
         exps = [[alpha.count(q) for q in range(1, n + 1)] for alpha in self.representatives]
         return _read_only(np.array(exps, dtype=np.intp))
+
+    @functools.cached_property
+    def power_rows(self) -> np.ndarray:
+        """power_rows[q, m] = row of (q + 1,) * m, the pure power x_{q+1}^m, m = 0..k."""
+        variables = range(1, self.d_plus_1 + 1)
+        rows = [[self._pos[(q,) * m] for m in range(self.k + 1)] for q in variables]
+        return _read_only(np.array(rows, dtype=np.intp))
+
+    @functools.cached_property
+    def seeds(self) -> np.ndarray:
+        """seeds[q] = the coefficients of x_{q+1} at 0: one 1 on its degree-1 row q + 1."""
+        return _read_only(np.eye(self.d_plus_1, self.size, 1))
 
     @functools.cached_property
     def float_gammas(self) -> np.ndarray:

@@ -140,12 +140,16 @@ class JetOracle(DerivativeOracle):
         self.real_valued = real_valued
 
     def _taylor(self, catalog, u, t):
-        # variable q is x_q plus one unit coefficient on its degree-1 row q+1
-        c = np.eye(catalog.d_plus_1, catalog.size, 1, dtype=np.result_type(u, t, float))
+        # variable q is x_q plus one unit coefficient on its degree-1 row q+1,
+        # an affine jet tagged with q
+        c = catalog.seeds.astype(np.result_type(u, t, float))
         c[:-1, 0] = u
         c[-1, 0] = t
-        jets = [Jet(catalog, row) for row in c]
-        outputs = self.F(np.array(jets[:-1], dtype=object), jets[-1])
+        d = catalog.d_plus_1 - 1
+        state = np.empty(d, dtype=object)
+        for q in range(d):
+            state[q] = Jet(catalog, c[q], q)
+        outputs = self.F(state, Jet(catalog, c[d], d))
         return np.array([
             (f if isinstance(f, Jet) else Jet.constant(f, catalog)).c for f in outputs
         ]).T

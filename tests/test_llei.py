@@ -29,7 +29,7 @@ from osc_llei import (
     rk4_integrate,
     step,
 )
-from osc_llei.extension import _A1_preserving, _compiled
+from osc_llei.extension import _A1_parts, _compiled
 from osc_llei.llei import _StepKernel
 from osc_llei.mindex import _catalog, _restriction
 
@@ -198,7 +198,7 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
 
     # cold: the catalogs and their tables, the plan, A1k's xhat-free part
     # and the restrictions are all built inside the counted steps
-    for cache in (_catalog, _compiled, _A1_preserving, _restriction):
+    for cache in (_catalog, _compiled, _A1_parts, _restriction):
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")

@@ -676,6 +676,86 @@ def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
         assert_close(jet.c, want, PLAN_RTOL)
 
 
+@st.composite
+def affine_jets(draw):
+    """An affine jet base + a x_q, tagged, and an untagged copy of its coefficients.
+
+    n = 1..5 variables, K = 0..6; the slope a is negative, zero or
+    complex, the base point real or complex.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    K = draw(st.integers(min_value=0, max_value=6))
+    q = draw(st.integers(min_value=0, max_value=n - 1))
+    a = draw(st.sampled_from(["negative", "zero", "complex"]))
+    a = {
+        "negative": lambda: -draw(st.floats(min_value=0.1, max_value=2.0)),
+        "zero": lambda: 0.0,
+        "complex": lambda: complex(draw(COORD), draw(COORD)),
+    }[a]()
+    base = draw(COORD)
+    if draw(st.booleans()):
+        base = complex(base, draw(COORD))
+    cat = _catalog(n, K)
+    c = np.zeros(cat.size, dtype=np.result_type(a, base, float))
+    c[0] = base
+    if K:
+        c[q + 1] = a
+    return Jet(cat, c, q), Jet(cat, c.copy())
+
+
+def assert_same_coefficients(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal NaN and infinity positions, and the finite entries within PLAN_RTOL."""
+    assert got.dtype == want.dtype
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite & ~np.isnan(want)], want[~finite & ~np.isnan(want)])
+    if finite.any():
+        assert np.isfinite(got[finite]).all()
+        assert_close(got[finite], want[finite], PLAN_RTOL)
+
+
+@PROPERTY
+@given(affine_jets())
+def test_affine_path_matches_general_path(jets) -> None:
+    # the tagged jet takes _compose_affine, the untagged copy Horner on W
+    tagged, plain = jets
+    assert plain.tag is None
+    with np.errstate(all="ignore"):
+        cases = [lambda x: x.cos(), lambda x: x.sin(), lambda x: x.exp()]
+        if tagged.c[0] != 0:
+            cases += [lambda x, p=p: x.power(p) for p in (-1.5, -1, 0.5, 2.5)]
+        for f in cases:
+            got, want = f(tagged), f(plain)
+            assert got.tag is None
+            assert_same_coefficients(got.c, want.c)
+            if got.c.dtype.kind == "f":
+                # at real points the same roundings, bit for bit
+                assert np.array_equal(got.c, want.c, equal_nan=True)
+        # scalar +, - and * keep the tag; jet-jet and division drop it
+        assert (tagged + 2.0).tag == (2.0 - tagged).tag == (-tagged).tag == tagged.tag
+        assert (tagged - 1.5).tag == (3 * tagged).tag == (tagged * 0.5j).tag == tagged.tag
+        for dropped in (tagged * tagged, tagged + tagged, tagged - tagged, tagged / 2.0):
+            assert dropped.tag is None
+        if tagged.c[0] != 0:
+            assert (tagged / tagged).tag is None
+
+
+def test_jet_oracle_tags_its_seeds() -> None:
+    # F sees the state and time as affine jets tagged with their variable,
+    # so cos(w * t) and the like take the affine path
+    seen = []
+
+    def F(u, t):
+        seen.extend(x.tag for x in [*u, t])
+        return [np.cos(2.0 * t - 1.0), u[0] * u[1]]
+
+    cat = build_catalog(3, 3)
+    got = JetOracle(F, real_valued=True).taylor(cat, np.array([0.3, -0.7]), 0.25)
+    assert seen == [0, 1, 2]
+    t = Jet(cat, cat.seeds[2] + 0.25 * (np.arange(cat.size) == 0))
+    assert np.array_equal(got[:, 0], np.cos(2.0 * t - 1.0).c)
+
+
 def readme_inline_system():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```json\n(.*?)^```$", text, flags=re.S | re.M)

@@ -389,3 +389,28 @@ def test_taylor_only_oracle_reads_value_out_of_taylor() -> None:
     # the RK4 reference evaluates F through forcing_parts, here value itself
     got, want = (rk4_integrate(s, 1 / 64, sample_stride=4).states for s in systems)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        # a negative base to a fractional power, exp past overflow and the
+        # cosine of an infinite argument: numpy gives NaN (or inf) where
+        # Python's math would go complex or raise
+        lambda u, t: [0.0, (-2.0 - u[0] * u[0]) ** -1.5],
+        lambda u, t: [0.0, np.exp(800.0 + t)],
+        lambda u, t: [0.0, np.cos(np.inf * (t + 1.0))],
+    ],
+    ids=["negative-base-power", "exp-overflow", "cos-of-infinity"],
+)
+def test_jet_oracle_non_finite_coefficients_follow_numpy(F) -> None:
+    oracle = JetOracle(F, real_valued=True)
+    with np.errstate(all="ignore"):
+        got = oracle.taylor(build_catalog(3, 2), np.array([0.5, 0.25]), 0.125)
+    assert got.dtype == np.float64
+    assert np.array_equal(got[:, 0], np.zeros(10))
+    assert np.isnan(got[:, 1]).all()
+    system = OscillatorySystem(d=2, A=np.array([[0.0, 1.0], [-1.0, 0.0]]), epsilon=0.1,
+                               nu=0.0, u_in=np.array([0.5, 0.25]), T=0.1, oracle=oracle)
+    with pytest.raises(ValueError, match="M contains non-finite entries"):
+        integrate(system, 2, 0.05)
