@@ -71,6 +71,19 @@ class ExtensionPlan:
     lower_column[p] is the G column pair p reads, lower_bins the distinct
     entries of vec(M) they land on (no other pair lands there) and
     lower_inverse[p] the position of pair p's entry in lower_bins.
+
+    build_A0 reads the pairs by G column, with no G.  The state-column
+    pairs (c <= d) are re-pointed at the oracle's (D x d) coefficients:
+    state_source[p] indexes taylor.ravel() and state_target[p] is the
+    pair's entry of vec(M), in the order of source.  In the time column
+    only G[(), d+1] = 1 is nonzero, so its pairs become time_bins, the
+    distinct entries they land on, and time_counts, how many land on
+    each (as floats); the time column's other pairs read zeros and are
+    dropped.  A time pair lands on row alpha at column alpha minus one t,
+    and no state pair of that row does (their columns drop a state
+    component or have degree |alpha| or more), so no state pair lands on
+    a time bin.
+
     Every array is read-only, shared by all steps on this (d+1, k).
     """
 
@@ -80,6 +93,10 @@ class ExtensionPlan:
     lower_column: np.ndarray
     lower_bins: np.ndarray
     lower_inverse: np.ndarray
+    state_source: np.ndarray
+    state_target: np.ndarray
+    time_bins: np.ndarray
+    time_counts: np.ndarray
 
     @classmethod
     def compile(cls, catalog: MultiIndexCatalog) -> "ExtensionPlan":
@@ -96,7 +113,16 @@ class ExtensionPlan:
         target_arr = np.concatenate(target)
         reads_row0 = source_arr < n
         bins, inverse = np.unique(target_arr[reads_row0], return_inverse=True)
-        arrays = (source_arr, target_arr, source_arr[reads_row0], bins, inverse)
+        beta, column = np.divmod(source_arr, n)
+        state = column < n - 1
+        time_bins, time_counts = np.unique(
+            target_arr[source_arr == n - 1], return_counts=True
+        )
+        arrays = (
+            source_arr, target_arr, source_arr[reads_row0], bins, inverse,
+            beta[state] * (n - 1) + column[state], target_arr[state],
+            time_bins, time_counts.astype(float),
+        )
         for arr in arrays:
             arr.flags.writeable = False
         return cls(D, *arrays)
@@ -188,14 +214,21 @@ def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.n
     representative beta with |beta| <= k - j + 1, the coefficient
     (1/gamma(beta)) * d^beta f_{alpha_l}(xhat) at column chi(alpha; l)
     + beta, so no target monomial exceeds degree k.
+
+    The plan's state pairs gather straight from oracle.taylor and
+    scatter-add into M; the time bins, which no state pair reaches, then
+    take their counts.  That is plan.assemble(G) on G = [taylor | e_0],
+    bit for bit, without building G.
     """
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
     taylor = oracle.taylor(catalog, xhat[:d], xhat[d])
-    G = np.zeros((catalog.size, d + 1), dtype=np.result_type(taylor, xhat))
-    G[:, :d] = taylor
-    G[0, d] = 1.0
-    return plan_for(catalog).assemble(G)
+    if taylor.dtype != xhat.dtype:
+        taylor = taylor.astype(np.result_type(taylor, xhat), copy=False)
+    plan = plan_for(catalog)
+    out = scatter_add(plan.state_target, taylor.ravel()[plan.state_source], plan.size**2)
+    out[plan.time_bins] = plan.time_counts
+    return out.reshape(plan.size, plan.size)
 
 
 def _first_and_rest(catalog: MultiIndexCatalog):

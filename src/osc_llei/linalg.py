@@ -283,9 +283,10 @@ def scatter_add(target: np.ndarray, weights: np.ndarray, size: int) -> np.ndarra
 
     One bincount for real weights, one per part for complex ones.
     """
-    if weights.dtype.kind == "c":
-        out = np.empty(size, dtype=weights.dtype)
-        out.real = np.bincount(target, weights=weights.real, minlength=size)
-        out.imag = np.bincount(target, weights=weights.imag, minlength=size)
-        return out
-    return np.bincount(target, weights=weights, minlength=size)
+    # positional arguments: bincount's keyword parsing costs about 0.1 us a call
+    if weights.dtype.kind != "c":
+        return np.bincount(target, weights, size)
+    out = np.empty(size, dtype=weights.dtype)
+    out.real = np.bincount(target, weights.real, size)
+    out.imag = np.bincount(target, weights.imag, size)
+    return out

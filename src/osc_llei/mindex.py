@@ -12,13 +12,15 @@ degree-1 block is exactly u_1, ..., u_d, t).
 
 This module is the only one that knows the layout.  The catalog owns
 every index table derived from it, each built on first read and kept on
-the catalog: the rows of all multiset sums reps[i] + reps[j] (sums, and
-its pairs within degree k for the jets), each representative with one
-component dropped (drops), the exponent vectors, the float gamma weights,
-the block offsets, the rows of each variable's pure powers (power_rows)
-and the coefficients of the variables themselves (seeds).  Jet products
-land their coefficient pairs on sums; the extension plan, build_S and
-lift land each chi + beta there.
+the catalog: the rows of all multiset sums reps[i] + reps[j] (sums, its
+pairs within degree k, and the jets' multiplication matrices: padded,
+as a gather, product_index, or from the pairs alone, matrix_index),
+each representative with one component dropped (drops), the exponent
+vectors, the float gamma weights, the block offsets, the rows of each
+variable's pure powers (power_rows) and the coefficients of the
+variables themselves (seeds).  Jets read product_index in small
+catalogs only and the pairs in large ones; the extension plan, build_S
+and lift land each chi + beta on sums.
 """
 
 from __future__ import annotations
@@ -132,6 +134,20 @@ class MultiIndexCatalog:
         return _read_only(I), _read_only(J), _read_only(self.sums[I, J])
 
     @functools.cached_property
+    def product_index(self) -> np.ndarray:
+        """product_index[t, j] = the row i with reps[i] + reps[j] = reps[t], or S = size.
+
+        (S + 1) x (S + 1): with a and b padded by a zero at S,
+        a[product_index] is the multiplication matrix of a, so
+        a[product_index] @ b is the product a * b, truncated at k and
+        again padded by a zero (row S and column S gather only a[S])."""
+        I, J, target = self.pairs
+        S = self.size
+        index = np.full((S + 1, S + 1), S, dtype=np.intp)
+        index[target, J] = I
+        return _read_only(index)
+
+    @functools.cached_property
     def matrix_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(I, flat) of the pairs with I >= 1: a[I] lands at flat = target * D + J
         of the D x D multiplication matrix of a's zero-constant part."""
@@ -163,8 +179,11 @@ class MultiIndexCatalog:
 
     @functools.cached_property
     def seeds(self) -> np.ndarray:
-        """seeds[q] = the coefficients of x_{q+1} at 0: one 1 on its degree-1 row q + 1."""
-        return _read_only(np.eye(self.d_plus_1, self.size, 1))
+        """seeds[q] = the coefficients of x_{q+1} at 0: one 1 on its degree-1 row q + 1,
+        padded by the jets' zero slot at size (so at k = 0, with no degree-1 row, all zero)."""
+        seeds = np.zeros((self.d_plus_1, self.size + 1))
+        seeds[:, :-1] = np.eye(self.d_plus_1, self.size, 1)
+        return _read_only(seeds)
 
     @functools.cached_property
     def float_gammas(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from ._jets import Jet
+from ._jets import Jet, _jet
 from .mindex import MultiIndexCatalog, _catalog, gamma, representative, restrict
 
 
@@ -141,15 +141,15 @@ class JetOracle(DerivativeOracle):
 
     def _taylor(self, catalog, u, t):
         # variable q is x_q plus one unit coefficient on its degree-1 row q+1,
-        # an affine jet tagged with q
+        # an affine jet tagged with q; each row of c is a jet's padded buffer
         c = catalog.seeds.astype(np.result_type(u, t, float))
         c[:-1, 0] = u
         c[-1, 0] = t
         d = catalog.d_plus_1 - 1
         state = np.empty(d, dtype=object)
         for q in range(d):
-            state[q] = Jet(catalog, c[q], q)
-        outputs = self.F(state, Jet(catalog, c[d], d))
+            state[q] = _jet(catalog, c[q], q)
+        outputs = self.F(state, _jet(catalog, c[d], d))
         return np.array([
             (f if isinstance(f, Jet) else Jet.constant(f, catalog)).c for f in outputs
         ]).T
@@ -318,8 +318,6 @@ class _TransformedOracle(DerivativeOracle):
         self.scale = scale
         self.eps_scaled = eps_scaled
         self.real_valued = g_oracle.real_valued
-        # g's variables (y, t) among u's (y, p, t), 1-based
-        self._g_variables = tuple(range(1, dy + 1)) + (2 * dy + 1,)
         self._embed = np.zeros((2 * dy, dy))
         self._embed[dy:] = scale * np.eye(dy)
         self._embed.flags.writeable = False
@@ -328,10 +326,10 @@ class _TransformedOracle(DerivativeOracle):
         # the rows without a p component are g's Taylor coefficients with
         # the same multiplicities, so the gamma weights carry over
         dy = self.dy
-        sub = restrict(catalog, self._g_variables)
+        sub, slots = _momentum_slots(catalog.d_plus_1, catalog.k, dy)
         g = self.g_oracle.taylor(sub.catalog, u[:dy], t)
         out = np.zeros((catalog.size, 2 * dy), dtype=g.dtype)
-        out[sub.rows, dy:] = self.scale * g
+        out.put(slots, self.scale * g)
         return out
 
     def forcing_parts(self, d: int):
@@ -343,6 +341,18 @@ class _TransformedOracle(DerivativeOracle):
     def value(self, u, t):
         g, rows, E = self.forcing_parts(2 * self.dy)
         return E.dot(g(np.asarray(u)[rows], t))
+
+
+@functools.lru_cache(maxsize=16)
+def _momentum_slots(d_plus_1: int, k: int, dy: int):
+    """(restriction to (y, t), slots): g's (S_g x dy) coefficients land on
+    the flat entries slots of the (S x 2 dy) taylor array, row sub.rows[i]
+    and column dy + j for g's entry (i, j), read in C order."""
+    # g's variables (y, t) among u's (y, p, t), 1-based
+    sub = restrict(_catalog(d_plus_1, k), tuple(range(1, dy + 1)) + (2 * dy + 1,))
+    slots = (sub.rows[:, None] * (2 * dy) + np.arange(dy, 2 * dy)).ravel()
+    slots.flags.writeable = False
+    return sub, slots
 
 
 def second_order_to_first_order(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from osc_llei import (
+    JetOracle,
     PolynomialOracle,
     augment,
     build_A0,
@@ -18,6 +19,7 @@ from osc_llei import (
 )
 from osc_llei.algebra_checks import random_imaginary_system
 from osc_llei.extension import plan_for
+from osc_llei.sysdef import _TransformedOracle
 
 
 def test_A1_worked_example_scalar_rotation() -> None:
@@ -80,6 +82,54 @@ def test_A1_split_matches_the_whole_plan() -> None:
                     got = build_A1(cat, A1, xhat)
                     assert got.dtype == G.dtype
                     assert np.array_equal(got, plan.assemble(G)), (n, k, A1.dtype, xhat.dtype)
+
+
+def random_terms(rng, d: int) -> list:
+    """3d monomial terms of degree 0..3 over d + 1 variables, complex coefficients."""
+    return [
+        (1 + q % d, tuple(rng.integers(1, d + 2, size=q % 4)), complex(*rng.standard_normal(2)))
+        for q in range(3 * d)
+    ]
+
+
+def test_A0_split_matches_the_whole_plan() -> None:
+    # build_A0 gathers the state pairs from the oracle's coefficients and
+    # writes the time bins' counts, with no G; no state pair lands on a
+    # time bin, so A0k is the whole plan's on G = [taylor | e_0], bit for
+    # bit, for every oracle kind at real and complex points
+    rng = np.random.default_rng(26)
+
+    def F(u, t):
+        return [np.cos(u[q]) * u[q - 1] + t * u[q] ** 2 for q in range(len(u))]
+
+    for n in range(2, 6):
+        d = n - 1
+        oracles = [JetOracle(F, real_valued=True), PolynomialOracle(d, random_terms(rng, d))]
+        if d % 2 == 0:
+            g = PolynomialOracle(d // 2, random_terms(rng, d // 2))
+            oracles.append(_TransformedOracle(g, d // 2, 0.3))
+        for k in range(1, 5):
+            cat = build_catalog(n, k)
+            plan = plan_for(cat)
+            column = plan.source % n
+            assert np.array_equal(plan.state_target, plan.target[column < d]), (n, k)
+            assert np.array_equal(
+                plan.state_source, plan.source[column < d] // n * d + column[column < d]
+            ), (n, k)
+            bins, counts = np.unique(plan.target[plan.source == d], return_counts=True)
+            assert np.array_equal(plan.time_bins, bins) and np.array_equal(plan.time_counts, counts)
+            assert not np.isin(plan.time_bins, plan.state_target).any(), (n, k)
+            x_re, x_im = rng.standard_normal((2, n))
+            x_im[-1] = 0.0
+            for oracle in oracles:
+                for xhat in (x_re, x_re + 1j * x_im):
+                    taylor = oracle.taylor(cat, xhat[:d], xhat[d])
+                    G = np.zeros((cat.size, n), dtype=np.result_type(taylor, xhat))
+                    G[:, :d] = taylor
+                    G[0, d] = 1.0
+                    got = build_A0(cat, oracle, xhat)
+                    assert got.dtype == G.dtype
+                    assert np.array_equal(got, plan.assemble(G)), (n, k, oracle, xhat.dtype)
 
 
 def test_A1_dimension_mismatch() -> None:

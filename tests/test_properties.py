@@ -54,7 +54,7 @@ from osc_llei import (
     remove_component,
     second_order_to_first_order,
 )
-from osc_llei._jets import Jet
+from osc_llei._jets import _DENSE_PRODUCT_MAX_ROWS, Jet
 from osc_llei.mindex import _catalog, restrict
 from osc_llei.sysdef import _PendulumForcingOracle
 
@@ -260,22 +260,45 @@ def test_catalog_tables_match_brute_force() -> None:
             assert sorted(zip(I.tolist(), J.tolist(), target.tolist())) == [
                 (i, j, t) for (i, j), t in np.ndenumerate(cat.sums) if t >= 0
             ], (n, k)
+            # product_index gathers a, padded by a zero, into the
+            # multiplication matrix: entry (t, j) holds a[i] with
+            # reps[i] + reps[j] = reps[t], and the zero slot elsewhere
+            S = cat.size
+            want = np.full((S + 1, S + 1), S)
+            for (i, j), t in np.ndenumerate(cat.sums):
+                if t >= 0:
+                    want[t, j] = i
+            assert cat.product_index.shape == (S + 1, S + 1), (n, k)
+            assert np.array_equal(cat.product_index, want), (n, k)
             # matrix_index scatters a into W with W @ b = (a - a[0]) * b
             rng = np.random.default_rng(n * 10 + k)
-            a, b = rng.standard_normal((2, cat.size))
-            want = np.zeros(cat.size)
+            a, b = rng.standard_normal((2, S))
+            want = np.zeros(S)
             for (i, j), t in np.ndenumerate(cat.sums):
                 if i > 0 and t >= 0:
                     want[t] += a[i] * b[j]
             I1, flat = cat.matrix_index
-            W = np.zeros(cat.size**2)
+            W = np.zeros(S**2)
             np.add.at(W, flat, a[I1])
-            assert_close(W.reshape(cat.size, cat.size) @ b, want, PLAN_RTOL)
+            assert_close(W.reshape(S, S) @ b, want, PLAN_RTOL)
+            # seeds: one 1 on each variable's degree-1 row, the zero slot last
+            assert cat.seeds.shape == (n, S + 1), (n, k)
+            assert np.array_equal(cat.seeds[:, -1], np.zeros(n)), (n, k)
+            for q in range(n):
+                row = cat.seeds[q, :-1]
+                want_row = np.zeros(S)
+                if k:
+                    want_row[cat.position((q + 1,))] = 1.0
+                assert np.array_equal(row, want_row), (n, k, q)
 
 
 def test_catalog_tables_are_read_only_and_shared() -> None:
     cat = _catalog(3, 3)
-    for name in ("sums", "pairs", "matrix_index", "drops", "exponents", "float_gammas", "n_upto"):
+    names = (
+        "sums", "pairs", "product_index", "matrix_index", "drops", "exponents",
+        "float_gammas", "n_upto", "power_rows", "seeds",
+    )
+    for name in names:
         table = getattr(cat, name)
         for arr in table if isinstance(table, tuple) else (table,):
             if isinstance(arr, np.ndarray):
@@ -676,6 +699,47 @@ def test_jet_arithmetic_matches_truncated_taylor_coefficients(setup) -> None:
         assert_close(jet.c, want, PLAN_RTOL)
 
 
+def test_both_product_paths_match_the_pair_loop() -> None:
+    # catalogs up to _DENSE_PRODUCT_MAX_ROWS rows multiply through the
+    # dense gather, larger ones through the pairs; both give the loop's
+    # coefficients, numpy's a0 * b0 as the constant term, S coefficients
+    # and a zero slot that stays 0.0 at finite values.  Horner's W follows
+    # the same split, so a large catalog never builds product_index
+    rng = np.random.default_rng(26)
+    shapes = [(1, 2), (2, 2), (3, 3), (3, 4), (2, 7), (1, 40), (3, 5), (4, 4)]
+    sizes = [_catalog(n, K).size for n, K in shapes]
+    assert min(sizes) <= _DENSE_PRODUCT_MAX_ROWS < max(sizes)
+    for n, K in shapes:
+        # a fresh copy, so the tables it builds are this test's
+        cat = dataclasses.replace(_catalog(n, K))
+        exps = [tuple(alpha.count(q) for q in range(1, n + 1)) for alpha in cat.representatives]
+        for is_complex in (False, True):
+            a, b, a_im, b_im = 0.5 * rng.standard_normal((4, cat.size))
+            if is_complex:
+                a, b = a + 1j * a_im, b + 1j * b_im
+            b[0] += 2.0
+            ja, jb = Jet(cat, a), Jet(cat, b)
+            product = ja * jb
+            want = loop_product(exps, a, b, K)
+            assert_close(product.c, np.array([want.get(e, 0.0) for e in exps]), PLAN_RTOL)
+            assert product.c[0] == a[0] * b[0], (n, K, is_complex)
+            series = [1.0, -0.5, 0.25j if is_complex else 0.25] + [0.1] * (K - 2)
+            composed = ja.compose_series(series)
+            # sum of series[m] w^m by jet products, w = ja - a0
+            w, power, want = ja - a[0], Jet.constant(1.0, cat), Jet.constant(0.0, cat)
+            for coeff in series:
+                want, power = want + coeff * power, power * w
+            assert_close(composed.c, want.c, PLAN_RTOL)
+            jets = [
+                product, ja + jb, ja - jb, -ja, 2.0 * ja, ja / 3.0, ja / jb, 1.5 - ja,
+                ja**3, ja.cos(), jb.exp(), jb.power(-1.5), composed,
+            ]
+            for jet in jets:
+                assert len(jet.c) == cat.size, (n, K)
+                assert jet._c.shape == (cat.size + 1,) and jet._c[-1] == 0.0, (n, K)
+        assert ("product_index" in vars(cat)) == (cat.size <= _DENSE_PRODUCT_MAX_ROWS), (n, K)
+
+
 @st.composite
 def affine_jets(draw):
     """An affine jet base + a x_q, tagged, and an untagged copy of its coefficients.
@@ -752,7 +816,7 @@ def test_jet_oracle_tags_its_seeds() -> None:
     cat = build_catalog(3, 3)
     got = JetOracle(F, real_valued=True).taylor(cat, np.array([0.3, -0.7]), 0.25)
     assert seen == [0, 1, 2]
-    t = Jet(cat, cat.seeds[2] + 0.25 * (np.arange(cat.size) == 0))
+    t = Jet(cat, cat.seeds[2, :-1] + 0.25 * (np.arange(cat.size) == 0))
     assert np.array_equal(got[:, 0], np.cos(2.0 * t - 1.0).c)
 
 
