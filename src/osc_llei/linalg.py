@@ -1,25 +1,21 @@
 """Dense linear algebra kernels that keep the dtype of their input.
 
-Thin validated wrappers over scipy/LAPACK, and one kernel of its own.
-expm follows three rules:
+Thin validated wrappers over LAPACK, and one kernel of its own.  expm
+follows two rules:
 
-- The path, by size.  Below TAYLOR_MIN_DIM rows, e^M is
-  scipy.linalg.expm: a degree-13 diagonal Pade approximant with 1-norm
-  based scaling (Al-Mohy and Higham 2009).  From TAYLOR_MIN_DIM rows
-  up, e^M is a degree-m Taylor polynomial evaluated by
-  Paterson-Stockmeyer, matrix products only (Bader, Blanes and Casas,
-  Mathematics 7 (2019) 1174), with s squarings; taylor_plan picks m and
-  s from the backward-error thresholds theta_m of Al-Mohy and Higham,
-  SIAM J. Sci. Comput. 33(2) (2011), Table 3.1.
-- The cutoff of the action e^M v.  When ||M||_1 is at most the cutoff,
-  expm(M, v) applies the degree-m Taylor polynomial to v, m the smallest
-  degree with theta_m >= ||M||_1, summed forward as in Al-Mohy and Higham
-  (2011), Section 3: the m products M^j v go into one stack, one
-  matrix-vector product each, and one product with the 1/j! sums them
-  (v is scaled by a power of two first, so the powers cannot overflow
-  where the sum does not).  Above the cutoff, e^M by the size's path,
-  times v.  The cutoff is theta_30 (no squarings) from TAYLOR_MIN_DIM
-  rows up and theta_13 = 0.4 below (_SMALL_ACTION_MAX_DEGREE).
+- One Taylor family at every size.  e^M is a degree-m Taylor
+  polynomial evaluated by Paterson-Stockmeyer, matrix products only
+  (Bader, Blanes and Casas, Mathematics 7 (2019) 1174), with s
+  squarings; taylor_plan picks m and s from the backward-error
+  thresholds theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2)
+  (2011), Table 3.1.  When v is given and ||M||_1 <= theta_30 (no
+  squarings), expm(M, v) applies the degree-m Taylor polynomial to v
+  instead, m the smallest degree with theta_m >= ||M||_1, summed
+  forward as in Al-Mohy and Higham (2011), Section 3: the m products
+  M^j v go into one stack, one matrix-vector product each, and one
+  product with the 1/j! sums them (v is scaled by a power of two
+  first, so the powers cannot overflow where the sum does not).  Above
+  theta_30, e^M times v.
 - One input contract at every size, with and without v.  The 1-norm
   that picks the path also checks M: a non-finite entry raises
   ValueError, and so does a finite M whose 1-norm overflows.  A
@@ -44,17 +40,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-
-# expm's Taylor path runs from this many rows up.  On step matrices, one
-# BLAS thread: scipy is faster at D = 20, the two are even at D = 21, and
-# the Taylor path is faster by a fifth or more from D = 35 on.
-TAYLOR_MIN_DIM = 30
-
-# Below TAYLOR_MIN_DIM rows, expm(M, v) runs the Taylor action up to this
-# degree's theta_m (0.4), and scipy beyond it.  On step matrices, one BLAS
-# thread: at D = 4 the action's m products beat scipy's fixed cost up to
-# m = 13 and lose from m = 14; at D = 10 and 20 they win further.
-_SMALL_ACTION_MAX_DEGREE = 13
 
 # theta_m: the largest ||2^-s M||_1 for which the degree-m Taylor
 # polynomial of e^(2^-s M), squared s times, is the exact exponential of
@@ -131,7 +116,7 @@ def _taylor_expm(M: np.ndarray, norm1: float) -> np.ndarray:
     for j in range(2, q + 1):
         np.matmul(powers[j - 1], M, out=powers[j])
     C = _block_coefficients(m, q)
-    blocks = (C @ powers.reshape(q + 1, n * n)).reshape(-1, n, n)
+    blocks = (C @ powers.reshape(q + 1, n * n)).reshape(len(C), n, n)
     out = blocks[-1]
     for block in blocks[-2::-1]:
         block += powers[q] @ out
@@ -251,7 +236,6 @@ def expm(M, v=None) -> np.ndarray:
     finite but its 1-norm overflows.
     """
     M = _as_square(M)
-    n = M.shape[0]
     # the 1-norm that picks the path and the degree also checks finiteness:
     # it is finite exactly when every entry is, unless a column sum overflows
     norm1 = _norm1(M)
@@ -260,10 +244,10 @@ def expm(M, v=None) -> np.ndarray:
             raise ValueError("M contains non-finite entries")
         raise ValueError("the 1-norm of M overflows")
     if v is not None:
-        v, sq = _as_vector(v, n)
-        if norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE if n >= TAYLOR_MIN_DIM else _SMALL_ACTION_MAX_DEGREE]:
+        v, sq = _as_vector(v, M.shape[0])
+        if norm1 <= TAYLOR_THETA[_ACTION_MAX_DEGREE]:
             return _taylor_action(M, v, _action_degree(norm1), sq)
-    E = scipy.linalg.expm(M) if n < TAYLOR_MIN_DIM else _taylor_expm(M, norm1)
+    E = _taylor_expm(M, norm1)
     return E if v is None else E.dot(v)
 
 

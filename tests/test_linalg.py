@@ -1,4 +1,4 @@
-"""Dense linear algebra: expm on both of its paths and its action on a vector, eigvals."""
+"""Dense linear algebra: expm and its action on a vector at every size, eigvals."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osc_llei import linalg
-from osc_llei.linalg import TAYLOR_MIN_DIM, TAYLOR_THETA, eigvals, expm
+from osc_llei.linalg import TAYLOR_THETA, eigvals, expm
 
 
 def taylor_expm(M: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -41,7 +41,7 @@ def test_expm_matches_taylor_oracle() -> None:
             want = taylor_expm(M)
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-12 * scale
-    # the Taylor path, real and complex; entries scaled by n^-1/2 keep the
+    # larger sizes, real and complex; entries scaled by n^-1/2 keep the
     # spectrum O(1), as it is for the small sizes
     for n in (40, 64):
         for real in (True, False):
@@ -65,6 +65,27 @@ def test_expm_diagonal_and_zero() -> None:
         assert np.array_equal(expm(Z), np.eye(n))
 
 
+def test_expm_of_empty_and_scalar_matrices() -> None:
+    # 0 x 0 and 1 x 1, with and without a vector, real and complex: the
+    # dtype is kept, e^M of a 1 x 1 M is e^(M_00), and a 0 x 0 M gives an
+    # empty result of the right shape.  The relative bound grows with |z|,
+    # the condition number of e^z
+    for dtype in (np.float64, np.complex128):
+        E = expm(np.zeros((0, 0), dtype))
+        assert E.shape == (0, 0) and E.dtype == dtype
+        w = expm(np.zeros((0, 0), dtype), np.zeros(0, dtype))
+        assert w.shape == (0,) and w.dtype == dtype
+        for a in (0.0, 1e-17, 0.3, 2.0, -40.0, 700.0):
+            z = dtype(a) if dtype is np.float64 else dtype(complex(a, -a / 3))
+            want, rtol = np.exp(z), 1e-14 * max(1.0, abs(z))
+            E = expm(np.full((1, 1), z))
+            assert E.shape == (1, 1) and E.dtype == dtype
+            assert abs(E[0, 0] - want) <= rtol * abs(want), (dtype, a)
+            w = expm(np.full((1, 1), z), np.full(1, 2.0, dtype))
+            assert w.shape == (1,) and w.dtype == dtype
+            assert abs(w[0] - 2 * want) <= rtol * abs(2 * want), (dtype, a)
+
+
 def test_expm_large_imaginary_argument_stays_unitary() -> None:
     # exp of a skew-Hermitian matrix is unitary even at huge norms
     rng = np.random.default_rng(11)
@@ -78,13 +99,13 @@ def test_expm_large_imaginary_argument_stays_unitary() -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.sampled_from((8, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64)),
+    n=st.sampled_from((4, 8, 20, 29, 30, 40, 64)),
     real=st.booleans(),
     normal=st.booleans(),
     log_norm=st.floats(min_value=-3.0, max_value=3.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -> None:
+def test_expm_agrees_with_scipy_at_every_size(n, real, normal, log_norm, seed) -> None:
     # a Gaussian matrix is non-normal; normal draws are (i times) symmetric.
     # Two backward-stable exponentials may differ by about cond(exp, M) u,
     # and cond(exp, M) >= ||M||, so the relative bound grows with ||M||_1.
@@ -104,7 +125,7 @@ def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.sampled_from((4, 10, 20, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM, 40, 64, 126)),
+    n=st.sampled_from((4, 8, 10, 20, 29, 30, 40, 64, 126)),
     real=st.booleans(),
     normal=st.booleans(),
     log_norm=st.floats(min_value=-3.0, max_value=3.0),
@@ -112,9 +133,8 @@ def test_expm_agrees_with_scipy_on_both_paths(n, real, normal, log_norm, seed) -
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_expm_action_agrees_with_the_dense_product(n, real, normal, log_norm, unit, seed) -> None:
-    # ||M||_1 from 1e-3 to 1e3 runs the Taylor action and, above its
-    # cutoff, the dense fallback: theta_30 and the dense Taylor exponential
-    # from TAYLOR_MIN_DIM rows up, theta_13 and scipy below
+    # ||M||_1 from 1e-3 to 1e3 runs the Taylor action and, above theta_30,
+    # the dense Taylor exponential
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     if not real:
@@ -130,26 +150,38 @@ def test_expm_action_agrees_with_the_dense_product(n, real, normal, log_norm, un
     assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, norm) * np.linalg.norm(want)
 
 
-def test_expm_action_takes_the_smallest_sufficient_degree() -> None:
+def test_expm_action_takes_the_smallest_sufficient_degree(monkeypatch) -> None:
     # on c times the upper shift J, e^(cJ) e_n has entries c^j / j! and a
     # degree-m polynomial stops at j = m: the output's nonzeros count its
-    # degree, the smallest m in TAYLOR_THETA with theta_m >= ||cJ||_1 = c.
-    # Below TAYLOR_MIN_DIM rows the action stops at its cutoff's degree,
-    # and just past it scipy's exponential gives all n entries.
-    for n in (20, 40):
-        top = 30 if n >= TAYLOR_MIN_DIM else linalg._SMALL_ACTION_MAX_DEGREE
+    # degree up to n - 1 (J^n = 0), the smallest m in TAYLOR_THETA with
+    # theta_m >= ||cJ||_1 = c.  The action's degree is also read off its
+    # call, so a size below the degree shows it too.  The action runs up
+    # to degree 30 at every size, and just past theta_30 the dense
+    # exponential gives all n entries.
+    degrees_taken, action = [], linalg._taylor_action
+
+    def spy(M, v, m, sq):
+        degrees_taken.append(m)
+        return action(M, v, m, sq)
+
+    monkeypatch.setattr(linalg, "_taylor_action", spy)
+    degrees = sorted(m for m in TAYLOR_THETA if m <= 30)
+    for n in (4, 20, 40):
         J = np.eye(n, k=1)
         e_n = np.eye(n)[-1]
-        degrees = sorted(m for m in TAYLOR_THETA if m <= top)
         for lower, m in zip([0] + degrees, degrees):
             for c in (TAYLOR_THETA[m], (TAYLOR_THETA.get(lower, 0.0) + TAYLOR_THETA[m]) / 2):
+                degrees_taken.clear()
                 w = expm(c * J, e_n)[::-1]
-                want = np.array([c**j / math.factorial(j) for j in range(m + 1)])
-                assert np.count_nonzero(w) == m + 1, (n, c, m)
-                assert np.allclose(w[: m + 1], want, rtol=1e-15, atol=0), (n, c, m)
-        if n < TAYLOR_MIN_DIM:
-            c = math.nextafter(TAYLOR_THETA[top], math.inf)
-            assert np.count_nonzero(expm(c * J, e_n)) == n
+                top = min(m, n - 1)
+                want = np.array([c**j / math.factorial(j) for j in range(top + 1)])
+                assert degrees_taken == [m], (n, c, m)
+                assert np.count_nonzero(w) == top + 1, (n, c, m)
+                assert np.allclose(w[: top + 1], want, rtol=1e-15, atol=0), (n, c, m)
+        degrees_taken.clear()
+        c = math.nextafter(TAYLOR_THETA[30], math.inf)
+        assert np.count_nonzero(expm(c * J, e_n)) == n
+        assert degrees_taken == []
 
 
 def test_expm_action_does_not_overflow_where_the_result_is_finite() -> None:
@@ -166,7 +198,7 @@ def test_expm_action_does_not_overflow_where_the_result_is_finite() -> None:
 
 
 def test_expm_action_rejects_a_wrong_vector() -> None:
-    for n in (4, TAYLOR_MIN_DIM + 6):
+    for n in (4, 36):
         M = np.eye(n)
         for v in (np.ones(n + 1), np.ones((n, 1)), np.ones((1, n))):
             with pytest.raises(ValueError, match="vector of length"):
@@ -186,10 +218,11 @@ def test_expm_rejects_a_finite_matrix_whose_norm_overflows(monkeypatch) -> None:
     # exactly, yet its last column sums to 2e308.  One rule at every size,
     # with and without a vector: the 1-norm picks the path, so M is
     # refused before any path runs, and no floating-point warning escapes.
-    monkeypatch.setattr(scipy.linalg, "expm", lambda M: pytest.fail("scipy was called"))
+    for path in ("_taylor_action", "_taylor_expm"):
+        monkeypatch.setattr(linalg, path, lambda *args: pytest.fail("a path ran"))
     nilpotent = np.zeros((3, 3))
     nilpotent[0, 2] = nilpotent[1, 2] = 1e308
-    cases = [np.full((n, n), 1e307) for n in (18, TAYLOR_MIN_DIM - 1, TAYLOR_MIN_DIM)]
+    cases = [np.full((n, n), 1e307) for n in (18, 29, 30)]
     cases += [np.full((4, 4), 1e308), nilpotent]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -213,9 +246,9 @@ def test_eigvals_recovers_constructed_spectrum() -> None:
 def test_shape_and_finiteness_validation() -> None:
     with pytest.raises(ValueError):
         expm(np.ones((2, 3)))
-    # on both sides of TAYLOR_MIN_DIM, with and without a vector: the check
+    # at a small and a larger size, with and without a vector: the check
     # is read off the 1-norm at every size
-    for n in (4, TAYLOR_MIN_DIM + 10):
+    for n in (4, 40):
         for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
             M = np.eye(n, dtype=type(bad))
             M[-1, 0] = bad

@@ -262,8 +262,8 @@ def test_expm_runs_in_the_problem_dtype(monkeypatch) -> None:
 
 
 def test_step_takes_one_exponential_action(monkeypatch) -> None:
-    # at D = 56 (the Taylor action's side of TAYLOR_MIN_DIM) each step
-    # makes one linalg.expm call, on e_1, and never forms all of exp(M)
+    # at D = 56 each step makes one linalg.expm call, on e_1, and never
+    # forms all of exp(M)
     calls, dense = [], []
     expm, taylor_expm = linalg.expm, linalg._taylor_expm
 
@@ -279,7 +279,7 @@ def test_step_takes_one_exponential_action(monkeypatch) -> None:
     monkeypatch.setattr(linalg, "_taylor_expm", dense_spy)
     system = builtin("example2-E6", 1 / 16, T=1 / 16)
     catalog = build_catalog(system.d + 1, 3)
-    assert catalog.size == 56 >= linalg.TAYLOR_MIN_DIM
+    assert catalog.size == 56
     traj = integrate(system, 3, 1 / 128)
     assert len(calls) == traj.n_steps == 8
     e1 = np.eye(catalog.size)[0]
@@ -330,24 +330,28 @@ def test_real_and_complex_arithmetic_agree() -> None:
 
 
 # (system, k, h, the exponential's path), the path the same at every point
-# the tests draw: at D = 21 (example2-E6, k = 2) and D = 20 (complex poly,
-# k = 3), ||M||_1 lies below theta_13 (the Taylor action) or above it
-# (scipy); at D = 56, below theta_30 (the action) or above it (the dense
-# Taylor exponential)
+# the tests draw: ||M||_1 lies below theta_30 (the Taylor action) or above
+# it (the dense Taylor exponential) at every size.  D = 21 (example2-E6,
+# k = 2) at h = 1/64 reads 3.7-5.8 (dense), and D = 20 (complex poly,
+# k = 3) at h = 1/40 reads 1.3-2.5 (the action at a higher degree than at
+# h = 1/640)
 KERNEL_CASES = [
     ("example2-E6", 2, 1 / 2048, "action"),
-    ("example2-E6", 2, 1 / 64, "scipy"),
+    ("example2-E6", 2, 1 / 64, "dense"),
     ("example2-E6", 3, 1 / 256, "action"),
     ("example2-E6", 3, 1 / 64, "dense"),
     ("complex poly", 3, 1 / 640, "action"),
-    ("complex poly", 3, 1 / 40, "scipy"),
+    ("complex poly", 3, 1 / 40, "action"),
     ("complex poly", 5, 1 / 160, "action"),
     ("complex poly", 5, 1 / 16, "dense"),
 ]
 
 
 def spy_paths(mp: pytest.MonkeyPatch) -> list:
-    """Record the path of every linalg.expm call: "action", "dense" or "scipy"."""
+    """Record the path of every linalg.expm call, "action" or "dense".
+
+    A call of scipy.linalg.expm fails the test.
+    """
     taken = []
 
     def spy(path, f):
@@ -358,7 +362,7 @@ def spy_paths(mp: pytest.MonkeyPatch) -> list:
 
     mp.setattr(linalg, "_taylor_action", spy("action", linalg._taylor_action))
     mp.setattr(linalg, "_taylor_expm", spy("dense", linalg._taylor_expm))
-    mp.setattr(scipy.linalg, "expm", spy("scipy", scipy.linalg.expm))
+    mp.setattr(scipy.linalg, "expm", lambda *args: pytest.fail("scipy.linalg.expm was called"))
     return taken
 
 
@@ -408,14 +412,14 @@ def test_kernel_steps_match_a_fresh_exponential(name, k, h, path, data) -> None:
 
 
 @pytest.mark.parametrize("eps", [1 / 24, 1 / 256])
-def test_large_steps_below_30_rows_stay_on_scipy(eps, monkeypatch) -> None:
+def test_large_steps_below_30_rows_take_the_dense_exponential(eps, monkeypatch) -> None:
     # the converge-eps benchmark's step matrices: example1 at k = 1 (D = 4),
-    # h = 1/2, ||M||_1 = h / eps = 12 and 128.  A sub-stepped Taylor action
-    # costs many times scipy's exponential there
+    # h = 1/2, ||M||_1 = h / eps = 12 and 128, above theta_30.  A sub-stepped
+    # Taylor action costs many times the dense exponential there
     system = builtin("example1", eps, T=3.0)
     taken = spy_paths(monkeypatch)
     integrate(system, 1, 0.5)
-    assert taken == ["scipy"] * 6
+    assert taken == ["dense"] * 6
 
 
 @pytest.mark.parametrize("name, k, h, path", KERNEL_CASES)
