@@ -10,11 +10,14 @@ catalog's tables (drops for chi, sums for chi + beta), so duplicate
 contributions accumulate by construction.  Where each coefficient
 lands depends only on (d+1, k); an ExtensionPlan holds that map,
 compiled once per pair, and both builders feed it the Taylor
-coefficients of their field.  build_S and lift use the same tables: row
-alpha is the product of the degree-1 row of its first component and
-the row of the rest.  The matrices keep the dtype of their data: a real
-field at a real point gives float64 matrices, anything complex gives
-complex128 ones.
+coefficients of their field.  A second-order system's forcing
+[0; scale * g(y, t)] is zero in the y rows and in every row with a
+momentum derivative, so build_A0 reads it from g's own coefficients
+through a table compiled once per (d+1, k, dy) that skips those zeros.
+build_S and lift use the same tables: row alpha is the product of the
+degree-1 row of its first component and the row of the rest.  The
+matrices keep the dtype of their data: a real field at a real point
+gives float64 matrices, anything complex gives complex128 ones.
 
 Row conventions (catalog order): row 0 is the constant monomial and is
 identically zero in both matrices; rows 1..d+1 are the degree-1 block.
@@ -29,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jets import _COMPLEX, _FLOAT
 from .linalg import scatter_add
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import DerivativeOracle
-
-
-_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+from .sysdef import DerivativeOracle, _momentum_slots, _TransformedOracle
 
 
 def _check_point(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
@@ -82,7 +83,9 @@ class ExtensionPlan:
     dropped.  A time pair lands on row alpha at column alpha minus one t,
     and no state pair of that row does (their columns drop a state
     component or have degree |alpha| or more), so no state pair lands on
-    a time bin.
+    a time bin.  For a second-order system's oracle build_A0 reads the
+    state pairs through _forcing_pairs, the pairs that read g composed
+    with the oracle's slots for g, so it gathers from g's coefficients.
 
     Every array is read-only, shared by all steps on this (d+1, k).
     """
@@ -205,6 +208,32 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _forcing_pairs(
+    d_plus_1: int, k: int, dy: int
+) -> tuple[MultiIndexCatalog, np.ndarray, np.ndarray]:
+    """(g's catalog, source, target): the plan's state pairs that read g.
+
+    For F = [0; scale * g(y, t)] on u = [y; p], F's y columns and every
+    row of taylor with a p component are zero.  source[p] indexes the
+    (S_g x dy) g.ravel() where the plan's state_source would read its
+    copy in taylor, and target[p] is the pair's state_target, in the
+    plan's order; the pairs that read a structural zero are dropped.
+    Read-only, shared by every build_A0 call on this (d+1, k, dy).
+    """
+    plan = _compiled(d_plus_1, k)
+    sub, slots = _momentum_slots(d_plus_1, k, dy)
+    # the entry of g.ravel() each entry of taylor.ravel() holds, -1 at a zero
+    entry = np.full(plan.size * (d_plus_1 - 1), -1)
+    entry[slots] = np.arange(slots.size)
+    source = entry[plan.state_source]
+    reads_g = source >= 0
+    pairs = (source[reads_g], plan.state_target[reads_g])
+    for arr in pairs:
+        arr.flags.writeable = False
+    return (sub.catalog, *pairs)
+
+
 def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.ndarray:
     """The O(1) part of the lifted dynamics at reference point xhat.
 
@@ -218,15 +247,25 @@ def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.n
     The plan's state pairs gather straight from oracle.taylor and
     scatter-add into M; the time bins, which no state pair reaches, then
     take their counts.  That is plan.assemble(G) on G = [taylor | e_0],
-    bit for bit, without building G.
+    bit for bit, without building G.  A second-order system's forcing
+    [0; scale * g] is read from g's own coefficients, one g_oracle.taylor
+    call on the (y, t) restriction: its pairs that read a structural zero
+    are dropped (they would add exact zeros) and each weight is g's
+    coefficient times scale, the product taylor holds.
     """
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
-    taylor = oracle.taylor(catalog, xhat[:d], xhat[d])
-    if taylor.dtype != xhat.dtype:
-        taylor = taylor.astype(np.result_type(taylor, xhat), copy=False)
     plan = plan_for(catalog)
-    out = scatter_add(plan.state_target, taylor.ravel()[plan.state_source], plan.size**2)
+    if isinstance(oracle, _TransformedOracle):
+        g_catalog, source, target = _forcing_pairs(catalog.d_plus_1, catalog.k, oracle.dy)
+        g = oracle.g_oracle.taylor(g_catalog, xhat[: oracle.dy], xhat[d])
+        weights = g.ravel()[source] * oracle.scale
+    else:
+        source, target = plan.state_source, plan.state_target
+        weights = oracle.taylor(catalog, xhat[:d], xhat[d]).ravel()[source]
+    if weights.dtype != xhat.dtype:
+        weights = weights.astype(np.result_type(weights, xhat), copy=False)
+    out = scatter_add(target, weights, plan.size**2)
     out[plan.time_bins] = plan.time_counts
     return out.reshape(plan.size, plan.size)
 

@@ -29,9 +29,10 @@ from osc_llei import (
     rk4_integrate,
     step,
 )
-from osc_llei.extension import _A1_parts, _compiled
+from osc_llei.extension import _A1_parts, _compiled, _forcing_pairs
 from osc_llei.llei import _StepKernel
 from osc_llei.mindex import _catalog, _restriction
+from osc_llei.sysdef import _momentum_slots
 
 
 def linear_system(eps: float) -> OscillatorySystem:
@@ -179,12 +180,13 @@ def oracle_classes(cls=DerivativeOracle):
 
 
 def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> None:
-    # one example2-E6 step: one taylor call, which makes one taylor call
-    # on the jet oracle of the force g; no per-beta partials, no value
-    # calls (the RK4 reference alone evaluates F), and no catalog lookups,
-    # even while compiling (the extension plan reads its targets from the
-    # catalog's tables); one example1 step: one taylor call on the pendulum
-    # forcing g as well
+    # one example2-E6 step: build_A0 reads A0k straight from the force g,
+    # one taylor call on its jet oracle and none on the phase-space
+    # oracle [0; g]; no per-beta partials, no value calls (the RK4
+    # reference alone evaluates F), and no catalog lookups, even while
+    # compiling (the extension plan and its gather from g read their
+    # targets from the catalog's tables); one example1 step: one taylor
+    # call on the pendulum forcing g alone as well
     calls: Counter = Counter()
 
     def counting(owner, name):
@@ -196,9 +198,10 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    # cold: the catalogs and their tables, the plan, A1k's xhat-free part
-    # and the restrictions are all built inside the counted steps
-    for cache in (_catalog, _compiled, _A1_parts, _restriction):
+    # cold: the catalogs and their tables, the plan, its gather from g,
+    # A1k's xhat-free part and the restrictions are all built inside the
+    # counted steps
+    for cache in (_catalog, _compiled, _forcing_pairs, _A1_parts, _restriction, _momentum_slots):
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")
@@ -209,13 +212,13 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
     system = builtin("example2-E6", 1 / 64, T=1 / 1024)
     traj = integrate(system, 3, 1 / 1024)
     assert traj.n_steps == 1
-    assert calls == Counter({"_TransformedOracle.taylor": 1, "JetOracle.taylor": 1})
+    assert calls == Counter({"JetOracle.taylor": 1})
 
     calls.clear()
     system = builtin("example1", 0.25, T=1 / 16)
     traj = integrate(system, 3, 1 / 16)
     assert traj.n_steps == 1
-    assert calls == Counter({"_TransformedOracle.taylor": 1, "_PendulumForcingOracle.taylor": 1})
+    assert calls == Counter({"_PendulumForcingOracle.taylor": 1})
 
 
 def poly_config(coeff) -> dict:

@@ -55,8 +55,9 @@ from osc_llei import (
     second_order_to_first_order,
 )
 from osc_llei._jets import _DENSE_PRODUCT_MAX_ROWS, Jet
+from osc_llei.extension import _forcing_pairs, plan_for
 from osc_llei.mindex import _catalog, restrict
-from osc_llei.sysdef import _PendulumForcingOracle
+from osc_llei.sysdef import _momentum_slots, _PendulumForcingOracle, _TransformedOracle
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -495,6 +496,59 @@ def test_transformed_taylor_matches_partials(k, coords) -> None:
     got = oracle.taylor(cat, x[:2], x[2])
     assert got.dtype == np.float64
     assert_close(got, loop_taylor(partial, cat, x[:2], x[2]), PLAN_RTOL)
+
+
+# weights build_A0 gathers from g per (d+1, k, dy): the plan's state pairs
+# that do not read a structural zero of [0; scale g] (1,232 at (5, 3, 2))
+G_WEIGHTS = {(5, 3, 2): 328, (3, 3, 1): 64, (3, 2, 1): 18}
+
+
+@PROPERTY
+@given(st.data())
+def test_A0_from_g_matches_the_whole_plan(data) -> None:
+    # a second-order system's A0k, read from g's own coefficients, is the
+    # whole plan's on G = [taylor | e_0] bit for bit, at unit and eps
+    # scale, real and complex points; its gather reads g's slots of taylor
+    # only, and every pair it drops reads a zero
+    dy = data.draw(st.integers(min_value=1, max_value=3))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    B = rng.standard_normal((dy, dy))
+    system = second_order_to_first_order(
+        M=B @ B.T + dy * np.eye(dy),
+        g_oracle=data.draw(polynomials(dy, k + 1)),
+        y_in=rng.standard_normal(dy),
+        ydot_in=rng.standard_normal(dy),
+        epsilon=data.draw(st.floats(min_value=1e-3, max_value=1.0)),
+        nu=1.0,
+        T=1.0,
+    )
+    oracle = system.oracle
+    if data.draw(st.booleans()):
+        oracle = _TransformedOracle(oracle.g_oracle, dy, 1.0)
+    d, n = 2 * dy, 2 * dy + 1
+    x = data.draw(points(d))
+    if data.draw(st.booleans()):
+        x = x.real
+    cat = build_catalog(n, k)
+    plan = plan_for(cat)
+    taylor = oracle.taylor(cat, x[:d], x[d])
+    G = np.zeros((cat.size, n), dtype=np.result_type(taylor, x))
+    G[:, :d] = taylor
+    G[0, d] = 1.0
+    got = build_A0(cat, oracle, x)
+    assert got.dtype == G.dtype
+    assert np.array_equal(got, plan.assemble(G)), (dy, k, x.dtype)
+
+    g_catalog, source, target = _forcing_pairs(n, k, dy)
+    _, slots = _momentum_slots(n, k, dy)
+    reads_g = np.isin(plan.state_source, slots)
+    assert g_catalog.d_plus_1 == dy + 1 and source.size == reads_g.sum()
+    assert np.array_equal(slots[source], plan.state_source[reads_g])
+    assert np.array_equal(target, plan.state_target[reads_g])
+    assert not taylor.ravel()[plan.state_source[~reads_g]].any()
+    for key, count in G_WEIGHTS.items():
+        assert _forcing_pairs(*key)[1].size == count, key
 
 
 def binomial_taylor(oracle: PolynomialOracle, catalog, u, t) -> np.ndarray:
