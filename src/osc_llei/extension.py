@@ -10,10 +10,11 @@ catalog's tables (drops for chi, sums for chi + beta), so duplicate
 contributions accumulate by construction.  Where each coefficient
 lands depends only on (d+1, k); an ExtensionPlan holds that map,
 compiled once per pair, and both builders feed it the Taylor
-coefficients of their field.  A second-order system's forcing
-[0; scale * g(y, t)] is zero in the y rows and in every row with a
-momentum derivative, so build_A0 reads it from g's own coefficients
-through a table compiled once per (d+1, k, dy) that skips those zeros.
+coefficients of their field.  build_A0 reads every oracle's forcing as
+[0; scale * g(u[:m], t)], through a table compiled once per (d+1, k, m)
+that gathers from g's own coefficients; for a second-order system
+(m = dy) it skips F's zeros in the y rows and in every row with a
+momentum derivative, and for any other oracle (m = d) F is g.
 build_S and lift use the same tables: row alpha is the product of the
 degree-1 row of its first component and the row of the rest.  The
 matrices keep the dtype of their data: a real field at a real point
@@ -35,7 +36,7 @@ import numpy as np
 from ._jets import _COMPLEX, _FLOAT
 from .linalg import scatter_add
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import DerivativeOracle, _momentum_slots, _TransformedOracle
+from .sysdef import DerivativeOracle, _momentum_slots
 
 
 def _check_point(catalog: MultiIndexCatalog, xhat) -> np.ndarray:
@@ -73,19 +74,15 @@ class ExtensionPlan:
     entries of vec(M) they land on (no other pair lands there) and
     lower_inverse[p] the position of pair p's entry in lower_bins.
 
-    build_A0 reads the pairs by G column, with no G.  The state-column
-    pairs (c <= d) are re-pointed at the oracle's (D x d) coefficients:
-    state_source[p] indexes taylor.ravel() and state_target[p] is the
-    pair's entry of vec(M), in the order of source.  In the time column
-    only G[(), d+1] = 1 is nonzero, so its pairs become time_bins, the
-    distinct entries they land on, and time_counts, how many land on
-    each (as floats); the time column's other pairs read zeros and are
-    dropped.  A time pair lands on row alpha at column alpha minus one t,
-    and no state pair of that row does (their columns drop a state
-    component or have degree |alpha| or more), so no state pair lands on
-    a time bin.  For a second-order system's oracle build_A0 reads the
-    state pairs through _forcing_pairs, the pairs that read g composed
-    with the oracle's slots for g, so it gathers from g's coefficients.
+    build_A0 reads the pairs by G column, with no G: the state-column
+    pairs (c <= d) through _forcing_pairs, and the time column here.  In
+    the time column only G[(), d+1] = 1 is nonzero, so its pairs become
+    time_bins, the distinct entries they land on, and time_counts, how
+    many land on each (as floats); the time column's other pairs read
+    zeros and are dropped.  A time pair lands on row alpha at column
+    alpha minus one t, and no state pair of that row does (their columns
+    drop a state component or have degree |alpha| or more), so no state
+    pair lands on a time bin.
 
     Every array is read-only, shared by all steps on this (d+1, k).
     """
@@ -96,8 +93,6 @@ class ExtensionPlan:
     lower_column: np.ndarray
     lower_bins: np.ndarray
     lower_inverse: np.ndarray
-    state_source: np.ndarray
-    state_target: np.ndarray
     time_bins: np.ndarray
     time_counts: np.ndarray
 
@@ -116,14 +111,11 @@ class ExtensionPlan:
         target_arr = np.concatenate(target)
         reads_row0 = source_arr < n
         bins, inverse = np.unique(target_arr[reads_row0], return_inverse=True)
-        beta, column = np.divmod(source_arr, n)
-        state = column < n - 1
         time_bins, time_counts = np.unique(
             target_arr[source_arr == n - 1], return_counts=True
         )
         arrays = (
             source_arr, target_arr, source_arr[reads_row0], bins, inverse,
-            beta[state] * (n - 1) + column[state], target_arr[state],
             time_bins, time_counts.astype(float),
         )
         for arr in arrays:
@@ -210,28 +202,33 @@ def build_A1(catalog: MultiIndexCatalog, A1_aug, xhat) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _forcing_pairs(
-    d_plus_1: int, k: int, dy: int
+    d_plus_1: int, k: int, m: int
 ) -> tuple[MultiIndexCatalog, np.ndarray, np.ndarray]:
     """(g's catalog, source, target): the plan's state pairs that read g.
 
-    For F = [0; scale * g(y, t)] on u = [y; p], F's y columns and every
-    row of taylor with a p component are zero.  source[p] indexes the
-    (S_g x dy) g.ravel() where the plan's state_source would read its
-    copy in taylor, and target[p] is the pair's state_target, in the
-    plan's order; the pairs that read a structural zero are dropped.
-    Read-only, shared by every build_A0 call on this (d+1, k, dy).
+    For F = [0; scale * g(u[:m], t)], F's first d - m columns and every
+    row of taylor with a u[m:] component are zero.  A state pair (G
+    column c <= d) reads entry beta * d + c - 1 of the (S x d)
+    taylor.ravel(); source[p] indexes the (S_g x m) g.ravel() where that
+    entry holds g's coefficient, and target[p] is the pair's entry of
+    vec(M), in the plan's order.  The pairs that read a structural zero
+    are dropped; for m = d none is, and source indexes taylor itself.
+    Read-only, shared by every build_A0 call on this (d+1, k, m).
     """
     plan = _compiled(d_plus_1, k)
-    sub, slots = _momentum_slots(d_plus_1, k, dy)
+    g_catalog, slots = _momentum_slots(d_plus_1, k, m)
+    d = d_plus_1 - 1
+    beta, column = np.divmod(plan.source, d_plus_1)
+    state = column < d
     # the entry of g.ravel() each entry of taylor.ravel() holds, -1 at a zero
-    entry = np.full(plan.size * (d_plus_1 - 1), -1)
+    entry = np.full(plan.size * d, -1)
     entry[slots] = np.arange(slots.size)
-    source = entry[plan.state_source]
+    source = entry[beta[state] * d + column[state]]
     reads_g = source >= 0
-    pairs = (source[reads_g], plan.state_target[reads_g])
+    pairs = (source[reads_g], plan.target[state][reads_g])
     for arr in pairs:
         arr.flags.writeable = False
-    return (sub.catalog, *pairs)
+    return (g_catalog, *pairs)
 
 
 def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.ndarray:
@@ -244,25 +241,24 @@ def build_A0(catalog: MultiIndexCatalog, oracle: DerivativeOracle, xhat) -> np.n
     (1/gamma(beta)) * d^beta f_{alpha_l}(xhat) at column chi(alpha; l)
     + beta, so no target monomial exceeds degree k.
 
-    The plan's state pairs gather straight from oracle.taylor and
+    The oracle's forcing F = [0; scale * g(u[:m], t)] (its _forcing) is
+    read from g's own coefficients, one checked g.taylor call over
+    (u[:m], t): the state pairs gather from it, each weight is g's
+    coefficient times scale (the product taylor holds), and they
     scatter-add into M; the time bins, which no state pair reaches, then
     take their counts.  That is plan.assemble(G) on G = [taylor | e_0],
-    bit for bit, without building G.  A second-order system's forcing
-    [0; scale * g] is read from g's own coefficients, one g_oracle.taylor
-    call on the (y, t) restriction: its pairs that read a structural zero
-    are dropped (they would add exact zeros) and each weight is g's
-    coefficient times scale, the product taylor holds.
+    bit for bit, without building G: the pairs dropped read structural
+    zeros, and would add exact zeros.  For a generic oracle g is the
+    oracle itself over all of (u, t), and a unit scale is not applied.
     """
     xhat = _check_point(catalog, xhat)
     d = catalog.d_plus_1 - 1
     plan = plan_for(catalog)
-    if isinstance(oracle, _TransformedOracle):
-        g_catalog, source, target = _forcing_pairs(catalog.d_plus_1, catalog.k, oracle.dy)
-        g = oracle.g_oracle.taylor(g_catalog, xhat[: oracle.dy], xhat[d])
-        weights = g.ravel()[source] * oracle.scale
-    else:
-        source, target = plan.state_source, plan.state_target
-        weights = oracle.taylor(catalog, xhat[:d], xhat[d]).ravel()[source]
+    g, m, scale = oracle._forcing(d)
+    g_catalog, source, target = _forcing_pairs(catalog.d_plus_1, catalog.k, m)
+    weights = g.taylor(g_catalog, xhat[:m], xhat[d]).ravel()[source]
+    if scale != 1.0:
+        weights = weights * scale
     if weights.dtype != xhat.dtype:
         weights = weights.astype(np.result_type(weights, xhat), copy=False)
     out = scatter_add(target, weights, plan.size**2)

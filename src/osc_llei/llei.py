@@ -132,11 +132,15 @@ def step(
 ) -> np.ndarray:
     """One scheme step from (Un, tn) with step size h.
 
-    Raises BlowUpError, with no step index, when the new state's norm
-    passes 1e12 or goes non-finite.
+    Raises ValueError unless Un has shape (d,), and BlowUpError, with
+    no step index, when the new state's norm passes 1e12 or goes
+    non-finite.
     """
     check_finite_positive("step size", h)
-    out = _StepKernel(system, catalog)(system.working(Un), tn, h)
+    Un = system.working(Un)
+    if Un.shape != (system.d,):
+        raise ValueError(f"state has shape {Un.shape}, expected ({system.d},)")
+    out = _StepKernel(system, catalog)(Un, tn, h)
     check_blow_up(out, None, tn)
     return out.astype(complex)
 

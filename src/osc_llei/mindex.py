@@ -239,31 +239,3 @@ def _catalog(n: int, k: int) -> MultiIndexCatalog:
         gammas=tuple(gamma(alpha) for alpha in reps),
         _pos={alpha: i for i, alpha in enumerate(reps)},
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Restriction:
-    """The rows of a catalog whose multi-index uses only some variables.
-
-    catalog is the catalog over the m kept variables up to degree k,
-    renumbered 1..m in their order.  Row rows[i] of the parent catalog
-    holds the i-th multi-index of catalog up to that renumbering, which
-    keeps the layout's order, so their gamma weights agree.  Every other
-    parent row involves a dropped variable.
-    """
-
-    catalog: MultiIndexCatalog
-    rows: np.ndarray
-
-
-def restrict(catalog: MultiIndexCatalog, variables: tuple[int, ...]) -> Restriction:
-    """The restriction of catalog to the sorted 1-based variables, cached."""
-    return _restriction(catalog.d_plus_1, catalog.k, tuple(variables))
-
-
-@functools.lru_cache(maxsize=32)
-def _restriction(d_plus_1: int, k: int, variables: tuple[int, ...]) -> Restriction:
-    dropped = [q for q in range(d_plus_1) if q + 1 not in variables]
-    rows = np.flatnonzero(~_catalog(d_plus_1, k).exponents[:, dropped].any(axis=1))
-    # shared by every caller through the cache
-    return Restriction(_catalog(len(variables), k), _read_only(rows))

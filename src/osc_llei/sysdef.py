@@ -14,10 +14,10 @@ is a JetOracle on its monomials, and the charged particle's force is
 one too.  The pendulum forcing alone uses a closed form.  An oracle's
 forcing_parts describe F itself as E @ g(u[rows], t), which lets the
 RK4 reference evaluate only the forcing a second-order system has.  The
-scheme uses the same structure: for a second-order system's oracle,
-extension.build_A0 reads A0k from g's own Taylor coefficients over
-(y, t), one g_oracle.taylor call per step, and never builds F's
-zero-padded taylor array.
+scheme reads the same structure through the oracle's _forcing(d), F =
+[0; scale * g(u[:m], t)]: extension.build_A0 reads A0k from g's own
+Taylor coefficients over (u[:m], t), one g.taylor call per step, and
+for a second-order system never builds F's zero-padded taylor array.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from ._jets import _COMPLEX, _FLOAT, Jet, _jet
-from .mindex import MultiIndexCatalog, _catalog, gamma, representative, restrict
+from .mindex import MultiIndexCatalog, _catalog, gamma, representative
 
 
 class ConfigError(ValueError):
@@ -60,6 +60,7 @@ class DerivativeOracle:
     beta of catalog, a multi-index with components in [1, d+1] where
     component d+1 differentiates in t.  partial and value read their
     numbers out of it; value may be overridden by a direct formula.
+    An oracle that wraps a smaller forcing also overrides _forcing.
     """
 
     real_valued: bool = False
@@ -125,6 +126,12 @@ class DerivativeOracle:
         RK4 reference then evaluates in place of F.
         """
         return self.value, slice(None), np.eye(d)
+
+    def _forcing(self, d: int) -> tuple[DerivativeOracle, int, float]:
+        """(g, m, scale): F(u, t) = [0; scale * g(u[:m], t)] on d states,
+        g an oracle of m components.  build_A0 reads A0k from g's Taylor
+        coefficients; generically F is its own g, (self, d, 1.0)."""
+        return self, d, 1.0
 
 
 class JetOracle(DerivativeOracle):
@@ -315,8 +322,8 @@ class _TransformedOracle(DerivativeOracle):
     Remaps multi-indices over (y_1..y_dy, p_1..p_dy, t) to g's variables
     (y_1..y_dy, t); any p-derivative is identically zero.  eps_scaled
     marks a scale that is the system's epsilon, which with_epsilon
-    follows.  build_A0 reads g_oracle, dy and scale directly and skips
-    this oracle's taylor.
+    follows.  _forcing returns (g_oracle, dy, scale), so build_A0 reads
+    g's coefficients and skips this oracle's taylor.
     """
 
     def __init__(
@@ -334,12 +341,19 @@ class _TransformedOracle(DerivativeOracle):
     def _taylor(self, catalog, u, t):
         # the rows without a p component are g's Taylor coefficients with
         # the same multiplicities, so the gamma weights carry over
-        dy = self.dy
-        sub, slots = _momentum_slots(catalog.d_plus_1, catalog.k, dy)
-        g = self.g_oracle.taylor(sub.catalog, u[:dy], t)
-        out = np.zeros((catalog.size, 2 * dy), dtype=g.dtype)
-        out.put(slots, self.scale * g)
+        d = catalog.d_plus_1 - 1
+        g_oracle, dy, scale = self._forcing(d)
+        g_catalog, slots = _momentum_slots(catalog.d_plus_1, catalog.k, dy)
+        g = g_oracle.taylor(g_catalog, u[:dy], t)
+        out = np.zeros((catalog.size, d), dtype=g.dtype)
+        out.put(slots, scale * g)
         return out
+
+    def _forcing(self, d: int):
+        """(g_oracle, dy, scale); d must be the phase-space 2 dy."""
+        if d != 2 * self.dy:
+            raise ValueError(f"forcing of dy = {self.dy} needs d = {2 * self.dy}, got {d}")
+        return self.g_oracle, self.dy, self.scale
 
     def forcing_parts(self, d: int):
         """(g, y rows, [0; scale I]): F(u, t) = [0; scale * g(y, t)], d = 2 dy."""
@@ -353,15 +367,18 @@ class _TransformedOracle(DerivativeOracle):
 
 
 @functools.lru_cache(maxsize=16)
-def _momentum_slots(d_plus_1: int, k: int, dy: int):
-    """(restriction to (y, t), slots): g's (S_g x dy) coefficients land on
-    the flat entries slots of the (S x 2 dy) taylor array, row sub.rows[i]
-    and column dy + j for g's entry (i, j), read in C order."""
-    # g's variables (y, t) among u's (y, p, t), 1-based
-    sub = restrict(_catalog(d_plus_1, k), tuple(range(1, dy + 1)) + (2 * dy + 1,))
-    slots = (sub.rows[:, None] * (2 * dy) + np.arange(dy, 2 * dy)).ravel()
+def _momentum_slots(d_plus_1: int, k: int, m: int):
+    """(g's catalog, slots) for F = [0; g(u[:m], t)]: g's (S_g x m)
+    coefficients land on the flat entries slots of the (S x d) taylor
+    array, row rows[i] and column d - m + j for g's entry (i, j), read
+    in C order.  rows, the catalog's rows with no u[m:] component, hold
+    g's multi-indices in order (t renumbered m + 1, same gammas); for
+    m = d, slots is every entry."""
+    d = d_plus_1 - 1
+    rows = np.flatnonzero(~_catalog(d_plus_1, k).exponents[:, m:d].any(axis=1))
+    slots = (rows[:, None] * d + np.arange(d - m, d)).ravel()
     slots.flags.writeable = False
-    return sub, slots
+    return _catalog(m + 1, k), slots
 
 
 def second_order_to_first_order(
@@ -514,10 +531,10 @@ def builtin(name: str, epsilon: float, T: float | None = None) -> OscillatorySys
 
 
 def _complex_entry(v, what: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
+    """v, a number or an [re, im] pair of numbers, as a complex; a bool is neither."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v,)
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        return complex(*parts)
     raise ConfigError(f"{what} must be a number or an [re, im] pair, got {v!r}")
 
 

@@ -85,6 +85,11 @@ def test_build_rejects_malformed_expansion_state(tmp_path, capsys) -> None:
     assert main(["build", "--config", cfg_path, "--k", "1", "--at", "[1]"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["build", "--config", cfg_path, "--k", "1", "--at", "nope"]) == 2
+    capsys.readouterr()
+    # a JSON boolean is not a number, bare or inside an [re, im] pair
+    for at in ("[true, 0.25]", "[[0.5, false], 0.25]"):
+        assert main(["build", "--config", cfg_path, "--k", "1", "--at", at]) == 2
+        assert capsys.readouterr().err.startswith("error: --at entry must be a number")
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "[0.5, NaN]"])
@@ -573,10 +578,20 @@ def test_help_exits_0_and_offers_no_reference_step(capsys, command) -> None:
          "poly_F row must be an integer >= 1, got True"),
         ({**QUADRATIC_CFG, "poly_F": [{"row": 1, "alpha": [1.9, 1], "coeff": [0.2, 0.0]}]},
          "poly_F alpha entry must be an integer >= 1, got 1.9"),
+        # a JSON boolean is not a complex entry, bare or inside an [re, im] pair
+        ({**QUADRATIC_CFG, "u_in": [True]},
+         "u_in entry must be a number or an [re, im] pair, got True"),
+        ({**QUADRATIC_CFG, "A": [False]},
+         "A entry must be a number or an [re, im] pair, got False"),
+        ({**QUADRATIC_CFG, "A": [[0, True]]},
+         "A entry must be a number or an [re, im] pair, got [0, True]"),
+        ({**QUADRATIC_CFG, "poly_F": [{"row": 1, "alpha": [1, 1], "coeff": [0.2, False]}]},
+         "poly_F coeff must be a number or an [re, im] pair, got [0.2, False]"),
     ],
     ids=["builtin-eps-null", "builtin-T-list", "builtin-eps-true", "inline-eps-null",
          "inline-nu-object", "inline-nu-false", "inline-T-string", "term-row-fraction",
-         "term-row-true", "term-alpha-fraction"],
+         "term-row-true", "term-alpha-fraction", "inline-u_in-true", "inline-A-false",
+         "inline-A-pair-true", "term-coeff-pair-false"],
 )
 def test_config_scalars_must_be_numbers(tmp_path, capsys, cfg, message) -> None:
     cfg_path = write_config(tmp_path, cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from osc_llei import (
+    DerivativeOracle,
     JetOracle,
     PolynomialOracle,
     augment,
@@ -18,7 +19,7 @@ from osc_llei import (
     lift,
 )
 from osc_llei.algebra_checks import random_imaginary_system
-from osc_llei.extension import plan_for
+from osc_llei.extension import _forcing_pairs, plan_for
 from osc_llei.sysdef import _TransformedOracle
 
 
@@ -92,6 +93,16 @@ def random_terms(rng, d: int) -> list:
     ]
 
 
+class TaylorOnly(DerivativeOracle):
+    """An oracle that implements _taylor alone: row beta, column c is
+    (c + 1) (sum(u) + t)^|beta| / gamma(beta)."""
+
+    def _taylor(self, catalog, u, t):
+        degree = catalog.exponents.sum(axis=1)
+        column = np.arange(1, catalog.d_plus_1)
+        return np.outer((u.sum() + t) ** degree / catalog.float_gammas, column)
+
+
 def test_A0_split_matches_the_whole_plan() -> None:
     # build_A0 gathers the state pairs from the oracle's coefficients and
     # writes the time bins' counts, with no G; no state pair lands on a
@@ -102,9 +113,20 @@ def test_A0_split_matches_the_whole_plan() -> None:
     def F(u, t):
         return [np.cos(u[q]) * u[q - 1] + t * u[q] ** 2 for q in range(len(u))]
 
+    example1 = builtin("example1", 0.25).oracle
     for n in range(2, 6):
         d = n - 1
-        oracles = [JetOracle(F, real_valued=True), PolynomialOracle(d, random_terms(rng, d))]
+        oracles = [
+            JetOracle(F, real_valued=True),
+            PolynomialOracle(d, random_terms(rng, d)),
+            TaylorOnly(),
+        ]
+        # the pendulum forcing's closed form, as a whole F (d = 1) and
+        # inside example1's [0; eps g] (d = 2)
+        if d == 1:
+            oracles.append(example1.g_oracle)
+        if d == 2:
+            oracles.append(example1)
         if d % 2 == 0:
             g = PolynomialOracle(d // 2, random_terms(rng, d // 2))
             oracles.append(_TransformedOracle(g, d // 2, 0.3))
@@ -112,13 +134,15 @@ def test_A0_split_matches_the_whole_plan() -> None:
             cat = build_catalog(n, k)
             plan = plan_for(cat)
             column = plan.source % n
-            assert np.array_equal(plan.state_target, plan.target[column < d]), (n, k)
+            # the whole-F pairs: every state pair, reading taylor itself
+            _, source, target = _forcing_pairs(n, k, d)
+            assert np.array_equal(target, plan.target[column < d]), (n, k)
             assert np.array_equal(
-                plan.state_source, plan.source[column < d] // n * d + column[column < d]
+                source, plan.source[column < d] // n * d + column[column < d]
             ), (n, k)
             bins, counts = np.unique(plan.target[plan.source == d], return_counts=True)
             assert np.array_equal(plan.time_bins, bins) and np.array_equal(plan.time_counts, counts)
-            assert not np.isin(plan.time_bins, plan.state_target).any(), (n, k)
+            assert not np.isin(plan.time_bins, target).any(), (n, k)
             x_re, x_im = rng.standard_normal((2, n))
             x_im[-1] = 0.0
             for oracle in oracles:
@@ -130,6 +154,17 @@ def test_A0_split_matches_the_whole_plan() -> None:
                     got = build_A0(cat, oracle, xhat)
                     assert got.dtype == G.dtype
                     assert np.array_equal(got, plan.assemble(G)), (n, k, oracle, xhat.dtype)
+
+
+def test_A0_rejects_a_second_order_oracle_on_the_wrong_catalog() -> None:
+    # example1's forcing lives on d = 2 (dy = 1); build_A0 checks it as
+    # taylor does, rather than return a matrix of the wrong catalog
+    oracle = builtin("example1", 0.25).oracle
+    for n in (4, 5):
+        with pytest.raises(ValueError, match="needs d = 2"):
+            build_A0(build_catalog(n, 2), oracle, np.zeros(n))
+        with pytest.raises(ValueError):
+            oracle.taylor(build_catalog(n, 2), np.zeros(n - 1), 0.0)
 
 
 def test_A1_dimension_mismatch() -> None:

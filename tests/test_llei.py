@@ -31,7 +31,7 @@ from osc_llei import (
 )
 from osc_llei.extension import _A1_parts, _compiled, _forcing_pairs
 from osc_llei.llei import _StepKernel
-from osc_llei.mindex import _catalog, _restriction
+from osc_llei.mindex import _catalog
 from osc_llei.sysdef import _momentum_slots
 
 
@@ -73,6 +73,11 @@ def test_step_validation() -> None:
         step(system, catalog, np.array([1.0]), 0.0, -0.1)
     with pytest.raises(ValueError):
         step(system, build_catalog(3, 2), np.array([1.0]), 0.0, 0.1)
+    # a state of the wrong shape is not broadcast into [Un; tn]
+    example1 = builtin("example1", 0.25)
+    for Un in ([0.1], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="state has shape"):
+            step(example1, build_catalog(3, 2), Un, 0.0, 0.05)
 
 
 def test_single_step_local_order() -> None:
@@ -199,9 +204,9 @@ def test_step_takes_all_taylor_coefficients_in_one_oracle_call(monkeypatch) -> N
         monkeypatch.setattr(owner, name, wrapped)
 
     # cold: the catalogs and their tables, the plan, its gather from g,
-    # A1k's xhat-free part and the restrictions are all built inside the
-    # counted steps
-    for cache in (_catalog, _compiled, _forcing_pairs, _A1_parts, _restriction, _momentum_slots):
+    # A1k's xhat-free part and g's slots are all built inside the counted
+    # steps
+    for cache in (_catalog, _compiled, _forcing_pairs, _A1_parts, _momentum_slots):
         cache.cache_clear()
     counting(DerivativeOracle, "taylor")
     counting(DerivativeOracle, "partial")

@@ -56,7 +56,7 @@ from osc_llei import (
 )
 from osc_llei._jets import _DENSE_PRODUCT_MAX_ROWS, Jet
 from osc_llei.extension import _forcing_pairs, plan_for
-from osc_llei.mindex import _catalog, restrict
+from osc_llei.mindex import _catalog
 from osc_llei.sysdef import _momentum_slots, _PendulumForcingOracle, _TransformedOracle
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -315,19 +315,27 @@ def test_catalog_tables_are_read_only_and_shared() -> None:
 
 
 def test_restriction_rows_follow_the_sub_catalog() -> None:
-    # row rows[i] of the parent is the sub-catalog's i-th multi-index with
-    # the kept variables renumbered 1..m, for every subset of variables
-    for n in range(2, 5):
+    # g's slots in F = [0; g(u[:m], t)]: the i-th row they fill is g's
+    # i-th multi-index with t renumbered m + 1, every parent row without
+    # a u[m:] component is filled, and g's component j lands on F's
+    # column d - m + j; for m = d (F is g) the slots are the identity
+    for n in range(2, 6):
+        d = n - 1
         for k in range(4):
             parent = _catalog(n, k)
-            for m in range(1, n + 1):
-                for variables in itertools.combinations(range(1, n + 1), m):
-                    sub = restrict(parent, variables)
-                    renumber = {v: i + 1 for i, v in enumerate(variables)}
-                    got = [tuple(renumber[c] for c in parent.representatives[r]) for r in sub.rows]
-                    assert got == list(sub.catalog.representatives), (n, k, variables)
-                    kept = [a for a in parent.representatives if set(a) <= set(variables)]
-                    assert len(sub.rows) == len(kept)
+            for m in range(1, d + 1):
+                g_catalog, slots = _momentum_slots(n, k, m)
+                assert (g_catalog.d_plus_1, g_catalog.k) == (m + 1, k)
+                rows, columns = np.divmod(slots.reshape(-1, m), d)
+                assert (rows == rows[:, :1]).all() and (columns == np.arange(d - m, d)).all()
+                renumber = {**{v: v for v in range(1, m + 1)}, n: m + 1}
+                got = [tuple(renumber[c] for c in parent.representatives[r]) for r in rows[:, 0]]
+                assert got == list(g_catalog.representatives), (n, k, m)
+                kept = [a for a in parent.representatives if set(a) <= set(renumber)]
+                assert len(rows) == len(kept), (n, k, m)
+                if m == d:
+                    assert np.array_equal(slots, np.arange(parent.size * d)), (n, k)
+                assert not slots.flags.writeable
 
 
 @PROPERTY
@@ -542,11 +550,13 @@ def test_A0_from_g_matches_the_whole_plan(data) -> None:
 
     g_catalog, source, target = _forcing_pairs(n, k, dy)
     _, slots = _momentum_slots(n, k, dy)
-    reads_g = np.isin(plan.state_source, slots)
+    # the whole-F pairs, which read every state entry of taylor
+    _, whole_source, whole_target = _forcing_pairs(n, k, d)
+    reads_g = np.isin(whole_source, slots)
     assert g_catalog.d_plus_1 == dy + 1 and source.size == reads_g.sum()
-    assert np.array_equal(slots[source], plan.state_source[reads_g])
-    assert np.array_equal(target, plan.state_target[reads_g])
-    assert not taylor.ravel()[plan.state_source[~reads_g]].any()
+    assert np.array_equal(slots[source], whole_source[reads_g])
+    assert np.array_equal(target, whole_target[reads_g])
+    assert not taylor.ravel()[whole_source[~reads_g]].any()
     for key, count in G_WEIGHTS.items():
         assert _forcing_pairs(*key)[1].size == count, key
 
