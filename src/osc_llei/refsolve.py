@@ -6,11 +6,12 @@ trustworthy reference trajectories for convergence studies, so the step
 it takes must resolve the fast rotation: T / N_total <= eps / (4 rho),
 with rho the spectral radius of A and N_total the step count below.
 
-The forcing is read through the oracle's forcing_parts: F(u, t) =
-E @ g(u[rows], t), with g a value callable, rows a slice of the state
-and E a d x m embedding.  A second-order system in phase-space form
-has g its m = d/2 forcing components, rows the positions y and E =
-[0; eps I]; any other oracle is its own g (all rows, E = I).
+The forcing is read through the oracle's _forcing(d), F(u, t) = [0;
+scale * g(u[:m], t)], as E @ g(u[rows], t) with rows = :m and E =
+[0; scale I_m] a d x m embedding.  A second-order system in
+phase-space form has g its m = d/2 forcing components, rows the
+positions y and E = [0; eps I]; any other oracle is its own g (all
+rows, E = I).
 
 The linear part is applied in stage-increment form.  L, E and h are
 fixed for a whole run, so every stage input u_i[rows] is u[rows] plus
@@ -107,8 +108,10 @@ def rk4_integrate(
 
     L = system.working(system.A / system.epsilon)
     d = system.d
-    g, rows, E = system.oracle.forcing_parts(d)
-    m = E.shape[1]
+    g_oracle, m, scale = system.oracle._forcing(d)
+    g, rows = g_oracle.value, slice(0, m)
+    E = np.zeros((d, m))
+    E[d - m :] = scale * np.eye(m)
     C2, C3, C4, C_step = _stage_increments(L, h, rows, E)
 
     # z = [u; g1; g2; g3; g4]: the state and the four stage values of g

@@ -12,12 +12,11 @@ to a degree k, in the order of a multi-index catalog.  JetOracle
 derives them from F(u, t) written as a plain function; PolynomialOracle
 is a JetOracle on its monomials, and the charged particle's force is
 one too.  The pendulum forcing alone uses a closed form.  An oracle's
-forcing_parts describe F itself as E @ g(u[rows], t), which lets the
-RK4 reference evaluate only the forcing a second-order system has.  The
-scheme reads the same structure through the oracle's _forcing(d), F =
-[0; scale * g(u[:m], t)]: extension.build_A0 reads A0k from g's own
-Taylor coefficients over (u[:m], t), one g.taylor call per step, and
-for a second-order system never builds F's zero-padded taylor array.
+_forcing(d) is the one statement of F's structure, F = [0; scale *
+g(u[:m], t)]: extension.build_A0 reads A0k from g's own Taylor
+coefficients over (u[:m], t), one g.taylor call per step, and the RK4
+reference calls only g's value, so for a second-order system neither
+evaluates F's zero rows.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ class DerivativeOracle:
     beta of catalog, a multi-index with components in [1, d+1] where
     component d+1 differentiates in t.  partial and value read their
     numbers out of it; value may be overridden by a direct formula.
-    An oracle that wraps a smaller forcing also overrides _forcing.
+    An oracle that wraps a smaller forcing also overrides _forcing, which
+    the scheme, the RK4 reference and the system's own check all read.
     """
 
     real_valued: bool = False
@@ -116,21 +116,12 @@ class DerivativeOracle:
             return out.real
         return out
 
-    def forcing_parts(self, d: int) -> tuple[Callable, slice, np.ndarray]:
-        """F as (g, rows, E) with F(u, t) = E @ g(u[rows], t).
-
-        g is a value callable, rows a slice (so u[rows] is a view of u)
-        and E a d x m embedding matrix.  Generically F is its own g:
-        (value, all of u, I_d).  An oracle whose F depends on part of u
-        and lives in a few directions returns the smaller g, which the
-        RK4 reference then evaluates in place of F.
-        """
-        return self.value, slice(None), np.eye(d)
-
     def _forcing(self, d: int) -> tuple[DerivativeOracle, int, float]:
         """(g, m, scale): F(u, t) = [0; scale * g(u[:m], t)] on d states,
         g an oracle of m components.  build_A0 reads A0k from g's Taylor
-        coefficients; generically F is its own g, (self, d, 1.0)."""
+        coefficients and the RK4 reference calls g's value; generically
+        F is its own g, (self, d, 1.0).  Raises ValueError for a d the
+        oracle was not built for."""
         return self, d, 1.0
 
 
@@ -223,7 +214,9 @@ class OscillatorySystem:
     """The problem (A, epsilon, nu, u_in, T) plus F's derivative oracle.
 
     y_dim marks systems with the [y; p] phase-space layout (p = epsilon
-    * dy/dt), enabling split error reporting for y and dy/dt.
+    * dy/dt), enabling split error reporting for y and dy/dt; p has y's
+    dimension, so y_dim is None or d / 2.  The oracle must be one for d
+    states (its _forcing(d)).
     """
 
     d: int
@@ -250,6 +243,10 @@ class OscillatorySystem:
         check_finite_positive("T", self.T)
         if not math.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu:g}")
+        # type(), not isinstance: a bool is not a dimension
+        if self.y_dim is not None and (type(self.y_dim) is not int or 2 * self.y_dim != self.d):
+            raise ValueError(f"y_dim must be None or d / 2 = {self.d / 2:g}, got {self.y_dim!r}")
+        self.oracle._forcing(self.d)  # raises for an oracle built for another d
         for name, value in (("A", self.A), ("u_in", self.u_in)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must have finite entries")
@@ -323,7 +320,8 @@ class _TransformedOracle(DerivativeOracle):
     (y_1..y_dy, t); any p-derivative is identically zero.  eps_scaled
     marks a scale that is the system's epsilon, which with_epsilon
     follows.  _forcing returns (g_oracle, dy, scale), so build_A0 reads
-    g's coefficients and skips this oracle's taylor.
+    g's coefficients and skips this oracle's taylor, and the RK4
+    reference calls g_oracle's value alone.
     """
 
     def __init__(
@@ -334,9 +332,6 @@ class _TransformedOracle(DerivativeOracle):
         self.scale = scale
         self.eps_scaled = eps_scaled
         self.real_valued = g_oracle.real_valued
-        self._embed = np.zeros((2 * dy, dy))
-        self._embed[dy:] = scale * np.eye(dy)
-        self._embed.flags.writeable = False
 
     def _taylor(self, catalog, u, t):
         # the rows without a p component are g's Taylor coefficients with
@@ -355,15 +350,14 @@ class _TransformedOracle(DerivativeOracle):
             raise ValueError(f"forcing of dy = {self.dy} needs d = {2 * self.dy}, got {d}")
         return self.g_oracle, self.dy, self.scale
 
-    def forcing_parts(self, d: int):
-        """(g, y rows, [0; scale I]): F(u, t) = [0; scale * g(y, t)], d = 2 dy."""
-        # g_oracle.value is looked up per call, not stored, so a wrapper
-        # installed on its class later is the g a run reads
-        return self.g_oracle.value, slice(0, self.dy), self._embed
-
     def value(self, u, t):
-        g, rows, E = self.forcing_parts(2 * self.dy)
-        return E.dot(g(np.asarray(u)[rows], t))
+        u = np.asarray(u)
+        g_oracle, dy, scale = self._forcing(len(u))
+        g = scale * g_oracle.value(u[:dy], t)
+        out = np.zeros(2 * dy, dtype=g.dtype)
+        # an add, not a copy: a zero of g lands as +0.0, as in [0; scale I] @ g
+        out[dy:] += g
+        return out
 
 
 @functools.lru_cache(maxsize=16)

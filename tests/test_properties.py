@@ -892,10 +892,11 @@ def readme_inline_system():
 
 @PROPERTY
 @given(st.data())
-def test_forcing_parts_reproduce_value(data) -> None:
-    # F(u, t) = E @ g(u[rows], t), the form the RK4 reference steps with,
-    # at real and complex points of every builtin, the README's inline
-    # config and a random second-order system with a polynomial g
+def test_forcing_reproduces_value(data) -> None:
+    # F(u, t) = [0; scale * g(u[:m], t)] from the oracle's _forcing(d), the
+    # structure the scheme and the RK4 reference read, at real and complex
+    # points of every builtin, the README's inline config and a random
+    # second-order system with a polynomial g
     dy = data.draw(st.integers(min_value=1, max_value=3))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     B = rng.standard_normal((dy, dy))
@@ -915,11 +916,11 @@ def test_forcing_parts_reproduce_value(data) -> None:
         if data.draw(st.booleans()):
             x = x.real
         u, t = x[:d], x[d].real
-        g, rows, E = system.oracle.forcing_parts(d)
-        assert E.shape[0] == d
+        g, m, scale = system.oracle._forcing(d)
+        assert 1 <= m <= d
         with np.errstate(divide="ignore", invalid="ignore"):
             want = system.oracle.value(u, t)
-            got = E @ g(u[rows], t)
+            got = np.concatenate([np.zeros(d - m), scale * g.value(u[:m], t)])
         if not np.isfinite(want).all():
             # the one pole a draw can reach: the charged particle's |r|^-3
             # at a complex point with r . r = 0, such as y = (0, i) at t = 0;

@@ -175,13 +175,13 @@ def test_real_fast_path_matches_complex_path() -> None:
     )
     traj_cplx = rk4_integrate(complex_sys, 1e-3)
     # the real run reads g on y alone, the complex run all of F
-    assert real_sys.oracle.forcing_parts(2)[1] == slice(0, 1)
-    assert complex_sys.oracle.forcing_parts(2)[1] == slice(None)
+    assert real_sys.oracle._forcing(2)[1] == 1
+    assert complex_sys.oracle._forcing(2)[1] == 2
     assert np.allclose(traj_real.states, traj_cplx.states, rtol=0, atol=1e-13)
 
 
 class _ComplexWrap(DerivativeOracle):
-    """Force the generic complex path: not real-valued, F as its own forcing part."""
+    """Force the generic complex path: not real-valued, F as its own g."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -258,8 +258,8 @@ def complex_phase_space_system() -> OscillatorySystem:
 )
 def test_matches_textbook_rk4_with_four_value_calls_per_step(make, monkeypatch) -> None:
     # the stage-increment kernel is the classical method on the full F up
-    # to rounding, and asks the value callable of F's forcing parts (g of
-    # a second-order system, F itself otherwise) exactly at t, t + h/2,
+    # to rounding, and asks the value of the oracle's _forcing g (g of a
+    # second-order system, F itself otherwise) exactly at t, t + h/2,
     # t + h/2 and t + h
     system = make()
     n_steps = 300
@@ -267,8 +267,8 @@ def test_matches_textbook_rk4_with_four_value_calls_per_step(make, monkeypatch) 
     want = textbook_rk4(system, n_steps)
 
     called_at = []
-    g, _, _ = system.oracle.forcing_parts(system.d)
-    owner, value = g.__self__, g
+    owner = system.oracle._forcing(system.d)[0]
+    value = owner.value
 
     def counting(u, t):
         called_at.append(t)

@@ -263,6 +263,29 @@ def test_second_order_rejects_forcing_of_wrong_size() -> None:
     assert system.F(np.ones(4), 0.0).shape == (4,)
 
 
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_system_refuses_an_oracle_built_for_another_d(d) -> None:
+    # example1's forcing [0; eps g(y, t)] has dy = 1: an oracle for d = 2
+    # alone, refused at construction rather than inside the RK4's matmul
+    oracle = builtin("example1", 0.25).oracle
+    with pytest.raises(ValueError, match=rf"forcing of dy = 1 needs d = 2, got {d}"):
+        OscillatorySystem(d=d, A=1j * np.eye(d), epsilon=0.25, nu=1.0, u_in=np.ones(d),
+                          T=1.0, oracle=oracle)
+
+
+def test_y_dim_is_none_or_half_the_state() -> None:
+    # p = eps dy/dt has y's dimension; any other split of [y; p] would
+    # report y and dy/dt errors over the wrong components
+    s = builtin("example2-E3", 1 / 16, T=0.25)
+    for y_dim in (0, 4, 5, -1, 2.5, 2.0):
+        with pytest.raises(ValueError, match=r"y_dim must be None or d / 2 = 2"):
+            dataclasses.replace(s, y_dim=y_dim)
+    with pytest.raises(ValueError, match="got True"):
+        dataclasses.replace(builtin("example1", 0.25), y_dim=True)
+    assert dataclasses.replace(s, y_dim=None).y_dim is None
+    assert dataclasses.replace(s, y_dim=2).y_dim == 2
+
+
 def test_working_dtype_is_chosen_by_the_system() -> None:
     real = builtin("example1", 0.25)
     assert real.working([1.0, 2.0]).dtype == np.float64
@@ -386,7 +409,7 @@ def test_taylor_only_oracle_reads_value_out_of_taylor() -> None:
         # F does not read u, yet a complex point gives complex128
         assert got.dtype == want.dtype == (np.complex128 if np.iscomplexobj(u) else np.float64)
         assert np.allclose(got, want, rtol=1e-14, atol=0)
-    # the RK4 reference evaluates F through forcing_parts, here value itself
+    # the RK4 reference calls the value of _forcing's g, here F's own value
     got, want = (rk4_integrate(s, 1 / 64, sample_stride=4).states for s in systems)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
