@@ -36,8 +36,9 @@ Horner on w's multiplication matrix, split by size as the product is:
 gathered through product_index, or written from the pairs
 (matrix_index) above _DENSE_PRODUCT_MAX_ROWS rows.
 With no __array_ufunc__, np.cos, np.sin and np.exp reach the methods of
-those names through numpy's object loop.  The coefficient dtype follows the
-base point: float64 at real points, complex128 otherwise.
+those names through numpy's object loop, once per recording (see Tape
+below).  The coefficient dtype follows the base point: float64 at real
+points, complex128 otherwise.
 
 Affine path.  A jet may carry a tag q, the index of one variable: its
 coefficients are then a constant plus a * x_q (a = c[q + 1]) and zero on
@@ -61,12 +62,33 @@ differently, and wherever Python would raise or go complex
 power).  exp keeps numpy's exp, which differs from math.exp in the
 last bit on about 5% of inputs.
 
+Tape.  Every Jet operation is one call to a kernel, a module function
+on padded coefficient buffers that returns a new buffer.  sysdef.JetOracle
+runs F once per catalog and working dtype on taped jets, which append
+each call to a Tape as (kernel, operand slots, constants), and after
+that replays the tape on each new point's buffers: the same kernels in
+the same order, without F, Jet objects or numpy's object loop, so the
+coefficients are the live ones bit for bit (the operator-overloading
+tape of ADOL-C; Griewank and Walther, ch. 13).  A tape is valid because
+a Jet has no ordering, truth value or float conversion: F can branch on
+a value only by reading Jet.c, which it must not do, so the operations
+depend only on the catalog, the dtype and F's constants.  Recording
+fixes the tags, the dense-or-pairs path for the catalog's size, each
+slot's dtype and which outputs are plain numbers.  The kernels decide
+again at every replay what depends on the values: the affine path's
+fallback at non-finite values, the series constants of cos, exp and
+powers from the operand's constant term (on Python or numpy numbers),
+the complex product's constant term and the ZeroDivisionError of a
+power at a zero constant term.  No buffer is reused across replays, so
+a result never aliases a later one.
+
 The engine of sysdef.JetOracle; not part of the public API.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 
@@ -90,16 +112,17 @@ _DENSE_PRODUCT_MAX_ROWS = 35
 
 def _keeps_dtype(c: np.ndarray, value) -> bool:
     """Whether np.result_type(c, value) is c's own dtype, decided without numpy."""
-    if c.dtype == _FLOAT:
+    dtype = c.dtype
+    if dtype is _FLOAT:
         return isinstance(value, (int, float))
-    return c.dtype == _COMPLEX and isinstance(value, (int, float, complex))
+    return dtype is _COMPLEX and isinstance(value, (int, float, complex))
 
 
 def _series_dtype(dtype: np.dtype, series) -> np.dtype:
     """np.result_type(dtype, *series) for series of Python or numpy numbers."""
-    if dtype == _COMPLEX:
+    if dtype is _COMPLEX:
         return dtype
-    if dtype == _FLOAT:
+    if dtype is _FLOAT:
         for s in series:
             if isinstance(s, complex):
                 break
@@ -118,6 +141,158 @@ def _binomial_series(a0, p, K: int) -> list:
     return series
 
 
+# The kernels: every operation on padded coefficient buffers, the one
+# arithmetic that Jet's operators run and a Tape replays.  A kernel takes
+# its operands' buffers first, then the constants its Jet operator fixed
+# (numbers, and the catalog's tables for its size's path), and returns a
+# new buffer; it never writes to an operand.
+
+
+def _constant(size: int, value) -> np.ndarray:
+    c = np.zeros(size, dtype=np.result_type(value, float))
+    c[0] = value
+    return c
+
+
+def _add_number(c: np.ndarray, value) -> np.ndarray:
+    c = c.copy() if _keeps_dtype(c, value) else c.astype(np.result_type(c, value))
+    c[0] += value
+    return c
+
+
+def _subtract_from(c: np.ndarray, value) -> np.ndarray:
+    """value - c, with the negation as the one array operation."""
+    c = -c
+    if not _keeps_dtype(c, value):
+        c = c.astype(np.result_type(c, value))
+    c[0] += value
+    return c
+
+
+def _product_dense(a: np.ndarray, b: np.ndarray, product_index: np.ndarray) -> np.ndarray:
+    c = a[product_index].dot(b)
+    if c.dtype is not _FLOAT:
+        # numpy's scalar a0 * b0, as F computes it on numbers; BLAS's
+        # complex dot and numpy's array multiply round it differently
+        c[0] = a[0] * b[0]
+    return c
+
+
+def _product_pairs(a: np.ndarray, b: np.ndarray, pairs: tuple) -> np.ndarray:
+    I, J, target = pairs
+    c = scatter_add(target, a[I] * b[J], a.size)
+    if c.dtype is not _FLOAT:
+        c[0] = a[0] * b[0]
+    return c
+
+
+def _horner(W: np.ndarray, series) -> np.ndarray:
+    """sum_m series[m] w^m for W, w's multiplication matrix: K matrix-vector
+    products in place of K jet products."""
+    K = len(series) - 1
+    out = np.zeros(len(W), dtype=_series_dtype(W.dtype, series))
+    out[0] = series[K]
+    dot = W.dot
+    for m in range(K - 1, -1, -1):
+        out = dot(out)
+        out[0] += series[m]
+    return out
+
+
+def _horner_dense(c: np.ndarray, series, product_index: np.ndarray) -> np.ndarray:
+    w = c.copy()
+    w[0] = 0
+    return _horner(w[product_index], series)
+
+
+def _horner_pairs(c: np.ndarray, series, matrix_index: tuple) -> np.ndarray:
+    # S x S from the pairs alone: product_index would hold all (S + 1)^2
+    # entries; the result is padded once
+    n = c.size - 1
+    I, flat = matrix_index
+    W = np.zeros(n * n, dtype=c.dtype)
+    W[flat] = c[I]
+    out = _horner(W.reshape(n, n), series)
+    padded = np.zeros(c.size, dtype=out.dtype)
+    padded[:n] = out
+    return padded
+
+
+def _compose_affine(c: np.ndarray, series, rows: np.ndarray) -> np.ndarray | None:
+    """The composition for c = constant + a x_q: series[m] a^m on rows[m], the
+    row of x_q^m.
+
+    Each value is multiplied by a m times, innermost first, as Horner
+    on W does, so the numbers are Horner's at real points.  None
+    where the constant or a value is not finite (or their sum
+    overflows): there Horner's products of zeros and infinities give
+    numpy's NaN, which the short path would not.
+    """
+    # at K = 0 the jet has no degree-1 row and no power of a is taken
+    a = c.item(rows[1]) if len(rows) > 1 else 0.0
+    values = []
+    for m, v in enumerate(series):
+        for _ in range(m):
+            v = a * v
+        values.append(v)
+    if not cmath.isfinite(c.item(0) + sum(values)):
+        return None
+    # Horner's dtype: W is gathered from c
+    out = np.zeros(c.size, dtype=_series_dtype(c.dtype, series))
+    out[rows] = values
+    return out
+
+
+def _analytic(c: np.ndarray, series_at, params: tuple, rows, horner, table):
+    """sum_m series[m] (c - c0)^m, series = series_at(c0, *params): the
+    affine path if rows (the tagged variable's power rows) is given and it
+    returns, else horner on table."""
+    series = series_at(c[0], *params)
+    if rows is not None:
+        out = _compose_affine(c, series, rows)
+        if out is not None:
+            return out
+    return horner(c, series, table)
+
+
+def _given(a0, series) -> list:
+    return series
+
+
+@functools.lru_cache(maxsize=32)
+def _series_terms(K: int) -> tuple[tuple, tuple]:
+    """(m pi / 2, m!) for m = 0..K: what the series of cos and exp take from K."""
+    return tuple(m * math.pi / 2 for m in range(K + 1)), tuple(map(math.factorial, range(K + 1)))
+
+
+def _cos_series(a0, turns: tuple, factorials: tuple) -> list:
+    if type(a0) is np.float64 and math.isfinite(a0):
+        # math.cos is numpy's cos on finite doubles, without a numpy call per term
+        a0 = float(a0)
+        return [math.cos(a0 + h) / f for h, f in zip(turns, factorials)]
+    return [np.cos(a0 + h) / f for h, f in zip(turns, factorials)]
+
+
+def _exp_series(a0, turns: tuple, factorials: tuple) -> list:
+    e0 = np.exp(a0)
+    if type(e0) is np.float64:
+        e0 = float(e0)
+    return [e0 / f for f in factorials]
+
+
+def _power_series(a0, p, K: int) -> list:
+    if a0 == 0:
+        raise ZeroDivisionError("jet power with zero constant term")
+    # Python floats where they keep numpy's answer: a real power of a
+    # positive base or an integer power, and no overflow
+    if type(a0) is np.float64 and (a0 > 0 and isinstance(p, float) or isinstance(p, int)):
+        try:
+            return _binomial_series(float(a0), p, K)
+        except OverflowError:
+            pass
+    return _binomial_series(a0, p, K)
+
+
 def _jet(catalog: MultiIndexCatalog, buf: np.ndarray, tag: int | None = None) -> "Jet":
     """A Jet on buf, S + 1 coefficients whose last is the zero slot, not copied."""
     jet = object.__new__(Jet)
@@ -134,7 +309,8 @@ class Jet:
     entry, the zero slot, is 0.0 at finite values; c is the view
     without it.  tag is None, or the variable q (0-based) of an affine
     jet: c is a constant plus c[q + 1] x_q and zero elsewhere (see the
-    module docstring).  Only a seed jet is made with a tag.
+    module docstring).  Only a seed jet is made with a tag.  Each
+    operation is one kernel call, through _apply.
     """
 
     __slots__ = ("catalog", "_c", "tag")
@@ -150,62 +326,48 @@ class Jet:
 
     @classmethod
     def constant(cls, value, catalog: MultiIndexCatalog) -> "Jet":
-        c = np.zeros(catalog.size + 1, dtype=np.result_type(value, float))
-        c[0] = value
-        return _jet(catalog, c)
+        return _jet(catalog, _constant(catalog.size + 1, value))
 
     @property
     def K(self) -> int:
         return self.catalog.k
 
+    def _apply(self, kernel, operands: tuple, args: tuple, tag: int | None = None) -> "Jet":
+        """The jet on kernel(*operands' buffers, *args), tagged with tag."""
+        return _jet(self.catalog, kernel(*[x._c for x in operands], *args), tag)
+
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            return _jet(self.catalog, self._c + other._c)
-        c = self._c
-        c = c.copy() if _keeps_dtype(c, other) else c.astype(np.result_type(c, other))
-        c[0] += other
-        return _jet(self.catalog, c, self.tag)
+            return self._apply(np.add, (self, other), ())
+        return self._apply(_add_number, (self,), (other,), self.tag)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return _jet(self.catalog, -self._c, self.tag)
+        return self._apply(np.negative, (self,), (), self.tag)
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            return _jet(self.catalog, self._c - other._c)
+            return self._apply(np.subtract, (self, other), ())
         return self + (-other)
 
     def __rsub__(self, other) -> "Jet":
-        # (-self) + other, with the negation as the one array operation
-        c = -self._c
-        if not _keeps_dtype(c, other):
-            c = c.astype(np.result_type(c, other))
-        c[0] += other
-        return _jet(self.catalog, c, self.tag)
+        return self._apply(_subtract_from, (self,), (other,), self.tag)
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             tag = self.tag if isinstance(other, numbers.Number) else None
-            return _jet(self.catalog, self._c * other, tag)
-        a = self._c
-        b = other._c
-        if a.size > _DENSE_PRODUCT_MAX_ROWS + 1:
-            I, J, target = self.catalog.pairs
-            c = scatter_add(target, a[I] * b[J], a.size)
-        else:
-            c = a[self.catalog.product_index].dot(b)
-        if c.dtype is not _FLOAT:
-            # numpy's scalar a0 * b0, as F computes it on numbers; BLAS's
-            # complex dot and numpy's array multiply round it differently
-            c[0] = a[0] * b[0]
-        return _jet(self.catalog, c)
+            return self._apply(np.multiply, (self,), (other,), tag)
+        catalog = self.catalog
+        if catalog.size > _DENSE_PRODUCT_MAX_ROWS:
+            return self._apply(_product_pairs, (self, other), (catalog.pairs,))
+        return self._apply(_product_dense, (self, other), (catalog.product_index,))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return _jet(self.catalog, self._c / other)
+            return self._apply(np.true_divide, (self,), (other,))
         return self * other.power(-1)
 
     def __rtruediv__(self, other) -> "Jet":
@@ -213,7 +375,9 @@ class Jet:
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, (int, np.integer)) and p >= 0:
-            out = Jet.constant(1.0, self.catalog) if p == 0 else self
+            if p == 0:
+                return self._apply(_constant, (), (self._c.size, 1.0))
+            out = self
             for _ in range(p - 1):
                 out = out * self
             return out
@@ -225,101 +389,109 @@ class Jet:
         series holds K + 1 Python or numpy numbers.  An affine (tagged)
         jet with finite numbers takes _compose_affine.  Otherwise by
         Horner on W, the truncated multiplication matrix of w = self -
-        const (W @ x is the coefficient vector of w * x): K
-        matrix-vector products in place of K jet products.  Up to
+        const (W @ x is the coefficient vector of w * x).  Up to
         _DENSE_PRODUCT_MAX_ROWS rows W is gathered through product_index
         and pads x with the zero slot; above, it is written from
         matrix_index's pairs, S x S, and the result is padded once.
         """
-        if self.tag is not None:
-            out = self._compose_affine(series)
-            if out is not None:
-                return out
-        c = self._c
-        size = c.size
-        if size > _DENSE_PRODUCT_MAX_ROWS + 1:
-            # S x S from the pairs alone: product_index would hold all
-            # (S + 1)^2 entries
-            n = size - 1
-            I, flat = self.catalog.matrix_index
-            W = np.zeros(n * n, dtype=c.dtype)
-            W[flat] = c[I]
-            W = W.reshape(n, n)
+        return self._series(_given, series)
+
+    def _series(self, series_at, *params) -> "Jet":
+        catalog = self.catalog
+        rows = None if self.tag is None else catalog.power_rows[self.tag]
+        if catalog.size > _DENSE_PRODUCT_MAX_ROWS:
+            horner, table = _horner_pairs, catalog.matrix_index
         else:
-            n = size
-            w = c.copy()
-            w[0] = 0
-            W = w[self.catalog.product_index]
-        out = np.zeros(n, dtype=_series_dtype(W.dtype, series))
-        out[0] = series[self.K]
-        dot = W.dot
-        for m in range(self.K - 1, -1, -1):
-            out = dot(out)
-            out[0] += series[m]
-        if n < size:
-            padded = np.zeros(size, dtype=out.dtype)
-            padded[:n] = out
-            out = padded
-        return _jet(self.catalog, out)
-
-    def _compose_affine(self, series) -> "Jet | None":
-        """compose_series of constant + a x_q: series[m] a^m on the row of x_q^m.
-
-        Each value is multiplied by a m times, innermost first, as Horner
-        on W does, so the numbers are Horner's at real points.  None
-        where the constant or a value is not finite (or their sum
-        overflows): there Horner's products of zeros and infinities give
-        numpy's NaN, which the short path would not.
-        """
-        q = self.tag
-        c = self._c
-        # at K = 0 the jet has no degree-1 row and no power of a is taken
-        a = c.item(q + 1) if self.K else 0.0
-        values = []
-        for m, v in enumerate(series):
-            for _ in range(m):
-                v = a * v
-            values.append(v)
-        if not cmath.isfinite(c.item(0) + sum(values)):
-            return None
-        # Horner's dtype: W is gathered from c
-        out = np.zeros(c.size, dtype=_series_dtype(c.dtype, series))
-        out[self.catalog.power_rows[q]] = values
-        return _jet(self.catalog, out)
+            horner, table = _horner_dense, catalog.product_index
+        return self._apply(_analytic, (self,), (series_at, params, rows, horner, table))
 
     def cos(self) -> "Jet":
-        a0 = self._c[0]
-        K = self.K
-        if type(a0) is np.float64 and math.isfinite(a0):
-            # math.cos is numpy's cos on finite doubles, without a numpy call per term
-            a0 = float(a0)
-            series = [math.cos(a0 + m * math.pi / 2) / math.factorial(m) for m in range(K + 1)]
-        else:
-            series = [np.cos(a0 + m * np.pi / 2) / math.factorial(m) for m in range(K + 1)]
-        return self.compose_series(series)
+        return self._series(_cos_series, *_series_terms(self.K))
 
     def sin(self) -> "Jet":
         return (self - np.pi / 2).cos()
 
     def exp(self) -> "Jet":
-        e0 = np.exp(self._c[0])
-        if type(e0) is np.float64:
-            e0 = float(e0)
-        return self.compose_series([e0 / math.factorial(m) for m in range(self.K + 1)])
+        return self._series(_exp_series, *_series_terms(self.K))
 
     def power(self, p: float) -> "Jet":
         """self**p by the binomial series; the constant term must be nonzero."""
-        a0 = self._c[0]
-        if a0 == 0:
-            raise ZeroDivisionError("jet power with zero constant term")
-        series = None
-        # Python floats where they keep numpy's answer: a real power of a
-        # positive base or an integer power, and no overflow
-        if type(a0) is np.float64 and (a0 > 0 and isinstance(p, float) or isinstance(p, int)):
-            try:
-                series = _binomial_series(float(a0), p, self.K)
-            except OverflowError:
-                pass
-        if series is None:
-            series = _binomial_series(a0, p, self.K)
-        return self.compose_series(series)
+        return self._series(_power_series, p, self.K)
+
+
+class _TapedJet(Jet):
+    """A Jet of a recording pass: each operation also appends its kernel call to tape."""
+
+    __slots__ = ("tape", "slot")
+
+    def _apply(self, kernel, operands, args, tag=None):
+        tape = self.tape
+        slots = tuple(map(tape.slot, operands))
+        slot = tape.n_seeds + len(tape.entries)
+        jet = tape.jet(kernel(*[x._c for x in operands], *args), tag, slot)
+        tape.entries.append((kernel, slots, args))
+        return jet
+
+
+class Tape:
+    """F's operations on one catalog and dtype, recorded once and replayed after.
+
+    entries holds (kernel, operand slots, constants) in the order F ran
+    them.  Slots 0..n_seeds - 1 are the seed jets, and entry i writes
+    slot n_seeds + i.  outputs are the slots F returned; a plain number
+    among them is a _constant entry.
+    """
+
+    __slots__ = ("catalog", "n_seeds", "entries", "outputs")
+
+    def __init__(self, catalog: MultiIndexCatalog, n_seeds: int):
+        self.catalog = catalog
+        self.n_seeds = n_seeds
+        self.entries: list = []
+
+    def jet(self, buf: np.ndarray, tag: int | None, slot: int) -> _TapedJet:
+        jet = object.__new__(_TapedJet)
+        jet.catalog, jet._c, jet.tag, jet.tape, jet.slot = self.catalog, buf, tag, self, slot
+        return jet
+
+    def slot(self, x) -> int:
+        if isinstance(x, _TapedJet) and x.tape is self:
+            return x.slot
+        raise TypeError("F combined its arguments with a jet not computed from them")
+
+    @classmethod
+    def record(cls, F, catalog: MultiIndexCatalog, seeds: np.ndarray) -> tuple["Tape", np.ndarray]:
+        """(tape, F's Taylor coefficients, S x outputs): F called once on the
+        rows of seeds as jets, each tagged with its row q, as F(state, t)
+        with t the last row."""
+        tape = cls(catalog, len(seeds))
+        *u, t = (tape.jet(c, q, q) for q, c in enumerate(seeds))
+        state = np.empty(len(u), dtype=object)
+        state[:] = u
+        outputs = [
+            f if isinstance(f, Jet) else t._apply(_constant, (), (catalog.size + 1, f))
+            for f in F(state, t)
+        ]
+        tape.outputs = [tape.slot(f) for f in outputs]
+        return tape, _coefficients([f._c for f in outputs])
+
+    def replay(self, seeds: np.ndarray) -> np.ndarray:
+        """F's Taylor coefficients at the point in seeds, each kernel called
+        again on this point's buffers."""
+        values = list(seeds)
+        for kernel, slots, args in self.entries:
+            # by operand count: a call on a built list of operands costs
+            # about twice as much
+            if len(slots) == 2:
+                out = kernel(values[slots[0]], values[slots[1]], *args)
+            elif slots:
+                out = kernel(values[slots[0]], *args)
+            else:
+                out = kernel(*args)
+            values.append(out)
+        return _coefficients([values[i] for i in self.outputs])
+
+
+def _coefficients(buffers: list) -> np.ndarray:
+    """The S x outputs array of buffers without their zero slots, in a new array."""
+    return np.array(buffers).T[:-1]

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from ._jets import _COMPLEX, _FLOAT, Jet, _jet
+from ._jets import _COMPLEX, _FLOAT, Tape
 from .mindex import MultiIndexCatalog, _catalog, gamma, representative
 
 
@@ -130,41 +130,63 @@ class JetOracle(DerivativeOracle):
 
     F(u, t) returns the d components of F at the state u (a length-d
     array) and the time t.  value calls F on plain numbers.  taylor
-    calls F once, on jets of degree k in the d+1 variables (u, t) (see
+    runs F on jets of degree k in the d+1 variables (u, t) (see
     _jets), so F may use + - * / and ** on them, np.sin, np.cos and
     np.exp, and numeric constants.  Each output jet holds its
     component's coefficients d^beta F_i / gamma(beta) in catalog order;
     an output that does not depend on (u, t) may be a plain number.
+
+    The first taylor call for a catalog and working dtype (float64 or
+    complex128) calls F and records its operations on a tape; every
+    later call replays the tape without calling F.  So F must not read a
+    jet's coefficients or branch on a value (a jet has no ordering and
+    no truth value), and must not depend on state that changes between
+    calls; assigning a new F discards the tapes.  Replay still makes the
+    choices that depend on the point's values: the affine path's
+    fallback to Horner at a non-finite value, power's series on Python
+    or numpy numbers, the complex product's constant term, the series
+    constants of cos, exp and ** and the ZeroDivisionError of a power
+    or division at a zero constant term.
     """
 
     def __init__(self, F: Callable, real_valued: bool = False):
         self.F = F
         self.real_valued = real_valued
 
+    @property
+    def F(self) -> Callable:
+        return self._F
+
+    @F.setter
+    def F(self, F: Callable) -> None:
+        self._F = F
+        # (d + 1, k, dtype) -> the Tape of F on that catalog and dtype
+        self._tapes: dict = {}
+
     def _taylor(self, catalog, u, t):
         # np.result_type(u, t, float) read off dtype tests, as extension's
         # _check_point does; numpy's call (about 1 us) for any other dtype
-        if (u.dtype == _FLOAT or u.dtype == _COMPLEX) and isinstance(t, (float, complex)):
-            dtype = _COMPLEX if u.dtype == _COMPLEX or isinstance(t, complex) else _FLOAT
+        if (u.dtype is _FLOAT or u.dtype is _COMPLEX) and isinstance(t, (float, complex)):
+            dtype = _COMPLEX if u.dtype is _COMPLEX or isinstance(t, complex) else _FLOAT
         else:
             dtype = np.result_type(u, t, float)
-        # variable q is x_q plus one unit coefficient on its degree-1 row q+1,
-        # an affine jet tagged with q; each row of c is a jet's padded buffer
-        c = catalog.seeds.astype(dtype)
-        c[:-1, 0] = u
-        c[-1, 0] = t
-        d = catalog.d_plus_1 - 1
-        state = np.empty(d, dtype=object)
-        for q in range(d):
-            state[q] = _jet(catalog, c[q], q)
-        outputs = self.F(state, _jet(catalog, c[d], d))
-        return np.array([
-            (f if isinstance(f, Jet) else Jet.constant(f, catalog)).c for f in outputs
-        ]).T
+        # variable q is x_q plus one unit coefficient on its degree-1 row q+1;
+        # each row of seeds is a jet's padded buffer
+        seeds = catalog.seeds.astype(dtype)
+        seeds[:-1, 0] = u
+        seeds[-1, 0] = t
+        key = (catalog.d_plus_1, catalog.k, dtype)
+        tape = self._tapes.get(key)
+        if tape is not None:
+            return tape.replay(seeds)
+        # stored only once recorded: a pass that raises leaves no tape
+        tape, out = Tape.record(self._F, catalog, seeds)
+        self._tapes[key] = tape
+        return out
 
     def value(self, u, t):
         u = np.asarray(u)
-        return self._real_at(np.asarray(self.F(u, t)), u, t)
+        return self._real_at(np.asarray(self._F(u, t)), u, t)
 
 
 class PolynomialOracle(JetOracle):
