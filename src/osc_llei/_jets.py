@@ -65,22 +65,28 @@ last bit on about 5% of inputs.
 Tape.  Every Jet operation is one call to a kernel, a module function
 on padded coefficient buffers that returns a new buffer.  sysdef.JetOracle
 runs F once per catalog and working dtype on taped jets, which append
-each call to a Tape as (kernel, operand slots, constants), and after
-that replays the tape on each new point's buffers: the same kernels in
-the same order, without F, Jet objects or numpy's object loop, so the
-coefficients are the live ones bit for bit (the operator-overloading
-tape of ADOL-C; Griewank and Walther, ch. 13).  A tape is valid because
-a Jet has no ordering, truth value or float conversion: F can branch on
-a value only by reading Jet.c, which it must not do, so the operations
-depend only on the catalog, the dtype and F's constants.  Recording
-fixes the tags, the dense-or-pairs path for the catalog's size, each
-slot's dtype and which outputs are plain numbers.  The kernels decide
-again at every replay what depends on the values: the affine path's
-fallback at non-finite values, the series constants of cos, exp and
-powers from the operand's constant term (on Python or numpy numbers),
-the complex product's constant term and the ZeroDivisionError of a
-power at a zero constant term.  No buffer is reused across replays, so
-a result never aliases a later one.
+each call to a Tape as (kernel, operand slots, constants).  The tape is
+then compiled, once, into one straight-line Python function, its
+replay: a line per entry, the same kernels in the same order on each new
+point's buffers, without F, Jet objects, numpy's object loop or an
+interpreter loop over the entries, so the coefficients are the live
+ones bit for bit (the operator-overloading tape of ADOL-C; Griewank and
+Walther, ch. 13).  The kernels and F's constants reach the function
+through its namespace, never through its source text.  A tape is valid
+because a Jet has no ordering, truth value or float conversion: F can
+branch on a value only by reading Jet.c, which it must not do, so the
+operations depend only on the catalog, the dtype and F's constants.
+Recording fixes the tags, the dense-or-pairs path for the catalog's
+size, each slot's dtype and which outputs are plain numbers, and the
+replay is written for them (Tape._compile): a float64 product on the
+dense path is its gather and dot inline, each slot's gather made once,
+and a series on an untagged jet calls its series constants and Horner
+in the slot's dtype.  The kernels decide again at every replay what depends on the
+values: the affine path's fallback at non-finite values, the series
+constants of cos, exp and powers from the operand's constant term (on
+Python or numpy numbers), the complex product's constant term and the
+ZeroDivisionError of a power at a zero constant term.  No buffer is
+reused across replays, so a result never aliases a later one.
 
 The engine of sysdef.JetOracle; not part of the public API.
 """
@@ -186,41 +192,42 @@ def _product_pairs(a: np.ndarray, b: np.ndarray, pairs: tuple) -> np.ndarray:
     return c
 
 
-def _horner(W: np.ndarray, series) -> np.ndarray:
-    """sum_m series[m] w^m for W, w's multiplication matrix: K matrix-vector
-    products in place of K jet products."""
+def _horner(W: np.ndarray, series, dtype: np.dtype, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_m series[m] w^m in dtype for W, w's multiplication matrix: K
+    matrix-vector products in place of K jet products.  The last product
+    is written into out, len(W) entries of dtype, when it is given."""
     K = len(series) - 1
-    out = np.zeros(len(W), dtype=_series_dtype(W.dtype, series))
-    out[0] = series[K]
+    x = np.zeros(len(W), dtype)
+    x[0] = series[K]
     dot = W.dot
     for m in range(K - 1, -1, -1):
-        out = dot(out)
-        out[0] += series[m]
-    return out
+        x = dot(x, None if m else out)
+        x[0] += series[m]
+    return x
 
 
-def _horner_dense(c: np.ndarray, series, product_index: np.ndarray) -> np.ndarray:
+def _horner_dense(c: np.ndarray, series, product_index: np.ndarray, dtype: np.dtype) -> np.ndarray:
     w = c.copy()
     w[0] = 0
-    return _horner(w[product_index], series)
+    return _horner(w[product_index], series, dtype)
 
 
-def _horner_pairs(c: np.ndarray, series, matrix_index: tuple) -> np.ndarray:
+def _horner_pairs(c: np.ndarray, series, matrix_index: tuple, dtype: np.dtype) -> np.ndarray:
     # S x S from the pairs alone: product_index would hold all (S + 1)^2
-    # entries; the result is padded once
+    # entries.  The last product lands in the padded result, with the same
+    # numbers as a copy of it (a pairs catalog has K >= 1, so there is one)
     n = c.size - 1
     I, flat = matrix_index
     W = np.zeros(n * n, dtype=c.dtype)
     W[flat] = c[I]
-    out = _horner(W.reshape(n, n), series)
-    padded = np.zeros(c.size, dtype=out.dtype)
-    padded[:n] = out
+    padded = np.zeros(c.size, dtype)
+    _horner(W.reshape(n, n), series, dtype, padded[:n])
     return padded
 
 
-def _compose_affine(c: np.ndarray, series, rows: np.ndarray) -> np.ndarray | None:
-    """The composition for c = constant + a x_q: series[m] a^m on rows[m], the
-    row of x_q^m.
+def _compose_affine(c: np.ndarray, series, rows: np.ndarray, dtype: np.dtype) -> np.ndarray | None:
+    """The composition for c = constant + a x_q, in dtype: series[m] a^m on
+    rows[m], the row of x_q^m.
 
     Each value is multiplied by a m times, innermost first, as Horner
     on W does, so the numbers are Horner's at real points.  None
@@ -237,8 +244,7 @@ def _compose_affine(c: np.ndarray, series, rows: np.ndarray) -> np.ndarray | Non
         values.append(v)
     if not cmath.isfinite(c.item(0) + sum(values)):
         return None
-    # Horner's dtype: W is gathered from c
-    out = np.zeros(c.size, dtype=_series_dtype(c.dtype, series))
+    out = np.zeros(c.size, dtype)
     out[rows] = values
     return out
 
@@ -248,11 +254,13 @@ def _analytic(c: np.ndarray, series_at, params: tuple, rows, horner, table):
     affine path if rows (the tagged variable's power rows) is given and it
     returns, else horner on table."""
     series = series_at(c[0], *params)
+    # Horner's dtype (W is gathered from c), and so the affine path's
+    dtype = _series_dtype(c.dtype, series)
     if rows is not None:
-        out = _compose_affine(c, series, rows)
+        out = _compose_affine(c, series, rows, dtype)
         if out is not None:
             return out
-    return horner(c, series, table)
+    return horner(c, series, table, dtype)
 
 
 def _given(a0, series) -> list:
@@ -437,21 +445,25 @@ class Tape:
     """F's operations on one catalog and dtype, recorded once and replayed after.
 
     entries holds (kernel, operand slots, constants) in the order F ran
-    them.  Slots 0..n_seeds - 1 are the seed jets, and entry i writes
-    slot n_seeds + i.  outputs are the slots F returned; a plain number
-    among them is a _constant entry.
+    them, and dtypes each slot's dtype.  Slots 0..n_seeds - 1 are the
+    seed jets, and entry i writes slot n_seeds + i.  outputs are the
+    slots F returned; a plain number among them is a _constant entry.
+    replay is the tape compiled into one function of the seeds (see
+    _compile), and source its text.
     """
 
-    __slots__ = ("catalog", "n_seeds", "entries", "outputs")
+    __slots__ = ("catalog", "n_seeds", "entries", "dtypes", "outputs", "replay", "source")
 
     def __init__(self, catalog: MultiIndexCatalog, n_seeds: int):
         self.catalog = catalog
         self.n_seeds = n_seeds
         self.entries: list = []
+        self.dtypes: list = []
 
     def jet(self, buf: np.ndarray, tag: int | None, slot: int) -> _TapedJet:
         jet = object.__new__(_TapedJet)
         jet.catalog, jet._c, jet.tag, jet.tape, jet.slot = self.catalog, buf, tag, self, slot
+        self.dtypes.append(buf.dtype)
         return jet
 
     def slot(self, x) -> int:
@@ -463,7 +475,7 @@ class Tape:
     def record(cls, F, catalog: MultiIndexCatalog, seeds: np.ndarray) -> tuple["Tape", np.ndarray]:
         """(tape, F's Taylor coefficients, S x outputs): F called once on the
         rows of seeds as jets, each tagged with its row q, as F(state, t)
-        with t the last row."""
+        with t the last row; the tape comes back compiled."""
         tape = cls(catalog, len(seeds))
         *u, t = (tape.jet(c, q, q) for q, c in enumerate(seeds))
         state = np.empty(len(u), dtype=object)
@@ -473,23 +485,58 @@ class Tape:
             for f in F(state, t)
         ]
         tape.outputs = [tape.slot(f) for f in outputs]
+        tape._compile()
         return tape, _coefficients([f._c for f in outputs])
 
-    def replay(self, seeds: np.ndarray) -> np.ndarray:
-        """F's Taylor coefficients at the point in seeds, each kernel called
-        again on this point's buffers."""
-        values = list(seeds)
-        for kernel, slots, args in self.entries:
-            # by operand count: a call on a built list of operands costs
-            # about twice as much
-            if len(slots) == 2:
-                out = kernel(values[slots[0]], values[slots[1]], *args)
-            elif slots:
-                out = kernel(values[slots[0]], *args)
+    def _compile(self) -> None:
+        """Set replay to the entries written out as one straight-line function.
+
+        replay(seeds) gives F's Taylor coefficients at the point in
+        seeds: each entry's kernel called again, in order, on this
+        point's buffers.  The source names only slots (v0, v1, ...),
+        gathered multiplication matrices (m0, ...) and namespace entries
+        (k1, k2, ...): every kernel, table and constant reaches the
+        function through its namespace, as dataclasses and namedtuple
+        build their methods, so nothing of F or of a point is formatted
+        into it.  What the recording fixed for every point is written
+        out.  A dense product into a float64 slot is _product_dense's
+        gather and dot, which skip the complex constant-term fix-up
+        there, and each slot's gather is made once for all its products.
+        A series on an untagged jet, which has no affine path to try,
+        calls its series constants and Horner directly, in the slot's
+        recorded dtype (_analytic's _series_dtype).  Every decision on
+        the values stays in the kernels.
+        """
+        namespace = {"_coefficients": _coefficients}
+
+        def name(value) -> str:
+            key = f"k{len(namespace)}"
+            namespace[key] = value
+            return key
+
+        slots = [f"v{i}" for i in range(self.n_seeds + len(self.entries))]
+        # a row each: indexing is cheaper than unpacking the array
+        lines = ["def replay(seeds):"] + [f"    {slots[q]} = seeds[{q}]" for q in range(self.n_seeds)]
+        gathered = set()
+        for i, (kernel, operands, args) in enumerate(self.entries, self.n_seeds):
+            x = [slots[j] for j in operands]
+            if kernel is _product_dense and self.dtypes[i] is _FLOAT:
+                a = operands[0]
+                if a not in gathered:
+                    gathered.add(a)
+                    lines.append(f"    m{a} = {x[0]}[{name(args[0])}]")
+                call = f"m{a}.dot({x[1]})"
+            elif kernel is _analytic and args[2] is None:
+                series_at, params, _, horner, table = args
+                series = f"{name(series_at)}({', '.join([f'{x[0]}[0]', *map(name, params)])})"
+                call = f"{name(horner)}({x[0]}, {series}, {name(table)}, {name(self.dtypes[i])})"
             else:
-                out = kernel(*args)
-            values.append(out)
-        return _coefficients([values[i] for i in self.outputs])
+                call = f"{name(kernel)}({', '.join(x + [name(arg) for arg in args])})"
+            lines.append(f"    {slots[i]} = {call}")
+        lines.append(f"    return _coefficients([{', '.join(slots[i] for i in self.outputs)}])")
+        self.source = "\n".join(lines) + "\n"
+        exec(self.source, namespace)
+        self.replay = namespace["replay"]
 
 
 def _coefficients(buffers: list) -> np.ndarray:

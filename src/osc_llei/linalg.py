@@ -223,10 +223,22 @@ def _as_vector(v, n: int) -> tuple[np.ndarray, float]:
         v = v.astype(np.promote_types(v.dtype, np.float64))
     # the sum of squares is finite exactly when every entry is, unless it
     # overflows; only then does the entrywise check run
-    sq = np.vdot(v, v).real
+    sq = squared_norm(v)
     if not (math.isfinite(sq) or np.isfinite(v).all()):
         raise ValueError("v contains non-finite entries")
     return v, sq
+
+
+def squared_norm(v: np.ndarray) -> float:
+    """||v||_2^2 of a float64 or complex128 vector: np.vdot(v, v).real.
+
+    A float64 vector's dot with itself is the same BLAS ddot, bit for
+    bit, without numpy 2's Python-level dispatcher for np.vdot (about
+    0.25 us a call).
+    """
+    if v.dtype is _WORKING_DTYPES[0]:
+        return v.dot(v)
+    return np.vdot(v, v).real
 
 
 def expm(M, v=None) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .extension import build_A0, build_A1
 from .mindex import MultiIndexCatalog, build_catalog
-from .sysdef import OscillatorySystem, augment, check_finite_positive
+from .sysdef import OscillatorySystem, as_working, augment, check_finite_positive
 
 BLOWUP_NORM = 1e12
 
@@ -78,9 +78,9 @@ def _uniform_grid(T: float, h: float) -> tuple[int, float, float | None]:
     return N, h_snap, h if abs(h_snap - h) > 1e-12 * h else None
 
 
-def check_blow_up(u, step_index: int | None, t: float) -> None:
+def check_blow_up(u: np.ndarray, step_index: int | None, t: float) -> None:
     """Raise BlowUpError when |u| is non-finite or exceeds BLOWUP_NORM."""
-    norm = math.sqrt(np.vdot(u, u).real)
+    norm = math.sqrt(linalg.squared_norm(u))
     if not math.isfinite(norm) or norm > BLOWUP_NORM:
         raise BlowUpError(step_index, t, norm)
 
@@ -98,7 +98,9 @@ class _StepKernel:
             raise ValueError("catalog dimension does not match the system")
         self.system = system
         self.catalog = catalog
-        self.A1 = system.working(augment(system.A) / system.epsilon)
+        # system.is_real, read once per run: the run's states take it too
+        self.real = system.is_real
+        self.A1 = as_working(augment(system.A) / system.epsilon, self.real)
         # e_1: the lifted expansion point, the vector a step exponentiates
         self.e1 = np.zeros(catalog.size)
         self.e1[0] = 1.0
@@ -137,10 +139,11 @@ def step(
     non-finite.
     """
     check_finite_positive("step size", h)
-    Un = system.working(Un)
+    kernel = _StepKernel(system, catalog)
+    Un = as_working(Un, kernel.real)
     if Un.shape != (system.d,):
         raise ValueError(f"state has shape {Un.shape}, expected ({system.d},)")
-    out = _StepKernel(system, catalog)(Un, tn, h)
+    out = kernel(Un, tn, h)
     check_blow_up(out, None, tn)
     return out.astype(complex)
 
@@ -159,7 +162,7 @@ def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     kernel = _StepKernel(system, build_catalog(system.d + 1, k))
     N, h_snap, h_requested = _uniform_grid(system.T, h)
     times = np.linspace(0.0, system.T, N + 1)
-    u0 = system.working(system.initial_state)
+    u0 = as_working(system.initial_state, kernel.real)
     states = np.empty((N + 1, system.d), dtype=u0.dtype)
     states[0] = u0
     # a state that blows up overflows inside the exponential; check_blow_up

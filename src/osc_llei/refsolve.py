@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .llei import Trajectory, _uniform_grid, check_blow_up
-from .sysdef import OscillatorySystem, check_finite_positive
+from .sysdef import OscillatorySystem, as_working, check_finite_positive
 
 
 # classical RK4 tableau: stage coupling a[i][j] and weights b
@@ -106,7 +106,8 @@ def rk4_integrate(
                 f"oscillation: need at most eps / (4 rho) = {h_max:.3e}"
             )
 
-    L = system.working(system.A / system.epsilon)
+    real = system.is_real
+    L = as_working(system.A / system.epsilon, real)
     d = system.d
     g_oracle, m, scale = system.oracle._forcing(d)
     g, rows = g_oracle.value, slice(0, m)
@@ -116,7 +117,7 @@ def rk4_integrate(
 
     # z = [u; g1; g2; g3; g4]: the state and the four stage values of g
     z = np.zeros(d + 4 * m, dtype=L.dtype)
-    z[:d] = system.working(system.initial_state)
+    z[:d] = as_working(system.initial_state, real)
     u = z[:d]
     y = u[rows]  # a view: follows u's in-place updates
     g1, g2, g3, g4 = (z[d + i * m : d + (i + 1) * m] for i in range(4))

@@ -54,13 +54,15 @@ def check_finite_positive(name: str, value) -> None:
 class DerivativeOracle:
     """Evaluator of the Taylor coefficients of F(u, t) at a point.
 
-    Subclasses implement _taylor(catalog, u, t), the one override point:
-    row i holds d^beta F(u, t) / gamma(beta) for the i-th representative
-    beta of catalog, a multi-index with components in [1, d+1] where
-    component d+1 differentiates in t.  partial and value read their
-    numbers out of it; value may be overridden by a direct formula.
-    An oracle that wraps a smaller forcing also overrides _forcing, which
-    the scheme, the RK4 reference and the system's own check all read.
+    Subclasses implement _taylor(catalog, u, t), the one override point
+    (JetOracle alone also replaces taylor, by a one-pass front with the
+    same dtype rule and check): row i holds d^beta F(u, t) / gamma(beta)
+    for the i-th representative beta of catalog, a multi-index with
+    components in [1, d+1] where component d+1 differentiates in t.
+    partial and value read their numbers out of it; value may be
+    overridden by a direct formula.  An oracle that wraps a smaller
+    forcing also overrides _forcing, which the scheme, the RK4 reference
+    and the system's own check all read.
     """
 
     real_valued: bool = False
@@ -137,16 +139,20 @@ class JetOracle(DerivativeOracle):
     an output that does not depend on (u, t) may be a plain number.
 
     The first taylor call for a catalog and working dtype (float64 or
-    complex128) calls F and records its operations on a tape; every
-    later call replays the tape without calling F.  So F must not read a
-    jet's coefficients or branch on a value (a jet has no ordering and
-    no truth value), and must not depend on state that changes between
-    calls; assigning a new F discards the tapes.  Replay still makes the
-    choices that depend on the point's values: the affine path's
+    complex128) calls F, records its operations on a tape and compiles
+    the tape into one straight-line function; every later call runs that
+    function without calling F.  So F must not read a jet's coefficients
+    or branch on a value (a jet has no ordering and no truth value), and
+    must not depend on state that changes between calls; assigning a new
+    F discards the tapes and their compiled replays.  Replay still makes
+    the choices that depend on the point's values: the affine path's
     fallback to Horner at a non-finite value, power's series on Python
     or numpy numbers, the complex product's constant term, the series
     constants of cos, exp and ** and the ZeroDivisionError of a power
     or division at a zero constant term.
+
+    taylor works out the working dtype once and applies _real_at's rule
+    on it, with no second pass over u and t.
     """
 
     def __init__(self, F: Callable, real_valued: bool = False):
@@ -163,7 +169,20 @@ class JetOracle(DerivativeOracle):
         # (d + 1, k, dtype) -> the Tape of F on that catalog and dtype
         self._tapes: dict = {}
 
+    def taylor(self, catalog, u, t):
+        out = self._taylor(catalog, u, t)
+        # every output has the catalog's S rows: only the count can be wrong
+        if out.shape[1:] != (catalog.d_plus_1 - 1,):
+            raise ValueError(
+                f"oracle returned shape {out.shape}, expected ({catalog.size}, {catalog.d_plus_1 - 1})"
+            )
+        return out
+
     def _taylor(self, catalog, u, t):
+        """taylor without its shape check, in one pass: the working dtype,
+        the seeds, the tape's replay (or its recording) and _real_at's
+        dtype rule on that dtype."""
+        u = np.asarray(u)
         # np.result_type(u, t, float) read off dtype tests, as extension's
         # _check_point does; numpy's call (about 1 us) for any other dtype
         if (u.dtype is _FLOAT or u.dtype is _COMPLEX) and isinstance(t, (float, complex)):
@@ -178,10 +197,16 @@ class JetOracle(DerivativeOracle):
         key = (catalog.d_plus_1, catalog.k, dtype)
         tape = self._tapes.get(key)
         if tape is not None:
-            return tape.replay(seeds)
-        # stored only once recorded: a pass that raises leaves no tape
-        tape, out = Tape.record(self._F, catalog, seeds)
-        self._tapes[key] = tape
+            out = tape.replay(seeds)
+        else:
+            # stored only once recorded: a pass that raises leaves no tape
+            tape, out = Tape.record(self._F, catalog, seeds)
+            self._tapes[key] = tape
+        # the point is complex exactly when its working dtype is
+        if dtype.kind == "c":
+            return out.astype(complex, copy=False)
+        if out.dtype.kind == "c" and self.real_valued:
+            return out.real
         return out
 
     def value(self, u, t):
@@ -296,14 +321,8 @@ class OscillatorySystem:
         return not (self.A.imag.any() or self.u_in.imag.any()) and self.oracle.real_valued
 
     def working(self, x) -> np.ndarray:
-        """x as float64 when the problem (is_real) and x are real, else as complex128.
-
-        The one place the scheme and the RK4 reference choose their arithmetic.
-        """
-        x = np.asarray(x, dtype=complex)
-        if self.is_real and not x.imag.any():
-            return x.real.copy()
-        return x
+        """x as float64 when the problem (is_real) and x are real, else as complex128."""
+        return as_working(x, self.is_real)
 
     def F(self, u, t) -> np.ndarray:
         return np.asarray(self.oracle.value(u, t))
@@ -318,6 +337,20 @@ class OscillatorySystem:
         if isinstance(oracle, _TransformedOracle) and oracle.eps_scaled:
             oracle = _TransformedOracle(oracle.g_oracle, oracle.dy, epsilon, eps_scaled=True)
         return replace(self, epsilon=epsilon, oracle=oracle)
+
+
+def as_working(x, real: bool) -> np.ndarray:
+    """x as float64 when real (a system's is_real) holds and x is real, else
+    as complex128.
+
+    The one place the scheme and the RK4 reference choose their
+    arithmetic.  A run reads is_real once (about 2.5 us: two arrays'
+    imaginary parts) and passes it to each call.
+    """
+    x = np.asarray(x, dtype=complex)
+    if real and not x.imag.any():
+        return x.real.copy()
+    return x
 
 
 def augment(A) -> np.ndarray:

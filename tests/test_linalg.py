@@ -266,3 +266,22 @@ def test_shape_and_finiteness_validation() -> None:
                     expm(M, v)
             with pytest.raises(ValueError, match="^M contains non-finite entries$"):
                 eigvals(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=126),
+    log_scale=st.integers(min_value=-150, max_value=150),
+    real=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_squared_norm_is_vdot_bit_for_bit(n, log_scale, real, seed) -> None:
+    # the real path's dot of v with itself is np.vdot's sum, bit for bit,
+    # at sizes up to D = 126 and magnitudes that overflow or underflow
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0**log_scale
+    if not real:
+        v = v + 1j * rng.standard_normal(n) * 10.0**log_scale
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = linalg.squared_norm(v), np.vdot(v, v).real
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,4 +1,5 @@
-"""JetOracle's tape: F recorded once per catalog and dtype, replayed after.
+"""JetOracle's tape: F recorded once per catalog and dtype, compiled into a
+straight-line replay and replayed after.
 
 live_taylor is the reference: F run on plain seed jets, the evaluation
 JetOracle made on every call before it recorded F.  A replay must give
@@ -24,12 +25,13 @@ from osc_llei._jets import (
     _horner_pairs,
     _product_dense,
     _product_pairs,
+    _series_dtype,
 )
 from osc_llei.mindex import _catalog
 from osc_llei.sysdef import _charged_particle_force
 
 NUMBER = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
-POWERS = (-1.5, -1, 0.5, 2.5, 0, 1, 2, 3)
+POWERS = (-1.5, -1, 0.5, 2.5, 0, 1, 2, 3, 0.5 + 0.5j)
 
 
 def seeds(catalog, u, t) -> np.ndarray:
@@ -73,12 +75,19 @@ def assert_same(got, want) -> None:
 
 
 def check_against_live(oracle, catalog, points) -> list:
-    """Each point's taylor against live_taylor, in order, on one oracle; the
-    results, which later calls must leave as they were."""
+    """Each point's taylor (without its shape check: F may return any
+    number of outputs) against live_taylor under taylor's dtype rule, in
+    order, on one oracle, and the point's compiled replay, once a tape is
+    recorded, against live_taylor itself; the results, which later calls
+    must leave as they were."""
     results = []
     for u, t in points:
         got = outcome(oracle._taylor, catalog, u, t)
-        assert_same(got, outcome(live_taylor, oracle.F, catalog, u, t))
+        live = outcome(live_taylor, oracle.F, catalog, u, t)
+        assert_same(got, live if isinstance(live, type) else oracle._real_at(live, u, t))
+        tape = oracle._tapes.get((catalog.d_plus_1, catalog.k, np.result_type(u, t, float)))
+        if tape is not None:
+            assert_same(outcome(tape.replay, seeds(catalog, u, t)), live)
         results.append((got, got if isinstance(got, type) else got.copy()))
     for got, kept in results:
         assert_same(got, kept)
@@ -138,11 +147,13 @@ def point(draw, d: int):
 def test_replay_matches_live_jets(data) -> None:
     # three calls on one oracle: each result equals F on plain jets at its
     # point bit for bit (or raises the same error), whether the call
-    # recorded (a new catalog and dtype) or replayed, and no result changes
-    # after a later call.  F's outputs may be plain numbers, its constants
-    # complex; points are real or complex in u or t
+    # recorded (a new catalog and dtype) or replayed, and so does the
+    # compiled replay of the tape; no result changes after a later call.
+    # F's outputs may be plain numbers, its constants complex; points are
+    # real or complex in u or t
     d = data.draw(st.integers(min_value=1, max_value=2))
-    k = data.draw(st.integers(min_value=0, max_value=3))
+    # k = 5 at d = 2 is 56 rows, the pairs path; every other draw is dense
+    k = data.draw(st.integers(min_value=0, max_value=3) | st.just(5))
     exprs = data.draw(st.lists(expressions, min_size=d, max_size=d))
     catalog = _catalog(d + 1, k)
 
@@ -256,3 +267,88 @@ def test_step_replays_the_recorded_tape() -> None:
     assert len(tapes) == 1
     assert np.array_equal(integrate(system, 3, 1 / 1024).states, first)
     assert g._tapes == tapes
+
+
+def test_compiled_replay_decides_from_values() -> None:
+    # recorded at a regular point, the compiled tape still raises at a zero
+    # constant term, and at exp(1e300 t) with t > 0 the series overflows and
+    # the affine path falls back to Horner, whose 0 * inf rows are NaN
+    oracle = JetOracle(lambda u, t: [(u[0] - 1.0) ** -1.5 + np.exp(1e300 * t)])
+    catalog = _catalog(2, 3)
+    check_against_live(oracle, catalog, [(np.array([2.0]), -1.0)])
+    (tape,) = oracle._tapes.values()
+    with pytest.raises(ZeroDivisionError):
+        tape.replay(seeds(catalog, np.array([1.0]), -1.0))
+    with np.errstate(all="ignore"):
+        fallback = tape.replay(seeds(catalog, np.array([2.0]), 1.0))
+    assert np.isnan(fallback).any()
+    check_against_live(oracle, catalog, [(np.array([1.0]), -1.0), (np.array([2.0]), 1.0)])
+    assert oracle._tapes == {(2, 3, np.dtype(float)): tape}
+
+
+def test_replay_source_holds_no_constant_of_F() -> None:
+    # F's constants reach the replay through its namespace: neither the
+    # source nor the compiled code holds them
+    def F(u, t):
+        return [0.123456789 * np.cos(u[0] * 0.987654321) + t ** 2.5, 0.123456789]
+
+    oracle = JetOracle(F)
+    for k in (3, 5):  # dense and pairs products at d = 2
+        for u in (np.array([0.3, 0.4]), np.array([0.3, 0.4j])):
+            check_against_live(oracle, _catalog(3, k), [(u, 0.5)])
+    assert len(oracle._tapes) == 4
+    for tape in oracle._tapes.values():
+        for text in ("0.123456789", "0.987654321", "123456789", "2.5"):
+            assert text not in tape.source
+        consts = tape.replay.__code__.co_consts
+        assert not {0.123456789, 0.987654321, 2.5, np.pi}.intersection(consts)
+
+
+def test_assigning_F_drops_every_compiled_replay() -> None:
+    oracle = JetOracle(lambda u, t: [u[0] * t])
+    catalog = _catalog(2, 2)
+    points = [(np.array([0.5]), 0.25), (np.array([0.5j]), 0.25)]
+    check_against_live(oracle, catalog, points)
+    old = [tape.replay for tape in oracle._tapes.values()]
+    assert len(old) == 2
+    oracle.F = lambda u, t: [np.cos(u[0]) - t]
+    assert oracle._tapes == {}
+    check_against_live(oracle, catalog, points)
+    assert not {tape.replay for tape in oracle._tapes.values()}.intersection(old)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_horner_pairs_writes_the_copied_result(k) -> None:
+    # the last Horner product written into the padded buffer equals a
+    # fresh product copied into one, bit for bit, at real and complex
+    # jets and series, with NaN and inf entries too
+    catalog = _catalog(3, k)
+    assert catalog.size > _DENSE_PRODUCT_MAX_ROWS
+    n = catalog.size
+    rng = np.random.default_rng(k)
+    for trial in range(40):
+        c = np.append(rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5), 0.0)
+        series = list(rng.standard_normal(k + 1))
+        if trial % 2:
+            c = c + 1j * np.append(rng.standard_normal(n), 0.0)
+        if trial % 3 == 0:
+            series[1] = complex(series[1], 0.5)
+        if trial % 5 == 0:
+            c[rng.integers(1, n)] = (np.inf, np.nan)[trial % 2]
+        dtype = _series_dtype(c.dtype, series)
+        # the copying Horner the pairs path ran before: every product fresh
+        I, flat = catalog.matrix_index
+        W = np.zeros(n * n, dtype=c.dtype)
+        W[flat] = c[I]
+        W = W.reshape(n, n)
+        x = np.zeros(n, dtype)
+        x[0] = series[k]
+        with np.errstate(all="ignore"):
+            for m in range(k - 1, -1, -1):
+                x = W.dot(x)
+                x[0] += series[m]
+            want = np.zeros(n + 1, dtype)
+            want[:n] = x
+            got = _horner_pairs(c, series, catalog.matrix_index, dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
