@@ -100,10 +100,8 @@ import numbers
 
 import numpy as np
 
-from .linalg import scatter_add
+from .linalg import _COMPLEX, _FLOAT, scatter_add
 from .mindex import MultiIndexCatalog
-
-_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 # the largest catalog, in rows S, whose jet products take the dense
 # product_index gather; larger ones take the pairs' gather and

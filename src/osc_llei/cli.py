@@ -132,7 +132,7 @@ def _cmd_reference(args) -> int:
 
 
 def _dyadic_h_grid(T: float, hmax: float, hmin: float, points: int) -> list[float]:
-    """Log-spaced h grid snapped to nested step counts n0 * 2^j.
+    """Log-spaced h grid snapped to nested step counts n0 * 2^j, largest h first.
 
     Nesting keeps the shared reference grid (built on the lcm of the
     step counts) no finer than the finest requested grid.
@@ -190,7 +190,6 @@ def _ci_exit(report: ErrorReport, expectations: dict[str, tuple[float, float]]) 
 def _cmd_converge_h(args) -> int:
     system = load_config_file(args.config)
     h_values = _dyadic_h_grid(system.T, args.hmax, args.hmin, args.points)
-    h_values = sorted(h_values, reverse=True)
     report = sweep_h(system, args.k, h_values)
     with _out_stream(args.out) as fh:
         _write_report(report, fh)

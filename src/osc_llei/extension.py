@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jets import _COMPLEX, _FLOAT
-from .linalg import scatter_add
+from .linalg import _COMPLEX, _FLOAT, scatter_add
 from .mindex import MultiIndexCatalog, build_catalog
 from .sysdef import DerivativeOracle, _momentum_slots
 

@@ -175,8 +175,9 @@ def _taylor_action(M: np.ndarray, v: np.ndarray, m: int, sq: float) -> np.ndarra
     return coefficients.dot(P)
 
 
-# the dtypes the kernels compute in: float64 for real input, complex128 otherwise
-_WORKING_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+# the dtypes the kernels compute in, float64 for real input and complex128
+# otherwise; the one definition, read by the jets, the lift and the oracles
+_FLOAT, _COMPLEX = _WORKING_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,7 +237,7 @@ def squared_norm(v: np.ndarray) -> float:
     bit, without numpy 2's Python-level dispatcher for np.vdot (about
     0.25 us a call).
     """
-    if v.dtype is _WORKING_DTYPES[0]:
+    if v.dtype is _FLOAT:
         return v.dot(v)
     return np.vdot(v, v).real
 

@@ -151,7 +151,7 @@ def step(
 def integrate(system: OscillatorySystem, k: int, h: float) -> Trajectory:
     """Run N = round(T/h) uniform steps over [0, T].
 
-    Steps in system.working's dtype (float64 for a real problem); the
+    Steps in as_working's dtype (float64 for a real problem); the
     returned states are complex128 either way.
 
     h is snapped so the uniform grid covers [0, T] exactly; the snap is

@@ -93,7 +93,7 @@ class MultiIndexCatalog:
     gammas: tuple[int, ...]
     _pos: dict[MultiIndex, int] = field(repr=False)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return len(self.representatives)
 

@@ -11,8 +11,9 @@ for every multi-index beta over the d+1 variables (u_1, ..., u_d, t) up
 to a degree k, in the order of a multi-index catalog.  JetOracle
 derives them from F(u, t) written as a plain function; PolynomialOracle
 is a JetOracle on its monomials, and the charged particle's force is
-one too.  The pendulum forcing alone uses a closed form.  An oracle's
-_forcing(d) is the one statement of F's structure, F = [0; scale *
+one too.  The pendulum forcing alone uses a closed form.  Each supplies
+_taylor; DerivativeOracle.taylor is every oracle's one front, with one
+dtype rule.  An oracle's _forcing(d) is the one statement of F's structure, F = [0; scale *
 g(u[:m], t)]: extension.build_A0 reads A0k from g's own Taylor
 coefficients over (u[:m], t), one g.taylor call per step, and the RK4
 reference calls only g's value, so for a second-order system neither
@@ -33,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from ._jets import _COMPLEX, _FLOAT, Tape
+from ._jets import Tape
+from .linalg import _COMPLEX, _FLOAT
 from .mindex import MultiIndexCatalog, _catalog, gamma, representative
 
 
@@ -51,16 +53,36 @@ def check_finite_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
+def _at_working(u, t) -> tuple[np.ndarray, np.dtype]:
+    """(u as an array in dtype, dtype), dtype = np.result_type(u, t, float),
+    the working dtype of the point (u, t).
+
+    Read off dtype tests for a float64 u at a float t or a complex128 u at
+    a float or complex t, as every scheme step and RK4 stage passes;
+    numpy's call (about 1 us) for any other input.
+    """
+    u = np.asarray(u)
+    dtype = u.dtype
+    if dtype is _FLOAT and isinstance(t, float) or (
+        dtype is _COMPLEX and isinstance(t, (float, complex))
+    ):
+        return u, dtype
+    dtype = np.result_type(u, t, float)
+    return u.astype(dtype), dtype
+
+
 class DerivativeOracle:
     """Evaluator of the Taylor coefficients of F(u, t) at a point.
 
-    Subclasses implement _taylor(catalog, u, t), the one override point
-    (JetOracle alone also replaces taylor, by a one-pass front with the
-    same dtype rule and check): row i holds d^beta F(u, t) / gamma(beta)
-    for the i-th representative beta of catalog, a multi-index with
-    components in [1, d+1] where component d+1 differentiates in t.
-    partial and value read their numbers out of it; value may be
-    overridden by a direct formula.  An oracle that wraps a smaller
+    Subclasses implement _taylor(catalog, u, t), the one override point:
+    row i holds d^beta F(u, t) / gamma(beta) for the i-th representative
+    beta of catalog, a multi-index with components in [1, d+1] where
+    component d+1 differentiates in t.  taylor, the one front of every
+    oracle, passes u already in the point's working dtype
+    np.result_type(u, t, float) (t as given), applies the dtype rule
+    (_in_working) to the result and checks its shape.  partial and value
+    read their numbers out of taylor; value may be overridden by a
+    direct formula that keeps the rule.  An oracle that wraps a smaller
     forcing also overrides _forcing, which the scheme, the RK4 reference
     and the system's own check all read.
     """
@@ -83,12 +105,14 @@ class DerivativeOracle:
         """Taylor coefficients d^beta F(u, t) / gamma(beta) for |beta| <= k.
 
         Row i belongs to catalog.representatives[i]; the result has shape
-        (catalog.size, d).  The dtype follows the data: float64 at real
-        points (u, t) of a real-valued oracle, complex128 at complex points
-        or where F itself is complex.
+        (catalog.size, d), in the working dtype of (u, t) (_in_working):
+        complex128 at a complex point, float64 at a real one unless F itself
+        is complex there and the oracle is not real_valued.
         """
-        u = np.asarray(u)
-        out = self._real_at(np.asarray(self._taylor(catalog, u, t)), u, t)
+        u, dtype = _at_working(u, t)
+        out = self._taylor(catalog, u, t)
+        if not isinstance(out, np.ndarray) or out.dtype is not dtype:
+            out = self._in_working(np.asarray(out), dtype)
         d = catalog.d_plus_1 - 1
         if out.shape != (catalog.size, d):
             raise ValueError(
@@ -103,20 +127,16 @@ class DerivativeOracle:
         """F(u, t), with taylor's dtype rule; overridden where a direct formula is cheaper."""
         return self.partial((), u, t)
 
-    def _real_at(self, out: np.ndarray, u: np.ndarray, t) -> np.ndarray:
-        """The dtype rule of taylor and value.
-
-        complex128 at a complex point (u or t complex), float64 for a
-        real-valued F at a real point, else out's own dtype.
-        """
-        # a float t (np.float64 included) skips iscomplexobj's asarray
-        if u.dtype.kind == "c" or isinstance(t, complex) or (
-            not isinstance(t, float) and np.iscomplexobj(t)
-        ):
-            return out.astype(complex, copy=False)
-        if out.dtype.kind == "c" and self.real_valued:
-            return out.real
-        return out
+    def _in_working(self, out: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The dtype rule of taylor and value: out in its point's working
+        dtype, complex128 at a complex point and float64 at a real one,
+        except that a complex out (F itself complex) at a real point stays
+        complex128, or gives its real part for a real-valued oracle."""
+        if out.dtype.kind == "c" and dtype.kind != "c":
+            if not self.real_valued:
+                return out.astype(complex, copy=False)
+            out = out.real
+        return out.astype(dtype, copy=False)
 
     def _forcing(self, d: int) -> tuple[DerivativeOracle, int, float]:
         """(g, m, scale): F(u, t) = [0; scale * g(u[:m], t)] on d states,
@@ -144,15 +164,13 @@ class JetOracle(DerivativeOracle):
     function without calling F.  So F must not read a jet's coefficients
     or branch on a value (a jet has no ordering and no truth value), and
     must not depend on state that changes between calls; assigning a new
-    F discards the tapes and their compiled replays.  Replay still makes
+    F discards the tapes and their compiled replays.  value and taylor
+    both call F on u in the point's working dtype.  Replay still makes
     the choices that depend on the point's values: the affine path's
     fallback to Horner at a non-finite value, power's series on Python
     or numpy numbers, the complex product's constant term, the series
     constants of cos, exp and ** and the ZeroDivisionError of a power
     or division at a zero constant term.
-
-    taylor works out the working dtype once and applies _real_at's rule
-    on it, with no second pass over u and t.
     """
 
     def __init__(self, F: Callable, real_valued: bool = False):
@@ -169,26 +187,8 @@ class JetOracle(DerivativeOracle):
         # (d + 1, k, dtype) -> the Tape of F on that catalog and dtype
         self._tapes: dict = {}
 
-    def taylor(self, catalog, u, t):
-        out = self._taylor(catalog, u, t)
-        # every output has the catalog's S rows: only the count can be wrong
-        if out.shape[1:] != (catalog.d_plus_1 - 1,):
-            raise ValueError(
-                f"oracle returned shape {out.shape}, expected ({catalog.size}, {catalog.d_plus_1 - 1})"
-            )
-        return out
-
     def _taylor(self, catalog, u, t):
-        """taylor without its shape check, in one pass: the working dtype,
-        the seeds, the tape's replay (or its recording) and _real_at's
-        dtype rule on that dtype."""
-        u = np.asarray(u)
-        # np.result_type(u, t, float) read off dtype tests, as extension's
-        # _check_point does; numpy's call (about 1 us) for any other dtype
-        if (u.dtype is _FLOAT or u.dtype is _COMPLEX) and isinstance(t, (float, complex)):
-            dtype = _COMPLEX if u.dtype is _COMPLEX or isinstance(t, complex) else _FLOAT
-        else:
-            dtype = np.result_type(u, t, float)
+        dtype = u.dtype
         # variable q is x_q plus one unit coefficient on its degree-1 row q+1;
         # each row of seeds is a jet's padded buffer
         seeds = catalog.seeds.astype(dtype)
@@ -197,21 +197,16 @@ class JetOracle(DerivativeOracle):
         key = (catalog.d_plus_1, catalog.k, dtype)
         tape = self._tapes.get(key)
         if tape is not None:
-            out = tape.replay(seeds)
-        else:
-            # stored only once recorded: a pass that raises leaves no tape
-            tape, out = Tape.record(self._F, catalog, seeds)
-            self._tapes[key] = tape
-        # the point is complex exactly when its working dtype is
-        if dtype.kind == "c":
-            return out.astype(complex, copy=False)
-        if out.dtype.kind == "c" and self.real_valued:
-            return out.real
+            return tape.replay(seeds)
+        # stored only once recorded: a pass that raises leaves no tape
+        tape, out = Tape.record(self._F, catalog, seeds)
+        self._tapes[key] = tape
         return out
 
     def value(self, u, t):
-        u = np.asarray(u)
-        return self._real_at(np.asarray(self._F(u, t)), u, t)
+        u, dtype = _at_working(u, t)
+        out = np.asarray(self._F(u, t))
+        return out if out.dtype is dtype else self._in_working(out, dtype)
 
 
 class PolynomialOracle(JetOracle):
@@ -221,12 +216,14 @@ class PolynomialOracle(JetOracle):
     component), alpha a multi-index over [1, d+1] naming the monomial
     x^alpha in the variables x = (u_1, ..., u_d, t), and coeff complex.
     An empty term list is the zero nonlinearity.  Real-valued when every
-    coefficient is real.
+    coefficient is real.  terms is the tuple of (0-based row, exponents
+    of x, coeff) that F sums, fixed at construction, so a recorded tape
+    and value always read the same terms.
     """
 
     def __init__(self, d: int, terms):
         self.d = d
-        self.terms: list[tuple[int, tuple[int, ...], complex]] = []
+        parsed = []
         for row, alpha, coeff in terms:
             if not 1 <= row <= d:
                 raise ValueError(f"term row {row} outside 1..{d}")
@@ -238,22 +235,23 @@ class PolynomialOracle(JetOracle):
             coeff = complex(coeff)
             if not cmath.isfinite(coeff):
                 raise ValueError(f"term coeff must be finite, got {coeff}")
-            self.terms.append((row - 1, tuple(exps), coeff))
-        real_valued = all(c.imag == 0 for _, _, c in self.terms)
-        if real_valued:
-            self.terms = [(row, exps, c.real) for row, exps, c in self.terms]
-        super().__init__(self._sum_monomials, real_valued)
+            parsed.append((row - 1, tuple(exps), coeff))
+        real_valued = all(c.imag == 0 for _, _, c in parsed)
+        self.terms = tuple((row, exps, c.real if real_valued else c) for row, exps, c in parsed)
+        super().__init__(functools.partial(_sum_monomials, self.terms, d), real_valued)
 
-    def _sum_monomials(self, u, t):
-        x = list(u) + [t]
-        out = [0.0] * self.d
-        for row, exps, coeff in self.terms:
-            term = coeff
-            for xq, e in zip(x, exps):
-                if e:
-                    term = term * xq**e
-            out[row] = out[row] + term
-        return out
+
+def _sum_monomials(terms, d: int, u, t) -> list:
+    """F(u, t) of a PolynomialOracle: its terms summed into d components."""
+    x = list(u) + [t]
+    out = [0.0] * d
+    for row, exps, coeff in terms:
+        term = coeff
+        for xq, e in zip(x, exps):
+            if e:
+                term = term * xq**e
+        out[row] = out[row] + term
+    return out
 
 
 @dataclass
@@ -508,6 +506,8 @@ class _PendulumForcingOracle(DerivativeOracle):
         y = u[0]
         if isinstance(y, float) and isinstance(t, (float, int)):
             return np.array([-(t + math.cos(_OMEGA1 * t)) * math.sin(y)])
+        # y in the working dtype keeps taylor's dtype rule
+        y = _at_working(u, t)[0][0]
         return np.array([-(t + np.cos(_OMEGA1 * t)) * np.sin(y)])
 
 

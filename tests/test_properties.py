@@ -47,6 +47,7 @@ from osc_llei import (
     build_catalog,
     build_S,
     builtin,
+    fit_order,
     gamma,
     lift,
     load_config,
@@ -345,6 +346,64 @@ def test_plan_builders_match_loop_builders(setup) -> None:
     cat = build_catalog(d + 1, k)
     assert_close(build_A1(cat, A1, xhat), loop_A1(cat, A1, xhat), PLAN_RTOL)
     assert_close(build_A0(cat, oracle, xhat), loop_A0(cat, oracle, xhat), PLAN_RTOL)
+
+
+def lift_residuals(cat, A1, eps, oracle, x, xhat) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, M lift(x, xhat) less d/dt y^alpha, with M = A1k / eps +
+    A0k at xhat and y = x - xhat, and each row's scale: the sum of the
+    moduli of the terms on both sides.
+
+    d/dt y^alpha = sum over l of f_{alpha_l}(x) prod_{j != l} y_{alpha_j},
+    from the field f = A1 x / eps + [F; 1] itself: no plan table, catalog
+    table or Taylor coefficient enters it.
+    """
+    d = cat.d_plus_1 - 1
+    M = build_A1(cat, A1, xhat) / eps + build_A0(cat, oracle, xhat)
+    lifted = lift(cat, x, xhat)
+    f = A1 @ x / eps + np.append(oracle.value(x[:d], x[d]), 1.0)
+    y = x - xhat
+    terms = [[f[a - 1] * np.prod([y[b - 1] for b in alpha[:l] + alpha[l + 1:]])
+              for l, a in enumerate(alpha)] for alpha in cat.representatives]
+    want = np.array([sum(row, 0j) for row in terms])
+    scale = np.abs(M) @ np.abs(lifted) + np.array([sum(map(abs, row)) for row in terms])
+    return M @ lifted - want, scale
+
+
+@PROPERTY
+@given(poly_setups(), st.sampled_from([1.0, 0.25, 1 / 64]), st.booleans())
+def test_lift_is_exact_where_the_truncation_drops_nothing(setup, eps, real) -> None:
+    # the lifted system's equivalence with the problem: for F a polynomial
+    # of degree p, row alpha of M lift keeps f's Taylor terms up to degree
+    # k + 1 - |alpha|, so every row with |alpha| <= k + 1 - p is d/dt y^alpha
+    # to round-off (the linear part, degree 1, is exact in every row)
+    d, k, A1, oracle, xhat, x = setup
+    if real:
+        xhat, x = xhat.real, x.real
+    p = max((sum(exps) for _, exps, _ in oracle.terms), default=0)
+    cat = build_catalog(d + 1, k)
+    residual, scale = lift_residuals(cat, A1, eps, oracle, x, xhat)
+    exact = [len(alpha) <= k + 1 - p for alpha in cat.representatives]
+    assert np.all(np.abs(residual[exact]) <= 1e-13 * scale[exact])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lift_residual_falls_as_the_order(k) -> None:
+    # an analytic F: every row of degree >= 1 misses d/dt y^alpha by
+    # O(|x - xhat|^(k+1)), the truncation order, fitted per degree over
+    # radii kept above round-off
+    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    oracle = JetOracle(lambda u, t: [np.sin(u[0]) * np.exp(0.5 * t), np.cos(u[1] + t) * u[0]])
+    xhat = np.array([0.3, -0.2, 0.1])
+    direction = np.array([0.6, -0.48, 0.64])
+    radii = np.geomspace(0.4, 0.1, 4)
+    cat = build_catalog(3, k)
+    degrees = np.array([len(alpha) for alpha in cat.representatives])
+    residuals = []
+    for r in radii:
+        residual, _ = lift_residuals(cat, augment(A), 0.5, oracle, xhat + r * direction, xhat)
+        residuals.append([np.abs(residual[degrees == j]).max() for j in range(1, k + 1)])
+    for j, per_radius in enumerate(np.array(residuals).T, start=1):
+        assert abs(fit_order(radii, per_radius) - (k + 1)) <= 0.3, (k, j, per_radius)
 
 
 @PROPERTY

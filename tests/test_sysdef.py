@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 
@@ -25,6 +27,7 @@ from osc_llei import (
     rk4_integrate,
     second_order_to_first_order,
 )
+from osc_llei.sysdef import _charged_particle_force, _PendulumForcingOracle
 
 _EPS = float(np.finfo(float).eps)
 
@@ -437,3 +440,66 @@ def test_jet_oracle_non_finite_coefficients_follow_numpy(F) -> None:
                                nu=0.0, u_in=np.array([0.5, 0.25]), T=0.1, oracle=oracle)
     with pytest.raises(ValueError, match="M contains non-finite entries"):
         integrate(system, 2, 0.05)
+
+
+# (oracle factory on real_valued, d, whether F itself is complex)
+DTYPE_ORACLES = {
+    "jet": (lambda rv: JetOracle(lambda u, t: [u[0] * t + np.cos(u[1]), u[1]], rv), 2, False),
+    "jet-complex-constant": (lambda rv: JetOracle(lambda u, t: [u[0] * t + 0.5j, u[1]], rv),
+                             2, True),
+    "taylor-only": (lambda rv: ExpInTime(), 2, False),
+    "pendulum": (lambda rv: _PendulumForcingOracle(), 1, False),
+    "charged-particle": (lambda rv: JetOracle(_charged_particle_force, rv), 2, False),
+}
+DTYPE_STATES = {
+    "int-list": lambda d: [1] * d,
+    "int64": lambda d: np.arange(1, d + 1),
+    "float32": lambda d: np.full(d, 0.5, np.float32),
+    "float64": lambda d: np.full(d, 0.5),
+    "complex64": lambda d: np.full(d, 0.5 + 0.25j, np.complex64),
+    "complex128": lambda d: np.full(d, 0.5 + 0.25j),
+}
+DTYPE_TIMES = [1, 0.25, np.float32(0.25), np.float64(0.25), 0.25 + 0.5j,
+               np.complex128(0.25 + 0.5j), np.array(0.25), np.array(0.25 + 0.5j)]
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+@pytest.mark.parametrize("name", sorted(DTYPE_ORACLES))
+def test_dtype_rule_table(name, real_valued) -> None:
+    # taylor and value at every state and time type: complex128 at a complex
+    # point, float64 at a real one unless F itself is complex and the oracle
+    # not real-valued; _taylor sees u in np.result_type(u, t, float)
+    factory, d, complex_F = DTYPE_ORACLES[name]
+    oracle = factory(real_valued)
+    oracle.real_valued = real_valued
+    catalog = build_catalog(d + 1, 2)
+    seen = []
+    _taylor = oracle._taylor
+
+    def spy(catalog, u, t):
+        seen.append(u.dtype)
+        return _taylor(catalog, u, t)
+
+    oracle._taylor = spy
+    for (state, u_of), t in itertools.product(DTYPE_STATES.items(), DTYPE_TIMES):
+        u = u_of(d)
+        working = np.result_type(np.asarray(u), t, float)
+        want = np.complex128 if working.kind == "c" or (complex_F and not real_valued) else np.float64
+        cell = (state, t)
+        assert oracle.taylor(catalog, u, t).dtype == want, cell
+        assert seen.pop() == working, cell
+        assert np.asarray(oracle.value(u, t)).dtype == want, cell
+
+
+def test_polynomial_oracle_terms_are_the_ones_F_sums() -> None:
+    # a recorded tape never reruns F, so taylor, value and partial agree
+    # only if terms cannot change after construction
+    oracle = PolynomialOracle(1, [(1, (1,), 1.0)])
+    catalog = build_catalog(2, 1)
+    u, t = np.array([0.5]), 0.25
+    oracle.taylor(catalog, u, t)
+    with contextlib.suppress(AttributeError):
+        oracle.terms.append((0, (2, 0), 3.0))
+    assert oracle.terms == ((0, (1, 0), 1.0),)
+    assert oracle.taylor(catalog, u, t)[0, 0] == 0.5
+    assert oracle.value(u, t)[0] == oracle.partial((), u, t)[0] == 0.5

@@ -75,17 +75,17 @@ def assert_same(got, want) -> None:
 
 
 def check_against_live(oracle, catalog, points) -> list:
-    """Each point's taylor (without its shape check: F may return any
-    number of outputs) against live_taylor under taylor's dtype rule, in
-    order, on one oracle, and the point's compiled replay, once a tape is
-    recorded, against live_taylor itself; the results, which later calls
-    must leave as they were."""
+    """Each point's taylor against live_taylor under taylor's dtype rule,
+    in order, on one oracle, and the point's compiled replay, once a tape
+    is recorded, against live_taylor itself; the results, which later
+    calls must leave as they were.  F gives one output per state."""
     results = []
     for u, t in points:
-        got = outcome(oracle._taylor, catalog, u, t)
+        dtype = np.result_type(u, t, float)
+        got = outcome(oracle.taylor, catalog, u, t)
         live = outcome(live_taylor, oracle.F, catalog, u, t)
-        assert_same(got, live if isinstance(live, type) else oracle._real_at(live, u, t))
-        tape = oracle._tapes.get((catalog.d_plus_1, catalog.k, np.result_type(u, t, float)))
+        assert_same(got, live if isinstance(live, type) else oracle._in_working(live, dtype))
+        tape = oracle._tapes.get((catalog.d_plus_1, catalog.k, dtype))
         if tape is not None:
             assert_same(outcome(tape.replay, seeds(catalog, u, t)), live)
         results.append((got, got if isinstance(got, type) else got.copy()))
@@ -169,7 +169,7 @@ def test_replay_matches_live_jets(data) -> None:
 
 @pytest.mark.parametrize("F, points", [
     # plain-number outputs, a real and a complex one
-    (lambda u, t: [2.0, 1j], [([0.5], 0.25), ([0.5j], 0.25)]),
+    (lambda u, t: [2.0, 1j], [([0.5, 0.0], 0.25), ([0.5j, 0.0], 0.25)]),
     # exp(1e300 t): the affine path at t < 0 and Horner's fallback where
     # exp overflows at t > 0, on one tape, each point deciding for itself
     (lambda u, t: [np.exp(1e300 * t) + u[0]], [([0.5], -1.0), ([0.5], 1.0), ([0.5], -0.5)]),
@@ -177,11 +177,11 @@ def test_replay_matches_live_jets(data) -> None:
     # (NaN at a fractional power), Python floats at an integer one, and
     # ZeroDivisionError at zero
     (lambda u, t: [(u[0] - 1.0) ** -1.5, 1.0 / (u[0] - 1.0), (u[0] - 1.0) ** -2],
-     [([2.0], 0.0), ([0.5], 0.0), ([1.0], 0.0), ([-3.0], 0.0)]),
+     [([x, 0.0, 0.0], 0.0) for x in (2.0, 0.5, 1.0, -3.0)]),
 ])
 def test_replay_decides_from_values(F, points) -> None:
-    oracle = JetOracle(F)
-    check_against_live(oracle, _catalog(2, 3), [(np.array(u), t) for u, t in points])
+    catalog = _catalog(len(points[0][0]) + 1, 3)
+    check_against_live(JetOracle(F), catalog, [(np.array(u), t) for u, t in points])
 
 
 def test_failed_recording_leaves_no_tape() -> None:
